@@ -20,7 +20,12 @@ from repro.rulers.base import Dimension, RulerSuite
 from repro.smt.simulator import ContextPlacement, PairMode, Simulator
 from repro.workloads.profile import WorkloadProfile
 
-__all__ = ["Characterization", "characterize", "characterize_many"]
+__all__ = [
+    "Characterization",
+    "characterization_jobs",
+    "characterize",
+    "characterize_many",
+]
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,33 @@ def characterize(
     )
 
 
+def characterization_jobs(
+    profiles: Iterable[WorkloadProfile],
+    suite: RulerSuite,
+    *,
+    mode: PairMode = "smt",
+) -> list[list[ContextPlacement]]:
+    """The placements :func:`characterize` reads for each profile.
+
+    Every Ruler's solo run, then per profile its solo run and its co-run
+    with each Ruler — the job list to hand :meth:`Simulator.prefetch`
+    before characterizing a population.
+    """
+    rulers = [suite[dimension].profile for dimension in suite]
+    co_core = 0 if mode == "smt" else 1
+    jobs: list[list[ContextPlacement]] = [
+        [ContextPlacement(ruler, core=0)] for ruler in rulers
+    ]
+    for profile in profiles:
+        jobs.append([ContextPlacement(profile, core=0)])
+        jobs.extend(
+            [ContextPlacement(profile, core=0),
+             ContextPlacement(ruler, core=co_core)]
+            for ruler in rulers
+        )
+    return jobs
+
+
 def characterize_many(
     simulator: Simulator,
     profiles: Iterable[WorkloadProfile],
@@ -107,19 +139,7 @@ def characterize_many(
     """
     with span("characterize_many"):
         profiles = list(profiles)
-        rulers = [suite[dimension].profile for dimension in suite]
-        co_core = 0 if mode == "smt" else 1
-        jobs: list[list[ContextPlacement]] = [
-            [ContextPlacement(ruler, core=0)] for ruler in rulers
-        ]
-        for profile in profiles:
-            jobs.append([ContextPlacement(profile, core=0)])
-            jobs.extend(
-                [ContextPlacement(profile, core=0),
-                 ContextPlacement(ruler, core=co_core)]
-                for ruler in rulers
-            )
-        simulator.prefetch(jobs)
+        simulator.prefetch(characterization_jobs(profiles, suite, mode=mode))
         result: dict[str, Characterization] = {}
         for profile in profiles:
             result[profile.name] = characterize(simulator, profile, suite,

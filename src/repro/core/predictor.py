@@ -13,15 +13,20 @@ selling point over exhaustive pairwise profiling (Section III-D).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from repro.core.characterize import Characterization, characterize
+from repro.core.characterize import (
+    Characterization,
+    characterization_jobs,
+    characterize,
+    characterize_many,
+)
 from repro.core.model import SMiTeModel
 from repro.core.trainer import build_pair_dataset
 from repro.errors import ConfigurationError
 from repro.rulers.base import Dimension, RulerSuite
 from repro.rulers.suite import default_suite
-from repro.smt.simulator import PairMode, Simulator
+from repro.smt.simulator import ContextPlacement, PairMode, Simulator
 from repro.workloads.profile import WorkloadProfile
 
 __all__ = ["SMiTe"]
@@ -47,6 +52,13 @@ class SMiTe:
         self.server_models: dict[int, SMiTeModel] = {}
         self._mode: PairMode = "smt"
         self._characterizations: dict[tuple[str, str], Characterization] = {}
+        # Characterization keys whose placements prefetch_server already
+        # pushed to the simulator (solves never go stale).
+        self._warmed: set[tuple[str, str]] = set()
+        # Derived from the fitted models and the mode; every fit clears
+        # them (see _reset_fit_caches).
+        self._server_calibrations: dict[tuple, float] = {}
+        self._ruler_chars: dict[Dimension, Characterization] | None = None
 
     # ------------------------------------------------------------------
 
@@ -88,6 +100,22 @@ class SMiTe:
         mode = mode or self._mode
         self._characterizations[(profile.name, mode)] = characterization
 
+    def characterize_all(self, profiles: Iterable[WorkloadProfile]) -> None:
+        """Characterize every uncached profile through one batched sweep.
+
+        Gives the characterizations :meth:`characterization` would
+        measure one profile at a time, with every Ruler co-run solved in
+        one batch by :func:`characterize_many`.
+        """
+        mode = self._mode
+        missing = [p for p in dict.fromkeys(profiles)
+                   if (p.name, mode) not in self._characterizations]
+        if missing:
+            for name, char in characterize_many(
+                self.simulator, missing, self.suite, mode=mode,
+            ).items():
+                self._characterizations[(name, mode)] = char
+
     def characterize_server(
         self,
         latency_profile: WorkloadProfile,
@@ -119,7 +147,7 @@ class SMiTe:
             raise ConfigurationError(
                 f"ruler instances must be in 1..{total}, got {instances}"
             )
-        key = (f"{latency_profile.name}#server{instances}", mode)
+        key = self._server_key(latency_profile, instances, mode)
         cached = self._characterizations.get(key)
         if cached is not None:
             return cached
@@ -155,6 +183,9 @@ class SMiTe:
                 "SMiTe needs at least 3 training workloads"
             )
         self._mode = mode
+        self._reset_fit_caches()
+        self.server_models = {}
+        self.characterize_all(training)
         dataset = build_pair_dataset(self.simulator, list(training), mode=mode)
         triples = [
             (
@@ -200,17 +231,26 @@ class SMiTe:
             counts = list(range(1, total + 1))
         else:
             counts = sorted({min(max(k, 1), total) for k in instance_counts})
+        self._reset_fit_caches()
+        self.characterize_all(training)
         batch_chars = [self.characterization(b) for b in training]
+        # The latency role is a multithreaded service: its threads work
+        # on one shared data set. Train with the multithreaded variant of
+        # each training app so the feature domain matches the CloudSuite
+        # apps this model predicts.
+        latency_apps = [app.replace(name=f"{app.name}-mt", shares_memory=True)
+                        for app in training]
+        # The whole calibration grid — each latency variant against every
+        # Ruler (its per-count characterization) and every training app
+        # (the response), at every count — in one batched solve.
+        self.simulator.prefetch(self._server_jobs(
+            latency_apps, [*self._ruler_profiles(), *training], counts,
+            latency_threads,
+        ))
         self.server_models = {}
         for k in counts:
             triples = []
-            for app in training:
-                # The latency role is a multithreaded service: its threads
-                # work on one shared data set. Train with the multithreaded
-                # variant of each training app so the feature domain
-                # matches the CloudSuite apps this model predicts.
-                latency_app = app.replace(name=f"{app.name}-mt",
-                                          shares_memory=True)
+            for latency_app in latency_apps:
                 sen = self.characterize_server(
                     latency_app, latency_threads=latency_threads, instances=k,
                 )
@@ -278,7 +318,99 @@ class SMiTe:
         )
         return pair * instances / total
 
+    def prefetch_server(
+        self,
+        latency_profiles: Sequence[WorkloadProfile],
+        batch_profiles: Sequence[WorkloadProfile],
+        *,
+        instance_counts: Sequence[int],
+        latency_threads: int | None = None,
+    ) -> None:
+        """Batch-solve what serving these apps reads, in one prefetch.
+
+        Covers the batch apps' characterizations and each latency app's
+        per-count server characterization (the Ruler grid, including
+        the unloaded server). With server models that adds the Ruler
+        characterizations behind the calibration anchor; without them,
+        the latency apps' pair characterizations the fallback reads —
+        the grid is still warmed there because a hot-swapped count
+        model (``repro.adapt``) reads it. Characterizations already
+        cached or warmed are skipped, so repeat calls are cheap.
+        """
+        cached = self._characterizations
+        warmed = self._warmed
+
+        def wanted(key: tuple[str, str]) -> bool:
+            if key in cached or key in warmed:
+                return False
+            warmed.add(key)
+            return True
+
+        rulers = self._ruler_profiles()
+        pair_apps = [*batch_profiles,
+                     *(rulers if self.server_models else latency_profiles)]
+        uncharacterized = [p for p in dict.fromkeys(pair_apps)
+                           if wanted((p.name, self._mode))]
+        jobs = (characterization_jobs(uncharacterized, self.suite,
+                                      mode=self._mode)
+                if uncharacterized else [])
+        for latency in dict.fromkeys(latency_profiles):
+            counts = [k for k in dict.fromkeys(instance_counts)
+                      if k > 0 and wanted(self._server_key(latency, k))]
+            jobs += self._server_jobs([latency], rulers, counts,
+                                      latency_threads)
+        if jobs:
+            self.simulator.prefetch(jobs)
+
     # ------------------------------------------------------------------
+
+    def _reset_fit_caches(self) -> None:
+        """Drop what was derived from the previous fit's models and mode."""
+        self._server_calibrations = {}
+        self._ruler_chars = None
+
+    def _server_key(self, latency_profile: WorkloadProfile, instances: int,
+                    mode: PairMode | None = None) -> tuple[str, str]:
+        """Cache key of one per-count server characterization."""
+        return (f"{latency_profile.name}#server{instances}",
+                mode or self._mode)
+
+    def _ruler_profiles(self) -> list[WorkloadProfile]:
+        return [self.suite[dimension].profile for dimension in self.suite]
+
+    def _server_jobs(
+        self,
+        latency_profiles: Sequence[WorkloadProfile],
+        others: Sequence[WorkloadProfile],
+        counts: Sequence[int],
+        latency_threads: int | None,
+    ) -> list[list[ContextPlacement]]:
+        """The placements server measurements against ``others`` read.
+
+        :meth:`Simulator.measure_server` reads the latency app alone (no
+        batch instances), the loaded server at the count, and the other
+        app's solo run; this lists them for every latency app, other app
+        and count, in the predictor's mode.
+        """
+        simulator = self.simulator
+        jobs = [[ContextPlacement(other, core=0)] for other in others]
+        for latency in latency_profiles:
+            if not counts:
+                continue
+            # With no batch instances the batch profile places nothing.
+            jobs.append(simulator.server_placements(
+                latency, latency, instances=0, mode=self._mode,
+                latency_threads=latency_threads,
+            ))
+            jobs.extend(
+                simulator.server_placements(
+                    latency, other, instances=k, mode=self._mode,
+                    latency_threads=latency_threads,
+                )
+                for other in others
+                for k in counts
+            )
+        return jobs
 
     def _server_model_for(self, instances: int) -> SMiTeModel:
         model = self.server_models.get(instances)
@@ -291,7 +423,7 @@ class SMiTe:
 
     def _ruler_characterizations(self) -> dict[Dimension, Characterization]:
         """Each Ruler characterized as an aggressor (Con against the suite)."""
-        if not hasattr(self, "_ruler_chars"):
+        if self._ruler_chars is None:
             self._ruler_chars = {
                 dimension: self.characterization(self.suite[dimension].profile)
                 for dimension in self.suite
@@ -314,8 +446,6 @@ class SMiTe:
         app, using nothing beyond its own Ruler profile.
         """
         key = (latency_profile.name, instances, latency_threads)
-        if not hasattr(self, "_server_calibrations"):
-            self._server_calibrations: dict[tuple, float] = {}
         cached = self._server_calibrations.get(key)
         if cached is not None:
             return cached

@@ -14,6 +14,7 @@ import itertools
 from repro.analysis.stats import empirical_cdf
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.context import ivy_simulator
+from repro.smt.simulator import ContextPlacement
 from repro.workloads.spec import SPEC_CPU2006
 
 __all__ = ["run", "aggregate_port_samples"]
@@ -27,8 +28,11 @@ def aggregate_port_samples(ports=_PORTS) -> dict[int, list[float]]:
     simulator = ivy_simulator()
     samples: dict[int, list[float]] = {p: [] for p in ports}
     profiles = list(SPEC_CPU2006.values())
-    for a, b in itertools.combinations_with_replacement(profiles, 2):
-        result = simulator.run_pair(a, b, "smt")
+    results = simulator.run_many([
+        [ContextPlacement(a, core=0), ContextPlacement(b, core=0)]
+        for a, b in itertools.combinations_with_replacement(profiles, 2)
+    ])
+    for result in results:
         aggregated = result.aggregate_port_utilization
         for p in ports:
             samples[p].append(min(2.0, aggregated.get(p, 0.0)))

@@ -15,6 +15,7 @@ from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.context import ivy_simulator, ivy_suite
 from repro.rulers.suite import intensity_sweep
 from repro.rulers.validation import validate_purity
+from repro.smt.simulator import ContextPlacement
 from repro.workloads.spec import spec_even
 
 __all__ = ["run"]
@@ -27,6 +28,18 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     metrics: dict[str, float] = {}
     victims = spec_even()[:6] if config.fast else spec_even()
+    sweeps = {
+        dimension: intensity_sweep(suite[dimension], points=4)
+        for dimension in suite if not dimension.is_functional_unit
+    }
+    # Every (victim, swept Ruler) co-run the linearity check measures,
+    # with both sides' solo runs, in one batched solve.
+    swept = [r.profile for sweep in sweeps.values() for r in sweep]
+    simulator.prefetch([
+        *([ContextPlacement(p, core=0)] for p in [*victims, *swept]),
+        *([ContextPlacement(victim, core=0), ContextPlacement(r, core=0)]
+          for victim in victims for r in swept),
+    ])
 
     for dimension in suite:
         ruler = suite[dimension]
@@ -35,7 +48,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             rows.append((ruler.name, "port purity", purity))
             metrics[f"purity_{dimension.value}"] = purity
         else:
-            sweep = intensity_sweep(ruler, points=4)
+            sweep = sweeps[dimension]
             intensities = [r.intensity for r in sweep]
             correlations = []
             for victim in victims:

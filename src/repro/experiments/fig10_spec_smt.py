@@ -26,6 +26,8 @@ def evaluate_spec(mode: str):
     smite = smite_spec(mode)  # type: ignore[arg-type]
     pmu = pmu_model_spec(mode)  # type: ignore[arg-type]
     dataset = spec_test_dataset(mode)  # type: ignore[arg-type]
+    # Every characterization the predictions read, in one batched sweep.
+    smite.characterize_all(sample.victim for sample in dataset)
     smite_report = evaluate_model("smite", smite.predict, dataset)
     pmu_report = evaluate_model(
         "pmu",

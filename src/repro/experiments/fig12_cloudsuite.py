@@ -18,6 +18,7 @@ from repro.core.predictor import SMiTe
 from repro.core.trainer import build_pair_dataset, build_server_dataset
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.context import cloud_profiles, smite_cloud, snb_simulator
+from repro.smt.simulator import ContextPlacement
 from repro.workloads.spec import spec_even, spec_odd
 
 __all__ = ["run", "cloudsuite_reports"]
@@ -51,9 +52,16 @@ def cloudsuite_reports(mode: str) -> tuple[EvaluationReport, EvaluationReport]:
     smite = smite_cloud(mode) if mode == "smt" else _smite_cloud_cmp()  # type: ignore[arg-type]
     pmu = _pmu_cloud(mode)
     total = simulator.machine.cores if mode == "smt" else simulator.machine.cores // 2
+    latency_apps = cloud_profiles()
     dataset = build_server_dataset(
-        simulator, cloud_profiles(), spec_even(), mode=mode,  # type: ignore[arg-type]
+        simulator, latency_apps, spec_even(), mode=mode,  # type: ignore[arg-type]
     )
+    # Everything the loop below reads beyond the measured dataset: the
+    # predictor's per-count characterizations and the PMU's solo runs.
+    smite.prefetch_server(latency_apps, spec_even(),
+                          instance_counts=range(1, total + 1))
+    simulator.prefetch([[ContextPlacement(app, core=0)]
+                        for app in latency_apps])
     smite_preds = []
     pmu_preds = []
     for sample in dataset:

@@ -30,7 +30,7 @@ result cache's per-module signature.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "BLOCKING_ATTR_TAILS",
@@ -127,6 +127,7 @@ class CallSite:
     wrapped: bool            # argument of create_task/gather/run/...
     returned: bool           # direct ``return <call>`` statement
     assigned: bool = False   # bound to a name (may be awaited later)
+    discarded: bool = False  # a bare expression statement: result dropped
     callees: tuple[str, ...] = ()   # resolved project qualnames
 
 
@@ -469,6 +470,7 @@ class _Scanner(ast.NodeVisitor):
                 lineno=node.lineno, col=node.col_offset, raw=raw,
                 expanded=expanded, awaited=awaited, wrapped=wrapped,
                 returned=returned, assigned=assigned,
+                discarded=isinstance(self.parents.get(node), ast.Expr),
             ))
             self._classify_call(fn, node, raw, expanded)
         self.generic_visit(node)
@@ -703,12 +705,7 @@ class ProjectGraph:
         callees = self._resolve_call(fn, mod, cls, site.raw)
         if callees == site.callees:
             return site
-        return CallSite(
-            lineno=site.lineno, col=site.col, raw=site.raw,
-            expanded=site.expanded, awaited=site.awaited,
-            wrapped=site.wrapped, returned=site.returned,
-            assigned=site.assigned, callees=callees,
-        )
+        return replace(site, callees=callees)
 
     def resolve_call(self, fn: FunctionInfo, raw: str) -> tuple[str, ...]:
         """Public resolution query: ``raw`` as called from inside ``fn``."""

@@ -17,7 +17,10 @@ project graph (``ctx.project``):
   are neither awaited, wrapped in an asyncio scheduling helper
   (``create_task``/``gather``/...), returned, nor bound to a name — the
   coroutine object is created and silently dropped, so the code never
-  runs.
+  runs. It also flags a ``create_task``/``ensure_future`` call used as
+  a bare statement: the loop keeps only a weak reference to the task,
+  so a dropped handle can be collected mid-flight, and nothing can
+  await or cancel it at shutdown.
 - **SMT603** flags ``asyncio.get_event_loop()``: deprecated, and
   implicitly *creates* a loop when called off-thread, which is how a
   second event loop ends up owning half the callbacks.
@@ -31,6 +34,9 @@ from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
 __all__ = ["BlockingInCoroutine", "UnawaitedCoroutine", "EventLoopMisuse"]
+
+#: Calls returning a task whose handle must be kept (SMT602).
+_TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 
 def _dotted(node: ast.AST) -> str:
@@ -101,7 +107,7 @@ class UnawaitedCoroutine(Rule):
     severity = Severity.ERROR
     summary = ("call to an async def is neither awaited, scheduled "
                "(create_task/gather/...), returned, nor bound — it "
-               "never runs")
+               "never runs; or a create_task handle is discarded")
 
     def check_module(self, ctx) -> None:
         if ctx.project is None:
@@ -112,6 +118,16 @@ class UnawaitedCoroutine(Rule):
             return
         for fn in mod.functions.values():
             for site in fn.calls:
+                if site.discarded and site.raw.rpartition(".")[2] \
+                        in _TASK_SPAWNERS:
+                    ctx.report(
+                        self,
+                        f"`{site.raw}(...)` discards its task handle — "
+                        "the loop holds tasks only weakly and nothing can "
+                        "await or cancel it at shutdown; keep the task",
+                        line=site.lineno, col=site.col,
+                    )
+                    continue
                 if site.awaited or site.wrapped or site.returned \
                         or site.assigned:
                     continue

@@ -148,6 +148,8 @@ class ApiServer:
         self._address: tuple[str, int] | None = None
         self._draining = False
         self._drain_started = False
+        self._drain_task: "asyncio.Task[None] | None" = None
+        self._connection_tasks: dict["asyncio.Task[None]", None] = {}
         self._in_flight = False
         self._requests = 0
         self._sheds = 0
@@ -201,6 +203,10 @@ class ApiServer:
         if self._stopped is None:
             raise ReproError("ApiServer.start() has not run yet")
         await self._stopped.wait()
+        if self._drain_task is not None:
+            # The drain sets the stop event as its last step; finish it
+            # here so no task outlives the loop.
+            await self._drain_task
 
     async def drain(self) -> None:
         """Graceful shutdown: answer queued work, flush, then close.
@@ -242,6 +248,11 @@ class ApiServer:
             )
         for writer in list(self._writers):
             writer.close()
+        if self._connection_tasks:
+            # Closed transports end every handler's read; let them exit
+            # before the loop can close under them.
+            await asyncio.gather(*self._connection_tasks,
+                                 return_exceptions=True)
         if self._server is not None:
             try:
                 await self._server.wait_closed()
@@ -261,9 +272,14 @@ class ApiServer:
         """
         ready = threading.Event()
         failures: list[BaseException] = []
+        loop = asyncio.new_event_loop()
+        # Held while the exit path schedules onto the loop and while the
+        # runner retires it, so a drain request lands on an open loop or
+        # not at all — never on one that is closing.
+        loop_guard = threading.Lock()
+        loop_open = [True]
 
         def _runner() -> None:
-            loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
 
             async def _main() -> None:
@@ -279,6 +295,8 @@ class ApiServer:
                 failures.append(exc)
                 ready.set()
             finally:
+                with loop_guard:
+                    loop_open[0] = False
                 asyncio.set_event_loop(None)
                 loop.close()
 
@@ -292,12 +310,15 @@ class ApiServer:
         try:
             yield self.address
         finally:
-            if thread.is_alive() and self._loop is not None:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.drain(), self._loop,
-                )
-                future.result(timeout=timeout_s)
+            # A server that already stopped (shutdown op, max_requests)
+            # ignores the request; one that is running drains, and the
+            # runner thread exits once the drain task is done.
+            with loop_guard:
+                if loop_open[0]:
+                    loop.call_soon_threadsafe(self._begin_drain)
             thread.join(timeout_s)
+            if thread.is_alive():  # pragma: no cover
+                raise ReproError("ApiServer did not drain in time")
             if failures:  # pragma: no cover
                 raise failures[0]
 
@@ -323,6 +344,9 @@ class ApiServer:
         counter("serve.api.connections").inc()
         self._connections += 1
         self._writers[writer] = None
+        task = asyncio.current_task()
+        if task is not None:
+            self._connection_tasks[task] = None
         try:
             while True:
                 try:
@@ -345,6 +369,7 @@ class ApiServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            self._connection_tasks.pop(task, None)
 
     async def _handle_message(self, writer: asyncio.StreamWriter,
                               message: dict[str, Any]) -> None:
@@ -380,12 +405,13 @@ class ApiServer:
             self._begin_drain()
 
     def _begin_drain(self) -> None:
-        if not self._drain_started and self._loop is not None:
+        if self._drain_task is None and not self._drain_started \
+                and self._loop is not None:
             # Flip the flag synchronously so a request pipelined right
             # behind the one that triggered the drain is already
             # rejected, even before the drain task gets scheduled.
             self._draining = True
-            self._loop.create_task(self.drain())
+            self._drain_task = self._loop.create_task(self.drain())
 
     def _resolve(
         self, app_name: str, batch_name: str,

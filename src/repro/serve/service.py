@@ -42,7 +42,6 @@ from repro.core.tail import TailLatencyModel
 from repro.errors import ConfigurationError, SchedulingError
 from repro.obs import counter
 from repro.scheduler.qos import QosMetric, QosTarget
-from repro.smt.simulator import ContextPlacement
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -463,11 +462,6 @@ class PredictionService(Decider):
         # been evicted.
         self._predicted: dict[tuple[str, str, int], float] = {}
         self._epoch_remaining_ms = self.admission.budget_ms_per_epoch
-        # Profiles whose simulator solves have already been prefetched
-        # (dicts used as ordered sets; lint-safe iteration).
-        self._warmed_batch: dict[str, None] = {}
-        self._warmed_server: dict[tuple[str, int], None] = {}
-        self._warmed_rulers = False
         # Per-epoch unique-pair classification memo (see _classify) and
         # the LRU-count walk begin_epoch_batch shares with decide_batch.
         self._epoch_batch: CandidateBatch | None = None
@@ -641,53 +635,20 @@ class PredictionService(Decider):
         self.begin_epoch(batch)
 
     def _prefetch(self, misses: Iterable[Candidate]) -> None:
-        """Batch every solve the epoch's affordable misses will need."""
-        simulator = self.predictor.simulator
-        suite = self.predictor.suite
-        rulers = [suite[dimension].profile for dimension in suite]
-        jobs: list[list[ContextPlacement]] = []
-        if not self._warmed_rulers:
-            # One-time: Ruler solos and Ruler x Ruler pairs behind the
-            # predictor's server-calibration anchor.
-            jobs.extend([ContextPlacement(r, core=0)] for r in rulers)
-            jobs.extend(
-                [ContextPlacement(a, core=0), ContextPlacement(b, core=0)]
-                for a in rulers
-                for b in rulers
+        """Batch every solve the epoch's affordable misses will need.
+
+        The predictor skips whatever it has already characterized or
+        warmed, so a question asked again costs a few set lookups.
+        """
+        by_max: dict[int, list[Candidate]] = {}
+        for miss in misses:
+            by_max.setdefault(miss[2], []).append(miss)
+        for max_instances, group in by_max.items():
+            self.predictor.prefetch_server(
+                [app.profile for app, _batch, _max in group],
+                [batch for _app, batch, _max in group],
+                instance_counts=range(1, max_instances + 1),
             )
-            self._warmed_rulers = True
-        for latency_app, batch_profile, max_instances in misses:
-            if batch_profile.name not in self._warmed_batch:
-                self._warmed_batch[batch_profile.name] = None
-                jobs.append([ContextPlacement(batch_profile, core=0)])
-                jobs.extend(
-                    [ContextPlacement(batch_profile, core=0),
-                     ContextPlacement(ruler, core=0)]
-                    for ruler in rulers
-                )
-            if (latency_app.name, 0) not in self._warmed_server:
-                # The app's own pair characterization (count 0 stands for
-                # the pairwise fallback used when no server models exist).
-                self._warmed_server[(latency_app.name, 0)] = None
-                jobs.append([ContextPlacement(latency_app.profile, core=0)])
-                jobs.extend(
-                    [ContextPlacement(latency_app.profile, core=0),
-                     ContextPlacement(ruler, core=0)]
-                    for ruler in rulers
-                )
-            for count in range(1, max_instances + 1):
-                server_key = (latency_app.name, count)
-                if server_key in self._warmed_server:
-                    continue
-                self._warmed_server[server_key] = None
-                jobs.extend(
-                    simulator.server_placements(
-                        latency_app.profile, ruler, instances=count,
-                    )
-                    for ruler in rulers
-                )
-        if jobs:
-            simulator.prefetch(jobs)
 
     # ------------------------------------------------------------------
 

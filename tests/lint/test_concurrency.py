@@ -144,12 +144,59 @@ def test_awaited_scheduled_returned_and_bound_calls_pass(lint):
 
         async def handler():
             await work()
-            asyncio.create_task(work())
+            task = asyncio.create_task(work())
             coro = work()
             await coro
+            await task
 
         def factory():
             return work()
+    """, rules=[UnawaitedCoroutine])
+    assert findings == []
+
+
+def test_discarded_task_handle_fails(lint):
+    findings = lint("""\
+        import asyncio
+
+        async def work():
+            pass
+
+        class Server:
+            def __init__(self, loop):
+                self._loop = loop
+
+            def begin(self):
+                self._loop.create_task(work())
+
+        async def handler():
+            asyncio.ensure_future(work())
+    """, rules=[UnawaitedCoroutine])
+    assert rule_ids(findings) == ["SMT602", "SMT602"]
+    assert all("discards its task handle" in f.message for f in findings)
+
+
+def test_kept_task_handles_pass(lint):
+    findings = lint("""\
+        import asyncio
+
+        async def work():
+            pass
+
+        class Server:
+            def __init__(self, loop):
+                self._loop = loop
+                self._tasks = set()
+                self._drain_task = None
+
+            def begin(self):
+                self._drain_task = self._loop.create_task(work())
+                self._tasks.add(self._loop.create_task(work()))
+
+        async def handler():
+            task = asyncio.create_task(work())
+            await asyncio.gather(task, asyncio.ensure_future(work()))
+            return asyncio.create_task(work())
     """, rules=[UnawaitedCoroutine])
     assert findings == []
 
