@@ -42,7 +42,7 @@ from repro.serve.service import (
     PredictionService,
     RandomDecider,
 )
-from repro.serve.shard import PoolReplay, run_pool_shards
+from repro.serve.shard import PoolReplay
 from repro.serve.slo import SloWindow, WindowedSlo, window_violation_stats
 from repro.serve.traffic import (
     Trace,
@@ -79,6 +79,5 @@ __all__ = [
     "phase_shift_trace",
     "poisson_trace",
     "run_api_shards",
-    "run_pool_shards",
     "window_violation_stats",
 ]

@@ -14,14 +14,17 @@ clock. Two replay strategies share one event-ordering contract
 (ascending ``(time, kind, job id)`` with departures ranked before
 arrivals, epochs assigned by one ``searchsorted`` over the epoch grid):
 
-- ``"vector"`` (default) runs three struct-of-arrays phases per replay:
-  *decide* (each epoch's candidates batched through
-  :meth:`~repro.serve.service.Decider.decide_batch`, which the decisions
-  depend on nothing but the arrival-ordered candidate stream), *place*
-  (per-pool O(1) free-list kernels from :mod:`repro.serve.shard`,
-  optionally fanned out over worker processes with ``shards``/``jobs``),
-  and *score* (vectorized event assembly plus per-epoch aggregated
-  SLO/audit accounting).
+- ``"vector"`` (default) works in struct-of-arrays *runs* of epochs:
+  it *decides* each epoch of the run through
+  :meth:`~repro.serve.service.Decider.begin_epoch_batch` and
+  :meth:`~repro.serve.service.Decider.decide_batch`, *places* the whole
+  run in one pass through per-pool O(1) free-list kernels from
+  :mod:`repro.serve.shard` (optionally resident in worker processes
+  with ``shards``/``jobs``), then *scores* each epoch (aggregated
+  SLO/audit accounting, telemetry, the adaptation hook). Placement
+  never feeds back into decisions, so without adaptation the whole
+  trace is one run; with it every epoch is its own run, because a
+  coefficient swap at an epoch's end can change the next decisions.
 - ``"scalar"`` is the per-event heapq reference loop, kept as the
   correctness anchor: given the same trace it produces byte-identical
   event logs, SLO series, and books as the vectorized and sharded paths.
@@ -42,13 +45,7 @@ from repro.obs import timeseries
 from repro.obs import trace as obs_trace
 from repro.serve.events import EventRecord, EventTable
 from repro.serve.service import Candidate, CandidateStream, Decider
-from repro.serve.shard import (
-    EpochShardPool,
-    PoolKernel,
-    PoolReplay,
-    replay_pool_events,
-    run_pool_shards,
-)
+from repro.serve.shard import EpochShardPool, PoolKernel
 from repro.serve.slo import SloWindow, WindowedSlo
 from repro.serve.traffic import Trace, TraceJob
 from repro.smt.simulator import Simulator
@@ -396,9 +393,9 @@ class ServingEngine:
 
         ``strategy`` picks the replay implementation: ``"vector"``
         (struct-of-arrays, the default) or ``"scalar"`` (the per-event
-        reference loop). ``shards > 1`` fans the vectorized placement
-        phase out over that many worker processes (capped at one shard
-        per server pool), using at most ``jobs`` workers. All
+        reference loop). ``shards > 1`` keeps the vectorized placement
+        kernels in that many worker processes (capped at one shard per
+        server pool), using at most ``jobs`` workers. All
         combinations produce byte-identical event logs and books.
         """
         if strategy not in ("vector", "scalar"):
@@ -413,13 +410,6 @@ class ServingEngine:
         with span("serve.replay"):
             if strategy == "scalar":
                 return self._replay_scalar(trace)
-            if self.adaptation is not None:
-                # Decisions are no longer a pure function of the arrival
-                # stream — coefficient swaps feed back — so the replay
-                # interleaves decide/place/score per epoch.
-                return self._replay_vector_adaptive(
-                    trace, shards=shards, jobs=jobs,
-                )
             return self._replay_vector(trace, shards=shards, jobs=jobs)
 
     # -- vectorized strategy -------------------------------------------
@@ -427,242 +417,15 @@ class ServingEngine:
     def _replay_vector(
         self, trace: Trace, *, shards: int = 0, jobs: int | None = None,
     ) -> ReplayOutcome:
-        n_apps = len(self.apps)
-        threads = self.threads_per_server
-        n_jobs = len(trace)
-        n_epochs, ends = self._epoch_grid(trace.horizon_s)
-        app_of_job = (trace.job_id % n_apps).astype(np.intp)
-        arr_order, arr_epoch = self._arrival_plan(trace, ends)
-        n_arrivals = int(arr_order.size)
+        """Struct-of-arrays replay over runs of epochs.
 
-        # Phase 1 — decide. Decisions are a pure function of the
-        # arrival-ordered candidate stream (placement never feeds back),
-        # so the whole stream is classified up front and handed to the
-        # decider's stream interface in one call.
-        epoch_starts_arr = np.searchsorted(arr_epoch,
-                                           np.arange(n_epochs + 1))
-        epoch_starts = epoch_starts_arr.tolist()
-        app_c = app_of_job[arr_order]
-        prof_c = trace.profile_idx[arr_order]
-        n_pool = len(trace.pool)
-        n_pairs = n_apps * n_pool
-        key_table = [
-            (app.name, profile.name, threads)
-            for app in self.apps for profile in trace.pool
-        ]
-        # One numpy pass classifies every epoch's unique (app, profile)
-        # pairs: uid_combo holds the distinct (epoch, pair) codes in
-        # order, so each epoch's uids are a contiguous slice; inv/firsts
-        # are rebased to be epoch-local.
-        pair_c = app_c * n_pool + prof_c
-        combo = arr_epoch * n_pairs + pair_c
-        uid_combo, first_pos, inv_g = np.unique(
-            combo, return_index=True, return_inverse=True,
-        )
-        uid_epoch = uid_combo // n_pairs
-        uid_off = np.searchsorted(uid_epoch, np.arange(n_epochs + 1))
-        uid_pair = (uid_combo % n_pairs).tolist()
-        uid_offs = uid_off.tolist()
-        inv_local = (inv_g - uid_off[arr_epoch]).tolist()
-        firsts_local = (first_pos - epoch_starts_arr[uid_epoch]).tolist()
-        with span("serve.decide"):
-            stream = CandidateStream(
-                self.apps, trace.pool, app_c, prof_c, pair_c, threads,
-                key_table, epoch_starts, uid_offs, uid_pair,
-                inv_local, firsts_local,
-            )
-            counts, shed = self.decider.decide_stream(stream)
-        cap = np.minimum(counts, threads)
-        cap[shed] = 0
-
-        # Merged event table: arrivals plus in-horizon departures of
-        # processed arrivals, in (time, kind, job id) processing order.
-        dep_t = trace.departure_s[arr_order]
-        dep_pos = arr_order[dep_t < trace.horizon_s]
-        n_departures = int(dep_pos.size)
-        ev_time = np.concatenate(
-            (trace.arrival_s[arr_order], trace.departure_s[dep_pos])
-        )
-        ev_kind = np.concatenate((
-            np.full(n_arrivals, _ARRIVE, dtype=np.int8),
-            np.full(n_departures, _DEPART, dtype=np.int8),
-        ))
-        ev_jobpos = np.concatenate((arr_order, dep_pos))
-        order = np.lexsort((trace.job_id[ev_jobpos], ev_kind, ev_time))
-        ev_time = ev_time[order]
-        ev_kind = ev_kind[order]
-        ev_jobpos = ev_jobpos[order]
-        ev_epoch = np.searchsorted(ends, ev_time, side="right")
-        ev_app = app_of_job[ev_jobpos]
-        n_events = int(ev_time.size)
-
-        # Phase 2 — place. Only events that can touch pool state go
-        # through the kernels: arrivals allowed >= 1 instance, and their
-        # departures. Everything else is baseline by construction.
-        cap_of_job = np.zeros(n_jobs, dtype=np.int64)
-        cap_of_job[arr_order] = cap
-        interesting = cap_of_job[ev_jobpos] >= 1
-        pool_inputs = []
-        pool_positions = []
-        for p in range(n_apps):
-            idx = np.flatnonzero(interesting & (ev_app == p))
-            jobpos_p = ev_jobpos[idx]
-            pool_positions.append(idx)
-            pool_inputs.append({
-                "is_arrival": ev_kind[idx] == _ARRIVE,
-                "job_pos": jobpos_p,
-                "profile_idx": trace.profile_idx[jobpos_p],
-                "cap": cap_of_job[jobpos_p],
-                "epoch": ev_epoch[idx],
-                "n_epochs": n_epochs,
-                "n_servers": self.servers_per_app,
-            })
-        with span("serve.place"):
-            if shards > 1:
-                pool_outputs: list[PoolReplay] = run_pool_shards(
-                    pool_inputs, shards=shards, jobs=jobs,
-                )
-            else:
-                pool_outputs = [
-                    replay_pool_events(**kwargs) for kwargs in pool_inputs
-                ]
-
-        # Phase 3 — score. Scatter kernel outputs into the global event
-        # columns, batch the counters, and walk the epochs once for the
-        # aggregated SLO/audit sample each boundary owes.
-        shed_of_job = np.zeros(n_jobs, dtype=bool)
-        shed_of_job[arr_order] = shed
-        server_col = np.full(n_events, -1, dtype=np.int64)
-        placement_col = np.ones(n_events, dtype=np.int8)
-        placement_col[shed_of_job[ev_jobpos] & (ev_kind == _ARRIVE)] = 2
-        instances_col = np.zeros(n_events, dtype=np.int64)
-        for p in range(n_apps):
-            idx, out = pool_positions[p], pool_outputs[p]
-            base = p * self.servers_per_app
-            server_col[idx] = np.where(
-                out.server >= 0, out.server + base, -1
-            )
-            placement_col[idx] = out.placement
-            instances_col[idx] = out.instances_after
-
-        is_arrival_ev = ev_kind == _ARRIVE
-        colocated_ev = is_arrival_ev & (placement_col == 0)
-        colocated_placed = int(np.count_nonzero(colocated_ev))
-        shed_total = int(np.count_nonzero(shed))
-        counter("serve.engine.epochs").inc(n_epochs)
-        counter("serve.engine.events").inc(n_events)
-        counter("serve.engine.arrivals").inc(n_arrivals)
-        counter("serve.engine.departures").inc(n_departures)
-        counter("serve.engine.colocated").inc(colocated_placed)
-        counter("serve.engine.baseline_placed").inc(
-            n_arrivals - colocated_placed
-        )
-
-        arr_per_epoch = np.bincount(arr_epoch, minlength=n_epochs)
-        dep_per_epoch = np.bincount(
-            ev_epoch[~is_arrival_ev], minlength=n_epochs
-        )
-        running = np.cumsum(arr_per_epoch - dep_per_epoch)
-        colocated_per_epoch = np.bincount(
-            ev_epoch[colocated_ev], minlength=n_epochs
-        )
-        shed_per_epoch = np.bincount(
-            arr_epoch[shed], minlength=n_epochs
-        )
-        running_gauge = gauge("serve.engine.running")
-        tracing = obs_trace.is_active()
-        sampling = timeseries.is_active()
-        if sampling:
-            cum_arr = np.cumsum(arr_per_epoch)
-            cum_dep = np.cumsum(dep_per_epoch)
-            cum_shed = np.cumsum(shed_per_epoch)
-        with span("serve.score"):
-            for e in range(n_epochs):
-                end = float(ends[e])
-                running_gauge.set(float(running[e]))
-                obs_trace.counter_value(
-                    "serve.engine.running", float(running[e]),
-                    sim_time_s=end,
-                )
-                if tracing:
-                    obs_trace.instant(
-                        "serve.decision",
-                        {
-                            "epoch": e,
-                            "arrivals": int(arr_per_epoch[e]),
-                            "colocated": int(colocated_per_epoch[e]),
-                            "baseline": int(
-                                arr_per_epoch[e] - colocated_per_epoch[e]
-                                - shed_per_epoch[e]
-                            ),
-                            "shed": int(shed_per_epoch[e]),
-                        },
-                        sim_time_s=end,
-                    )
-                groups: list[_Group] = []
-                for p in range(n_apps):
-                    groups.extend(
-                        (p, prof, inst, count)
-                        for prof, inst, count
-                        in pool_outputs[p].groups_per_epoch[e]
-                    )
-                self._score_fleet(
-                    end, groups, trace.pool,
-                    sheds=int(shed_per_epoch[e]),
-                    requests=int(arr_per_epoch[e]),
-                )
-                if sampling:
-                    self._telemetry_tick(
-                        end, int(cum_arr[e]), int(cum_dep[e]),
-                        int(cum_shed[e]),
-                    )
-
-        events = EventTable(
-            time_s=ev_time,
-            kind=ev_kind,
-            job_id=trace.job_id[ev_jobpos],
-            profile_idx=trace.profile_idx[ev_jobpos],
-            app_idx=ev_app,
-            server=server_col,
-            placement=placement_col,
-            instances_after=instances_col,
-            profiles=[p.name for p in trace.pool],
-            apps=[a.name for a in self.apps],
-        )
-        windows = self.slo.finish() if self.slo is not None else ()
-        return ReplayOutcome(
-            policy=self.decider.name,
-            trace_kind=trace.kind,
-            seed=trace.seed,
-            horizon_s=trace.horizon_s,
-            arrivals=n_arrivals,
-            departures=n_departures,
-            still_placed=n_arrivals - n_departures,
-            colocated_placed=colocated_placed,
-            baseline_placed=n_arrivals - colocated_placed,
-            shed=shed_total,
-            events=events,
-            windows=tuple(windows),
-        )
-
-    # -- adaptive vectorized strategy ----------------------------------
-
-    def _replay_vector_adaptive(
-        self, trace: Trace, *, shards: int = 0, jobs: int | None = None,
-    ) -> ReplayOutcome:
-        """Vectorized replay with per-epoch decide/place/score interleave.
-
-        Identical in outputs to :meth:`_replay_vector` except the decide
-        phase cannot be hoisted out of the epoch loop: the adaptation
-        controller may hot-swap the decider's coefficients at any epoch
-        boundary, so epoch ``e + 1``'s decisions depend on epoch ``e``'s
-        scoring. Decisions still never depend on placement, so the
-        per-pool kernels are unchanged — they just step one epoch at a
-        time, optionally resident in persistent worker processes
-        (:class:`EpochShardPool`) when ``shards > 1``.
+        Decisions never depend on placement, so each run of epochs is
+        decided first, then placed in one pass, then scored epoch by
+        epoch. Without adaptation the whole trace is one run. With it
+        every run is one epoch: a coefficient swap at an epoch's end can
+        change the next epoch's decisions.
         """
         adaptation = self.adaptation
-        assert adaptation is not None
         n_apps = len(self.apps)
         threads = self.threads_per_server
         n_jobs = len(trace)
@@ -671,9 +434,11 @@ class ServingEngine:
         arr_order, arr_epoch = self._arrival_plan(trace, ends)
         n_arrivals = int(arr_order.size)
 
-        # The candidate stream is decision-independent, so its unique-
-        # pair classification is still one up-front numpy pass exactly
-        # as in _replay_vector; only the decide calls move into the loop.
+        # The candidate stream is decision-independent. One numpy pass
+        # classifies every epoch's unique (app, profile) pairs: uid_combo
+        # holds the distinct (epoch, pair) codes in order, so each
+        # epoch's uids are a contiguous slice; inv/firsts are rebased to
+        # be epoch-local.
         epoch_starts_arr = np.searchsorted(arr_epoch,
                                            np.arange(n_epochs + 1))
         epoch_starts = epoch_starts_arr.tolist()
@@ -692,18 +457,17 @@ class ServingEngine:
         )
         uid_epoch = uid_combo // n_pairs
         uid_off = np.searchsorted(uid_epoch, np.arange(n_epochs + 1))
-        uid_pair = (uid_combo % n_pairs).tolist()
-        uid_offs = uid_off.tolist()
-        inv_local = (inv_g - uid_off[arr_epoch]).tolist()
-        firsts_local = (first_pos - epoch_starts_arr[uid_epoch]).tolist()
         stream = CandidateStream(
             self.apps, trace.pool, app_c, prof_c, pair_c, threads,
-            key_table, epoch_starts, uid_offs, uid_pair,
-            inv_local, firsts_local,
+            key_table, epoch_starts, uid_off.tolist(),
+            (uid_combo % n_pairs).tolist(),
+            inv_g - uid_off[arr_epoch],
+            (first_pos - epoch_starts_arr[uid_epoch]).tolist(),
         )
 
-        # Merged event table, identical to _replay_vector; per-epoch
-        # slices are contiguous because ev_epoch is nondecreasing.
+        # Merged event table: arrivals plus in-horizon departures of
+        # processed arrivals, in (time, kind, job id) processing order;
+        # per-epoch slices are contiguous because ev_epoch is sorted.
         dep_t = trace.departure_s[arr_order]
         dep_pos = arr_order[dep_t < trace.horizon_s]
         n_departures = int(dep_pos.size)
@@ -725,31 +489,6 @@ class ServingEngine:
         ev_splits = np.searchsorted(ev_epoch,
                                     np.arange(n_epochs + 1)).tolist()
 
-        shed_all = np.zeros(n_arrivals, dtype=bool)
-        cap_of_job = np.zeros(n_jobs, dtype=np.int64)
-        shed_of_job = np.zeros(n_jobs, dtype=bool)
-
-        # Caps never exceed the context supply, so one state bound
-        # serves every pool; kernel outputs are bound-independent.
-        n_states = threads + 2
-        pool: EpochShardPool | None = None
-        kernels: list[PoolKernel] = []
-        if shards > 1:
-            series = timeseries.active()
-            stream_every = (
-                max(1, round(series.interval_s / self.epoch_s))
-                if series is not None else 0
-            )
-            pool = EpochShardPool(
-                [(self.servers_per_app, n_states)] * n_apps,
-                shards=shards, jobs=jobs, stream_every=stream_every,
-            )
-        else:
-            kernels = [
-                PoolKernel(self.servers_per_app, n_states)
-                for _ in range(n_apps)
-            ]
-
         # Arrival/departure totals are decision-independent (a shed job
         # still departs from the baseline pool), so the running-jobs
         # series is precomputable.
@@ -759,84 +498,119 @@ class ServingEngine:
             ev_epoch[~is_arrival_ev], minlength=n_epochs
         )
         running = np.cumsum(arr_per_epoch - dep_per_epoch)
-        running_gauge = gauge("serve.engine.running")
         cum_arr = np.cumsum(arr_per_epoch)
         cum_dep = np.cumsum(dep_per_epoch)
+        running_gauge = gauge("serve.engine.running")
+
+        run_len = 1 if adaptation is not None else n_epochs
+        cap_of_job = np.zeros(n_jobs, dtype=np.int64)
+        shed_of_job = np.zeros(n_jobs, dtype=bool)
+        shed_per_epoch = np.zeros(n_epochs, dtype=np.int64)
         shed_running = 0
-
-        profile_of_job = trace.profile_idx
         pool_positions: list[list[np.ndarray]] = [[] for _ in range(n_apps)]
-        for e in range(n_epochs):
-            end = float(ends[e])
-            s0, s1 = epoch_starts[e], epoch_starts[e + 1]
-            with span("serve.decide"):
-                batch = stream.batch(e)
-                self.decider.begin_epoch_batch(batch)
-                decisions = self.decider.decide_batch(batch)
-            shed_all[s0:s1] = decisions.shed
-            cap_e = np.minimum(decisions.max_safe_instances, threads)
-            cap_e[decisions.shed] = 0
-            jobpos_e = arr_order[s0:s1]
-            cap_of_job[jobpos_e] = cap_e
-            shed_of_job[jobpos_e] = decisions.shed
-            e0, e1 = ev_splits[e], ev_splits[e + 1]
-            jp = ev_jobpos[e0:e1]
-            interesting = cap_of_job[jp] >= 1
-            app_e = ev_app[e0:e1]
-            kind_e = ev_kind[e0:e1]
-            epoch_inputs = []
-            for p in range(n_apps):
-                local = np.flatnonzero(interesting & (app_e == p))
-                pool_positions[p].append(local + e0)
-                jp_p = jp[local]
-                epoch_inputs.append((
-                    (kind_e[local] == _ARRIVE).tolist(),
-                    jp_p.tolist(),
-                    profile_of_job[jp_p].tolist(),
-                    cap_of_job[jp_p].tolist(),
-                ))
-            with span("serve.place"):
-                if pool is not None:
-                    epoch_groups = pool.step(epoch_inputs)
-                else:
-                    epoch_groups = [
-                        kernels[p].step(
-                            *epoch_inputs[p], 0, len(epoch_inputs[p][0]),
-                        )
-                        for p in range(n_apps)
-                    ]
-            running_gauge.set(float(running[e]))
-            obs_trace.counter_value(
-                "serve.engine.running", float(running[e]), sim_time_s=end,
+        # Caps never exceed the context supply, so one state bound
+        # serves every pool; kernel outputs are bound-independent.
+        specs = [(self.servers_per_app, threads + 2)] * n_apps
+        pool: EpochShardPool | None = None
+        kernels: list[PoolKernel] = []
+        if shards > 1:
+            series = timeseries.active()
+            stream_every = (
+                max(1, round(series.interval_s / (self.epoch_s * run_len)))
+                if series is not None else 0
             )
-            epoch_sheds = int(np.count_nonzero(decisions.shed))
-            shed_running += epoch_sheds
-            with span("serve.score"):
-                groups: list[_Group] = [
-                    (p, prof, inst, count)
-                    for p in range(n_apps)
-                    for prof, inst, count in epoch_groups[p]
-                ]
-                self._score_fleet(
-                    end, groups, trace.pool,
-                    sheds=epoch_sheds, requests=s1 - s0,
-                )
-            self._telemetry_tick(
-                end, int(cum_arr[e]), int(cum_dep[e]), shed_running,
-            )
-            # The epoch boundary is the only legal swap point: scoring
-            # above fed this epoch's residuals, decisions below see the
-            # (possibly) new coefficients — matching the scalar loop
-            # event for event.
-            if adaptation.end_epoch(end):
-                self._pred_idx = {}
-
-        if pool is not None:
-            pool_outputs = pool.finish()
+            pool = EpochShardPool(specs, shards=shards, jobs=jobs,
+                                  stream_every=stream_every)
         else:
-            pool_outputs = [kernel.result() for kernel in kernels]
+            kernels = [PoolKernel(*spec) for spec in specs]
+        try:
+            for r0 in range(0, n_epochs, run_len):
+                r1 = min(r0 + run_len, n_epochs)
+                with span("serve.decide"):
+                    for e in range(r0, r1):
+                        batch = stream.batch(e)
+                        self.decider.begin_epoch_batch(batch)
+                        decisions = self.decider.decide_batch(batch)
+                        cap_e = np.minimum(decisions.max_safe_instances,
+                                           threads)
+                        cap_e[decisions.shed] = 0
+                        jobpos_e = arr_order[epoch_starts[e]:
+                                             epoch_starts[e + 1]]
+                        cap_of_job[jobpos_e] = cap_e
+                        shed_of_job[jobpos_e] = decisions.shed
+                        shed_per_epoch[e] = np.count_nonzero(decisions.shed)
 
-        # Scatter, count, and assemble exactly as _replay_vector does.
+                # Only events that can touch pool state go through the
+                # kernels: arrivals allowed >= 1 instance, and their
+                # departures. Everything else is baseline by construction.
+                e0, e1 = ev_splits[r0], ev_splits[r1]
+                jp = ev_jobpos[e0:e1]
+                interesting = cap_of_job[jp] >= 1
+                app_r = ev_app[e0:e1]
+                kind_r = ev_kind[e0:e1]
+                epoch_r = ev_epoch[e0:e1]
+                runs = []
+                for p in range(n_apps):
+                    local = np.flatnonzero(interesting & (app_r == p))
+                    pool_positions[p].append(local + e0)
+                    jp_p = jp[local]
+                    runs.append((
+                        kind_r[local] == _ARRIVE, jp_p,
+                        trace.profile_idx[jp_p], cap_of_job[jp_p],
+                        np.searchsorted(epoch_r[local],
+                                        np.arange(r0, r1 + 1)),
+                    ))
+                with span("serve.place"):
+                    if pool is not None:
+                        run_groups = pool.step(runs)
+                    else:
+                        run_groups = [
+                            kernel.step(*columns)
+                            for kernel, columns in zip(kernels, runs)
+                        ]
+
+                with span("serve.score"):
+                    for e in range(r0, r1):
+                        end = float(ends[e])
+                        running_gauge.set(float(running[e]))
+                        obs_trace.counter_value(
+                            "serve.engine.running", float(running[e]),
+                            sim_time_s=end,
+                        )
+                        groups: list[_Group] = [
+                            (p, prof, inst, count)
+                            for p in range(n_apps)
+                            for prof, inst, count in run_groups[p][e - r0]
+                        ]
+                        self._score_fleet(
+                            end, groups, trace.pool,
+                            sheds=int(shed_per_epoch[e]),
+                            requests=int(arr_per_epoch[e]),
+                        )
+                        shed_running += int(shed_per_epoch[e])
+                        self._telemetry_tick(
+                            end, int(cum_arr[e]), int(cum_dep[e]),
+                            shed_running,
+                        )
+                        # The epoch boundary is the only legal swap
+                        # point: scoring above fed this epoch's
+                        # residuals, the next epoch's decisions see the
+                        # (possibly) new coefficients — matching the
+                        # scalar loop event for event.
+                        if (adaptation is not None
+                                and adaptation.end_epoch(end)):
+                            self._pred_idx = {}
+
+            if pool is not None:
+                pool_outputs = pool.finish()
+            else:
+                pool_outputs = [kernel.result() for kernel in kernels]
+        finally:
+            if pool is not None:
+                pool.close()
+
+        # Scatter kernel outputs into the global event columns and batch
+        # the counters.
         server_col = np.full(n_events, -1, dtype=np.int64)
         placement_col = np.ones(n_events, dtype=np.int8)
         placement_col[shed_of_job[ev_jobpos] & is_arrival_ev] = 2
@@ -853,7 +627,6 @@ class ServingEngine:
 
         colocated_ev = is_arrival_ev & (placement_col == 0)
         colocated_placed = int(np.count_nonzero(colocated_ev))
-        shed_total = int(np.count_nonzero(shed_all))
         counter("serve.engine.epochs").inc(n_epochs)
         counter("serve.engine.events").inc(n_events)
         counter("serve.engine.arrivals").inc(n_arrivals)
@@ -865,9 +638,6 @@ class ServingEngine:
         if obs_trace.is_active():
             colocated_per_epoch = np.bincount(
                 ev_epoch[colocated_ev], minlength=n_epochs
-            )
-            shed_per_epoch = np.bincount(
-                arr_epoch[shed_all], minlength=n_epochs
             )
             for e in range(n_epochs):
                 obs_trace.instant(
@@ -908,7 +678,7 @@ class ServingEngine:
             still_placed=n_arrivals - n_departures,
             colocated_placed=colocated_placed,
             baseline_placed=n_arrivals - colocated_placed,
-            shed=shed_total,
+            shed=shed_running,
             events=events,
             windows=tuple(windows),
         )

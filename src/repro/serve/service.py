@@ -62,6 +62,19 @@ __all__ = [
 Candidate = tuple[LatencySensitiveWorkload, WorkloadProfile, int]
 
 
+def _last_touch_order(inv: np.ndarray) -> list[int]:
+    """Unique pair indices of ``inv`` in ascending order of last occurrence.
+
+    A key's position after a sequential loop of LRU touches is set by
+    its *last* touch, so moving the keys to the end in this order
+    reproduces the sequential recency order.
+    """
+    # First occurrences in the reversed view are the last occurrences;
+    # descending reversed position is ascending last position.
+    uniq, first_rev = np.unique(inv[::-1], return_index=True)
+    return uniq[np.argsort(first_rev)[::-1]].tolist()
+
+
 class CandidateBatch(Sequence):
     """One epoch's decision candidates, stored struct-of-arrays.
 
@@ -83,7 +96,7 @@ class CandidateBatch(Sequence):
         max_instances: int,
         key_table: Sequence[tuple[str, str, int]] | None = None,
         pairs: tuple[
-            list[int], list[int], list[int], list[tuple[str, str, int]]
+            list[int], np.ndarray, list[int], list[tuple[str, str, int]]
         ] | None = None,
     ) -> None:
         self.apps = tuple(apps)
@@ -147,13 +160,12 @@ class CandidateStream:
     """A whole replay's candidates, epoch-partitioned and columnar.
 
     The vectorized engine classifies every epoch's unique (app, profile)
-    pairs in one numpy pass and hands the full stream to
-    :meth:`Decider.decide_stream`; per-epoch :class:`CandidateBatch`
-    views are sliced out on demand by :meth:`batch`. ``uid_pair`` holds
-    each epoch's unique pair codes back to back (epoch ``e`` owns
-    ``uid_pair[uid_offs[e]:uid_offs[e + 1]]``), while ``inv`` and
-    ``firsts`` are epoch-local, matching the ``pairs`` contract of
-    :meth:`PredictionService._classify`.
+    pairs in one numpy pass up front, then decides epoch by epoch on the
+    :class:`CandidateBatch` views that :meth:`batch` slices out on
+    demand. ``uid_pair`` holds each epoch's unique pair codes back to
+    back (epoch ``e`` owns ``uid_pair[uid_offs[e]:uid_offs[e + 1]]``),
+    while ``inv`` and ``firsts`` are epoch-local, matching the ``pairs``
+    contract of :meth:`PredictionService._classify`.
     """
 
     __slots__ = ("apps", "pool", "app_idx", "profile_idx", "pair_id",
@@ -172,7 +184,7 @@ class CandidateStream:
         epoch_starts: list[int],
         uid_offs: list[int],
         uid_pair: list[int],
-        inv: list[int],
+        inv: np.ndarray,
         firsts: list[int],
     ) -> None:
         self.apps = tuple(apps)
@@ -286,30 +298,6 @@ class Decider(ABC):
             cached[i] = decision.cached
         return DecisionBatch(max_safe_instances=counts, shed=shed,
                              cached=cached)
-
-    def decide_stream(
-        self, stream: CandidateStream
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decide a whole replay's arrivals, returning (counts, shed).
-
-        Must be decision-for-decision equivalent to looping
-        :meth:`begin_epoch_batch` / :meth:`decide_batch` over the
-        stream's epochs in order — which is exactly what this default
-        does. Deciders with cross-epoch structure to exploit (see
-        :meth:`PredictionService.decide_stream`) override it.
-        """
-        n = len(stream)
-        counts = np.zeros(n, dtype=np.int64)
-        shed = np.zeros(n, dtype=bool)
-        starts = stream.epoch_starts
-        for e in range(stream.n_epochs):
-            batch = stream.batch(e)
-            self.begin_epoch_batch(batch)
-            decisions = self.decide_batch(batch)
-            s0, s1 = starts[e], starts[e + 1]
-            counts[s0:s1] = decisions.max_safe_instances
-            shed[s0:s1] = decisions.shed
-        return counts, shed
 
     def predicted_degradation(
         self,
@@ -466,7 +454,7 @@ class PredictionService(Decider):
         # the LRU-count walk begin_epoch_batch shares with decide_batch.
         self._epoch_batch: CandidateBatch | None = None
         self._epoch_class: tuple[
-            list[int], list[int], list[int], list[tuple[str, str, int]]
+            list[int], np.ndarray, list[int], list[tuple[str, str, int]]
         ] | None = None
         self._epoch_counts_batch: CandidateBatch | None = None
         self._epoch_counts: list[int | None] = []
@@ -576,11 +564,11 @@ class PredictionService(Decider):
 
     def _classify(
         self, batch: CandidateBatch
-    ) -> tuple[list[int], list[int], list[int], list[tuple[str, str, int]]]:
+    ) -> tuple[list[int], np.ndarray, list[int], list[tuple[str, str, int]]]:
         """Unique-pair view of one epoch's batch, shared across methods.
 
         Returns ``(uids, inv, firsts, keys)``: the unique pair codes,
-        the per-position index into them, each unique pair's first
+        the per-position index array into them, each unique pair's first
         position, and each pair's LRU key. The order of the unique pairs
         is an implementation detail no output depends on — decisions,
         counters, and the final LRU order are all functions of the
@@ -608,7 +596,7 @@ class PredictionService(Decider):
             inv.append(j)
         keys = [batch.key_for_pair(u) for u in uids]
         self._epoch_batch = batch
-        self._epoch_class = (uids, inv, firsts, keys)
+        self._epoch_class = (uids, np.array(inv, dtype=np.intp), firsts, keys)
         return self._epoch_class
 
     def begin_epoch_batch(self, batch: CandidateBatch) -> None:
@@ -719,96 +707,26 @@ class PredictionService(Decider):
     def decide_stream(
         self, stream: CandidateStream
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-replay decide with bulk runs of steady-state epochs.
+        """Decide a whole replay epoch by epoch; returns (counts, shed).
 
-        A steady-state epoch — every unique pair already in the LRU and
-        the whole batch affordable — sheds nothing, changes no LRU
-        membership or cached count, and only touches recency order. A
-        maximal run of them therefore collapses into one vectorized
-        count-table lookup, one batched counter update, and a single
-        recency pass (each epoch's move-to-end sweep composes to
-        "touched keys in ascending last occurrence across the run").
-        Any epoch carrying a miss, or too many arrivals for the budget,
-        drops to the exact per-epoch path.
+        The engine does not call this: ``benchmarks/e2e/layers.py`` wraps
+        it by name, so it stays until the benchmark drops that target.
         """
-        n = len(stream)
-        counts = np.zeros(n, dtype=np.int64)
-        shed = np.zeros(n, dtype=bool)
-        admission = self.admission
-        budget = admission.budget_ms_per_epoch
-        hit_cost = admission.hit_cost_ms
-        # Same float-safety margin as decide_batch's affordability test.
-        hit_limit = budget - 1e-6
-        lru = self._lru
-        lru_get = lru.get
-        move_to_end = lru.move_to_end
-        key_table = stream.key_table
+        counts = np.zeros(len(stream), dtype=np.int64)
+        shed = np.zeros(len(stream), dtype=bool)
         starts = stream.epoch_starts
-        uid_pair, uid_offs = stream.uid_pair, stream.uid_offs
-        pair_arr = stream.pair_id
-        # pair code -> cached safe count; only read for pairs verified
-        # present during run detection, so stale rows are harmless.
-        count_of_pair = np.zeros(len(key_table), dtype=np.int64)
-        requests = counter("serve.service.requests")
-        decisions_total = counter("serve.service.decisions")
-        cache_hits = counter("serve.service.cache_hits")
-        n_epochs = stream.n_epochs
-        e = 0
-        while e < n_epochs:
-            # Extend [e, r) while epochs stay all-hit and affordable.
-            # Hits never change LRU membership or stored counts, so
-            # looking ahead with the current LRU state is exact.
-            r = e
-            while r < n_epochs:
-                if (starts[r + 1] - starts[r]) * hit_cost > hit_limit:
-                    break
-                ok = True
-                for u in uid_pair[uid_offs[r]:uid_offs[r + 1]]:
-                    c = lru_get(key_table[u])
-                    if c is None:
-                        ok = False
-                        break
-                    count_of_pair[u] = c
-                if not ok:
-                    break
-                r += 1
-            if r > e:
-                s0, s1 = starts[e], starts[r]
-                n_run = s1 - s0
-                if n_run:
-                    seg = pair_arr[s0:s1]
-                    counts[s0:s1] = count_of_pair[seg]
-                    requests.inc(n_run)
-                    decisions_total.inc(n_run)
-                    cache_hits.inc(n_run)
-                    # idx_rev = last occurrences (first in the reversed
-                    # view); descending idx_rev = ascending last position.
-                    _u_rev, idx_rev = np.unique(
-                        seg[::-1], return_index=True
-                    )
-                    for u in _u_rev[np.argsort(idx_rev)[::-1]].tolist():
-                        move_to_end(key_table[u])
-                # The run's last epoch reset the budget then charged all
-                # its hits in one subtraction, exactly as the per-epoch
-                # hits path does.
-                self._epoch_remaining_ms = (
-                    budget - (starts[r] - starts[r - 1]) * hit_cost
-                )
-                e = r
-                continue
+        for e in range(stream.n_epochs):
             batch = stream.batch(e)
             self.begin_epoch_batch(batch)
             decisions = self.decide_batch(batch)
-            s0, s1 = starts[e], starts[e + 1]
-            counts[s0:s1] = decisions.max_safe_instances
-            shed[s0:s1] = decisions.shed
-            e += 1
+            counts[starts[e]:starts[e + 1]] = decisions.max_safe_instances
+            shed[starts[e]:starts[e + 1]] = decisions.shed
         return counts, shed
 
     def _decide_batch_hits(
         self,
         n: int,
-        inv: list[int],
+        inv: np.ndarray,
         keys: list[tuple[str, str, int]],
         uid_counts: list[int],
         total_ms: float,
@@ -817,23 +735,12 @@ class PredictionService(Decider):
         counter("serve.service.requests").inc(n)
         counter("serve.service.decisions").inc(n)
         counter("serve.service.cache_hits").inc(n)
-        # Reproduce the sequential recency order: a touched key's final
-        # LRU position is set by its *last* occurrence, so re-appending
-        # on every occurrence leaves ``order`` in ascending
-        # last-occurrence order.
-        order: dict[int, None] = {}
-        pop = order.pop
-        for j in inv:
-            pop(j, None)
-            order[j] = None
         lru = self._lru
-        for j in order:
+        for j in _last_touch_order(inv):
             lru.move_to_end(keys[j])
         self._epoch_remaining_ms -= total_ms
         return DecisionBatch(
-            max_safe_instances=np.array(
-                [uid_counts[j] for j in inv], dtype=np.int64,
-            ),
+            max_safe_instances=np.asarray(uid_counts, dtype=np.int64)[inv],
             shed=np.zeros(n, dtype=bool),
             cached=np.ones(n, dtype=bool),
         )
@@ -842,7 +749,7 @@ class PredictionService(Decider):
         self,
         batch: CandidateBatch,
         uids: list[int],
-        inv: list[int],
+        inv: np.ndarray,
         firsts: list[int],
         keys: list[tuple[str, str, int]],
         uid_counts: list[int | None],
@@ -864,19 +771,13 @@ class PredictionService(Decider):
             uid_counts[j] = self._predict_safe_count(
                 latency_app, batch_profile, max_instances,
             )
-        # Last-occurrence recency order, as in :meth:`_decide_batch_hits`;
-        # a missing pair inserts (at its would-be last touch), a cached
+        # A missing pair inserts (at its would-be last touch), a cached
         # pair moves.
         was_miss = [False] * len(uids)
         for j in miss_js:
             was_miss[j] = True
-        order: dict[int, None] = {}
-        pop = order.pop
-        for j in inv:
-            pop(j, None)
-            order[j] = None
         lru = self._lru
-        for j in order:
+        for j in _last_touch_order(inv):
             if was_miss[j]:
                 lru[keys[j]] = uid_counts[j]
             else:
@@ -885,9 +786,7 @@ class PredictionService(Decider):
         cached = np.ones(n, dtype=bool)
         cached[[firsts[j] for j in miss_js]] = False
         return DecisionBatch(
-            max_safe_instances=np.array(
-                [uid_counts[j] for j in inv], dtype=np.int64,
-            ),
+            max_safe_instances=np.asarray(uid_counts, dtype=np.int64)[inv],
             shed=np.zeros(n, dtype=bool),
             cached=cached,
         )
@@ -895,7 +794,7 @@ class PredictionService(Decider):
     def _decide_batch_sequential(
         self,
         batch: CandidateBatch,
-        inv: list[int],
+        inv: np.ndarray,
         keys: list[tuple[str, str, int]],
     ) -> DecisionBatch:
         """Exact per-arrival replay of the admission cost model.
@@ -905,6 +804,7 @@ class PredictionService(Decider):
         drops below even a hit's cost every later arrival must shed and
         the LRU stops changing, so the tail is filled in bulk.
         """
+        inv = inv.tolist()
         n = len(inv)
         admission = self.admission
         hit_cost, miss_cost = admission.hit_cost_ms, admission.miss_cost_ms

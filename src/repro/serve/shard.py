@@ -1,12 +1,11 @@
-"""Per-pool placement kernel and multi-process shard fan-out.
+"""Per-pool placement kernel and its multi-process shard pool.
 
-The vectorized replay splits each epoch's work into three phases; this
-module owns phase two — *placement* — which is the only phase whose state
-is per server pool and therefore shards cleanly. The kernel
-(:class:`PoolKernel`, driven by :func:`replay_pool_events`) consumes one
-pool's pre-decided event stream (columnar, already filtered to events
-that can touch pool state) and replays it with O(1) free-list
-structures:
+The vectorized replay works in runs of epochs: it decides a run, places
+it, then scores it. This module owns the *place* step, the only one
+whose state is per server pool and therefore shards cleanly. The kernel
+(:class:`PoolKernel`) consumes one pool's pre-decided event columns
+(already filtered to events that can touch pool state) and replays them
+with O(1) free-list structures:
 
 - ``prof_of`` / ``cnt_of``: the batch profile and instance count of
   every server (``-1`` / ``0`` when idle);
@@ -17,24 +16,16 @@ structures:
 - ``n_at`` occupancy counts, snapshotted after each epoch into the
   ``(profile, instances) -> servers`` groups the SLO/audit scorer needs.
 
-Because decisions are computed before placement ever runs (they depend
-only on the arrival-ordered candidate stream, never on which server a
-job landed on), pools are fully independent: :func:`run_pool_shards`
-fans contiguous pool ranges out to worker processes and folds the
-workers' metrics back in through the existing obs snapshot/merge
-machinery. The kernel is deterministic, so sharded and in-process
-replays produce byte-identical event logs.
-
-The *adaptive* replay (``repro.adapt``) cannot pre-decide the whole
-trace — coefficients may hot-swap between epochs — so it steps the same
-kernels one epoch at a time instead. :class:`EpochShardPool` keeps the
-kernels resident in persistent worker processes for that mode: one
-message per epoch carries each pool's freshly decided events out, the
-epoch's occupancy groups come back for scoring, and the final fold-back
-reuses the same obs snapshot/merge path. The workers hold no
-model-derived state at all, which is what lets a parent-side coefficient
-swap propagate by construction: the next epoch's caps already reflect
-it.
+Decisions never depend on which server a job landed on, so pools are
+independent. :class:`EpochShardPool` keeps contiguous pool ranges'
+kernels resident in persistent worker processes for a whole replay:
+one message per run carries each pool's events out, the run's
+per-epoch occupancy groups come back for scoring, and the final
+fold-back merges the workers' metrics through the obs snapshot/merge
+path. The workers hold no model-derived state, so a parent-side
+coefficient swap propagates by construction: the next run's caps
+already reflect it. The kernel is deterministic, so sharded and
+in-process replays produce byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -42,23 +33,19 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.obs import counter, diff_snapshots, span
-from repro.obs import timeseries
 
 __all__ = [
     "EpochShardPool",
     "PoolKernel",
     "PoolReplay",
-    "replay_pool_events",
-    "run_pool_shards",
 ]
 
 
@@ -78,7 +65,7 @@ class PoolReplay:
 
 
 class PoolKernel:
-    """One pool's placement state, steppable one epoch at a time.
+    """One pool's placement state, steppable one run of epochs at a time.
 
     Events arrive pre-sorted in global processing order and pre-filtered
     to this pool's *interesting* stream: arrivals whose decision allows
@@ -118,6 +105,29 @@ class PoolKernel:
         self.groups_per_epoch: list[list[tuple[int, int, int]]] = []
 
     def step(
+        self,
+        is_arrival: np.ndarray,
+        job_pos: np.ndarray,
+        profile_idx: np.ndarray,
+        cap: np.ndarray,
+        splits: np.ndarray,
+    ) -> list[list[tuple[int, int, int]]]:
+        """Replay one run of epochs; returns each epoch's groups.
+
+        The four event columns are aligned; epoch ``k`` of the run owns
+        events ``[splits[k], splits[k + 1])``.
+        """
+        is_arr = is_arrival.tolist()
+        jobs = job_pos.tolist()
+        profs = profile_idx.tolist()
+        caps = cap.tolist()
+        bounds = splits.tolist()
+        return [
+            self._epoch(is_arr, jobs, profs, caps, bounds[k], bounds[k + 1])
+            for k in range(len(bounds) - 1)
+        ]
+
+    def _epoch(
         self,
         is_arr: Sequence[bool],
         jobs: Sequence[int],
@@ -233,75 +243,52 @@ class PoolKernel:
         )
 
 
-def replay_pool_events(
-    *,
-    is_arrival: np.ndarray,
-    job_pos: np.ndarray,
-    profile_idx: np.ndarray,
-    cap: np.ndarray,
-    epoch: np.ndarray,
-    n_epochs: int,
-    n_servers: int,
-) -> PoolReplay:
-    """Replay one pool's full interesting event stream with O(1) placement.
+def _shard_worker(
+    conn, specs: list[tuple[int, int]], stream_every: int = 0,
+) -> None:
+    """Own a contiguous range of pool kernels for a whole replay.
 
-    The whole-trace entry point: runs a :class:`PoolKernel` over every
-    epoch's slice in one pass. See the kernel for the placement rule.
-    """
-    m = int(is_arrival.size)
-    n_states = (int(cap.max()) if m else 0) + 2
-    kernel = PoolKernel(n_servers, n_states)
-    splits = np.searchsorted(epoch, np.arange(n_epochs + 1)).tolist()
-    is_arr = is_arrival.tolist()
-    jobs = job_pos.tolist()
-    profs = profile_idx.tolist()
-    caps = cap.tolist()
-    for e in range(n_epochs):
-        kernel.step(is_arr, jobs, profs, caps, splits[e], splits[e + 1])
-    return kernel.result()
-
-
-def _shard_worker(pools: list[dict[str, Any]]) -> dict[str, Any]:
-    """Replay one shard's pools in a worker process.
-
-    The forked child inherits the parent's metric registry, so it resets
-    first; everything it records under ``serve.shard.*`` ships back in
-    its obs snapshot and is folded into the parent registry.
-    """
-    obs.reset()
-    with span("serve.shard.replay"):
-        results = [replay_pool_events(**kwargs) for kwargs in pools]
-    counter("serve.shard.events").inc(
-        sum(int(r.server.size) for r in results)
-    )
-    return {"results": results, "obs": obs.snapshot()}
-
-
-def _stream_shard_worker(conn, pools: list[dict[str, Any]]) -> None:
-    """Replay one shard's pools, streaming a metrics delta per pool.
-
-    The streaming twin of :func:`_shard_worker`: after every finished
-    pool the worker ships ``("frame", delta)`` — the registry change
-    since its previous frame (:func:`repro.obs.diff_snapshots`) — so the
-    parent can merge progress mid-run. The final ``("done", ...)``
-    message carries the results plus the residual delta; the sum of all
-    shipped deltas equals the worker's whole-run snapshot, which is what
-    keeps streamed and end-of-run fold-backs byte-identical.
+    Protocol: each message carries one run's event columns per owned
+    pool (see :meth:`PoolKernel.step`); the reply is ``("step", groups,
+    frame)`` — each pool's per-epoch occupancy groups plus, every
+    ``stream_every`` steps (``0`` = never), a registry-delta frame since
+    the last shipped one. ``None`` closes the stream, answered with
+    ``("done", payload)``: the final :class:`PoolReplay` results plus
+    the residual obs delta for the parent to merge. The shipped deltas
+    always sum to the worker's whole-run snapshot, so streaming cannot
+    change the folded totals. Any exception is answered with
+    ``("error", traceback)``. The worker never sees coefficients or
+    predictions — placement is decision-driven — so parent-side model
+    swaps need no propagation beyond the caps already embedded in the
+    next run's events.
     """
     obs.reset()
     try:
+        kernels = [PoolKernel(n_servers, n_states)
+                   for n_servers, n_states in specs]
         last = obs.snapshot()
-        results = []
+        steps = 0
         with span("serve.shard.replay"):
-            for kwargs in pools:
-                replay = replay_pool_events(**kwargs)
-                results.append(replay)
-                counter("serve.shard.events").inc(int(replay.server.size))
-                current = obs.snapshot()
-                conn.send(("frame", diff_snapshots(last, current)))
-                last = current
+            while True:
+                message = conn.recv()
+                if message is None:
+                    break
+                groups = [
+                    kernel.step(*columns)
+                    for kernel, columns in zip(kernels, message)
+                ]
+                counter("serve.shard.events").inc(
+                    sum(int(columns[0].size) for columns in message)
+                )
+                steps += 1
+                frame = None
+                if stream_every and steps % stream_every == 0:
+                    current = obs.snapshot()
+                    frame = diff_snapshots(last, current)
+                    last = current
+                conn.send(("step", groups, frame))
         conn.send(("done", {
-            "results": results,
+            "results": [kernel.result() for kernel in kernels],
             "obs": diff_snapshots(last, obs.snapshot()),
         }))
     except BaseException:
@@ -311,174 +298,26 @@ def _stream_shard_worker(conn, pools: list[dict[str, Any]]) -> None:
         conn.close()
 
 
-def _run_streamed_shards(
-    chunks: list[list[dict[str, Any]]],
-    workers: int,
-    on_frame: Callable[[dict[str, Any]], None] | None,
-) -> list[PoolReplay]:
-    """Drive :func:`_stream_shard_worker` processes, merging in order.
-
-    At most ``workers`` processes run at once; the parent drains shard
-    ``k`` completely before shard ``k + 1``, so frames merge in a fixed
-    order and the fold is deterministic no matter how the workers race.
-    """
-    context = multiprocessing.get_context()
-    conns: list[Any] = [None] * len(chunks)
-    procs: list[Any] = [None] * len(chunks)
-    started = 0
-
-    def _start(k: int) -> None:
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_stream_shard_worker, args=(child_conn, chunks[k]),
-        )
-        process.start()
-        child_conn.close()
-        conns[k] = parent_conn
-        procs[k] = process
-
-    while started < min(workers, len(chunks)):
-        _start(started)
-        started += 1
-    results: list[PoolReplay] = []
-    with span("serve.shard.merge"):
-        for k in range(len(chunks)):
-            conn = conns[k]
-            while True:
-                kind, payload = conn.recv()
-                if kind == "frame":
-                    obs.merge(payload)
-                    counter("serve.telemetry.frames").inc()
-                    if on_frame is not None:
-                        on_frame(payload)
-                elif kind == "done":
-                    obs.merge(payload["obs"])
-                    results.extend(payload["results"])
-                    break
-                else:
-                    raise RuntimeError(
-                        f"shard worker failed:\n{payload}"
-                    )
-            conn.close()
-            procs[k].join()
-            if started < len(chunks):
-                _start(started)
-                started += 1
-    return results
-
-
-def run_pool_shards(
-    pool_inputs: list[dict[str, Any]],
-    *,
-    shards: int,
-    jobs: int | None = None,
-    on_frame: Callable[[dict[str, Any]], None] | None = None,
-) -> list[PoolReplay]:
-    """Fan the per-pool placement kernels out across worker processes.
-
-    Pools are partitioned into ``shards`` contiguous ranges (one shard
-    per server pool at most) and executed on ``jobs`` workers; results
-    come back in pool order, so the parent's merge is deterministic.
-    Worker metric snapshots are merged into the parent registry.
-
-    When a telemetry sampler is installed (or ``on_frame`` is given),
-    workers stream one registry-delta frame per finished pool instead of
-    a single end-of-run snapshot; the parent merges the frames
-    incrementally — the final registry state is byte-identical either
-    way (the deltas sum to the whole-run snapshot).
-    """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    shards = min(shards, len(pool_inputs))
-    if shards <= 1:
-        return [replay_pool_events(**kwargs) for kwargs in pool_inputs]
-    n = len(pool_inputs)
-    bounds = [(k * n) // shards for k in range(shards + 1)]
-    chunks = [pool_inputs[bounds[k]:bounds[k + 1]] for k in range(shards)]
-    workers = min(jobs if jobs is not None else shards, shards)
-    counter("serve.shard.workers").inc(len(chunks))
-    if on_frame is not None or timeseries.is_active():
-        return _run_streamed_shards(chunks, workers, on_frame)
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        futures = [executor.submit(_shard_worker, chunk) for chunk in chunks]
-        outputs = [future.result() for future in futures]
-    with span("serve.shard.merge"):
-        results: list[PoolReplay] = []
-        for output in outputs:
-            obs.merge(output["obs"])
-            results.extend(output["results"])
-    return results
-
-
-# -- persistent epoch-stepped sharding (adaptive replay) ----------------
-
-
-def _epoch_shard_worker(
-    conn, specs: list[tuple[int, int]], stream_every: int = 0,
-) -> None:
-    """Own a contiguous range of pool kernels for a whole replay.
-
-    Protocol: each ``step`` message carries one epoch's event columns
-    per owned pool; the reply is ``(groups, frame)`` — that epoch's
-    occupancy groups plus, every ``stream_every`` steps (``0`` = never),
-    a registry-delta frame since the last shipped one. ``None`` closes
-    the stream, answered with the final :class:`PoolReplay` results plus
-    the residual obs delta for the parent to merge; the shipped deltas
-    always sum to the worker's whole-run snapshot, so streaming cannot
-    change the folded totals. The worker never sees coefficients or
-    predictions — placement is decision-driven — so parent-side model
-    swaps need no propagation beyond the caps already embedded in the
-    next epoch's events.
-    """
-    obs.reset()
-    kernels = [PoolKernel(n_servers, n_states)
-               for n_servers, n_states in specs]
-    last = obs.snapshot()
-    steps = 0
-    with span("serve.shard.replay"):
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            groups = []
-            events = 0
-            for kernel, (is_arr, jobs, profs, caps) in zip(kernels, message):
-                groups.append(
-                    kernel.step(is_arr, jobs, profs, caps, 0, len(is_arr))
-                )
-                events += len(is_arr)
-            counter("serve.shard.events").inc(events)
-            steps += 1
-            frame = None
-            if stream_every and steps % stream_every == 0:
-                current = obs.snapshot()
-                frame = diff_snapshots(last, current)
-                last = current
-            conn.send((groups, frame))
-    conn.send({
-        "results": [kernel.result() for kernel in kernels],
-        "obs": diff_snapshots(last, obs.snapshot()),
-    })
-    conn.close()
-
-
 class EpochShardPool:
-    """Persistent placement workers, stepped one epoch at a time.
+    """Persistent placement workers, stepped one run of epochs at a time.
 
     ``specs`` holds one ``(n_servers, n_states)`` pair per pool; pools
-    are partitioned into contiguous ranges exactly like
-    :func:`run_pool_shards`, except each range's kernels live in a
-    long-running worker process for the whole replay (placement state
-    must persist across epochs once decisions interleave with scoring).
-    ``jobs`` caps the worker-process count directly.
+    are partitioned into contiguous ranges, and each range's kernels
+    live in one worker process for the whole replay, so placement state
+    persists across runs. ``shards`` is the number of ranges (at most
+    one per pool) and ``jobs`` caps the worker-process count directly.
 
     ``stream_every`` > 0 makes each worker attach a registry-delta frame
-    to every Nth step reply (the adaptive engine picks N so frames land
-    on the telemetry cadence); the parent merges frames in a fixed
-    worker order and feeds them to ``on_frame``, keeping the fold
-    deterministic and the end-of-run totals unchanged.
+    to every Nth step reply (the engine picks N so frames land on the
+    telemetry cadence); the parent merges frames in a fixed worker
+    order and feeds them to ``on_frame``, keeping the fold deterministic
+    and the end-of-run totals unchanged.
+
+    A worker that dies or raises fails the pending :meth:`step` or
+    :meth:`finish` with a :class:`~repro.errors.SchedulingError` naming
+    the shard (with the worker's traceback when it sent one), after
+    every worker has been terminated and reaped. :meth:`close` does the
+    same teardown for callers that stop early.
     """
 
     def __init__(
@@ -512,9 +351,10 @@ class EpochShardPool:
         for k in range(shards):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=_epoch_shard_worker,
+                target=_shard_worker,
                 args=(child_conn, specs[self._bounds[k]:self._bounds[k + 1]],
                       stream_every),
+                daemon=True,
             )
             process.start()
             child_conn.close()
@@ -522,36 +362,118 @@ class EpochShardPool:
             self._procs.append(process)
 
     def step(
-        self,
-        epoch_inputs: list[tuple[
-            Sequence[bool], Sequence[int], Sequence[int], Sequence[int]
-        ]],
-    ) -> list[list[tuple[int, int, int]]]:
-        """Place one epoch's events; returns per-pool occupancy groups."""
-        for k, conn in enumerate(self._conns):
-            conn.send(epoch_inputs[self._bounds[k]:self._bounds[k + 1]])
-        groups: list[list[tuple[int, int, int]]] = []
-        for conn in self._conns:
-            worker_groups, frame = conn.recv()
-            groups.extend(worker_groups)
-            if frame is not None:
-                obs.merge(frame)
-                counter("serve.telemetry.frames").inc()
-                if self._on_frame is not None:
-                    self._on_frame(frame)
+        self, runs: Sequence[tuple[np.ndarray, ...]],
+    ) -> list[list[list[tuple[int, int, int]]]]:
+        """Place one run's events; returns each pool's per-epoch groups.
+
+        ``runs`` holds one :meth:`PoolKernel.step` argument tuple per
+        pool.
+        """
+        try:
+            for k in range(len(self._conns)):
+                self._send(k, runs[self._bounds[k]:self._bounds[k + 1]])
+            groups: list[list[list[tuple[int, int, int]]]] = []
+            for k in range(len(self._conns)):
+                worker_groups, frame = self._recv(k)
+                groups.extend(worker_groups)
+                if frame is not None:
+                    obs.merge(frame)
+                    counter("serve.telemetry.frames").inc()
+                    if self._on_frame is not None:
+                        self._on_frame(frame)
+        except BaseException:
+            self.close()
+            raise
         return groups
 
     def finish(self) -> list[PoolReplay]:
         """Drain final results, fold worker obs back, reap the workers."""
-        for conn in self._conns:
-            conn.send(None)
         results: list[PoolReplay] = []
-        with span("serve.shard.merge"):
-            for conn in self._conns:
-                payload = conn.recv()
-                obs.merge(payload["obs"])
-                results.extend(payload["results"])
-                conn.close()
+        try:
+            for k in range(len(self._conns)):
+                self._send(k, None)
+            with span("serve.shard.merge"):
+                for k in range(len(self._conns)):
+                    (payload,) = self._recv(k)
+                    obs.merge(payload["obs"])
+                    results.extend(payload["results"])
+        finally:
+            self.close()
+        return results
+
+    def close(self) -> None:
+        """Terminate and reap every worker still running (idempotent)."""
+        for process in self._procs:
+            if process.is_alive():
+                process.terminate()
         for process in self._procs:
             process.join()
-        return results
+        for conn in self._conns:
+            conn.close()
+
+    def _send(self, k: int, message: Any) -> None:
+        try:
+            self._conns[k].send(message)
+        except OSError as exc:
+            raise self._failure(k) from exc
+
+    def _recv(self, k: int) -> list[Any]:
+        """Shard ``k``'s next reply payload; raises if the worker failed."""
+        try:
+            kind, *payload = self._conns[k].recv()
+        except (EOFError, OSError) as exc:
+            raise self._failure(k) from exc
+        if kind == "error":
+            raise SchedulingError(
+                f"shard {k} placement worker failed:\n{payload[0]}"
+            )
+        return payload
+
+    def _failure(self, k: int) -> SchedulingError:
+        process = self._procs[k]
+        process.join(timeout=1.0)
+        return SchedulingError(
+            f"shard {k} placement worker died "
+            f"(exit code {process.exitcode})"
+        )
+
+
+# -- names the end-to-end benchmark's layer tracer patches ---------------
+#
+# Nothing in the package calls these two: ``benchmarks/e2e/layers.py``
+# wraps them by name, so they stay as thin adapters onto the kernel and
+# the shard pool until the benchmark drops them from its targets.
+
+
+def replay_pool_events(
+    *,
+    is_arrival: np.ndarray,
+    job_pos: np.ndarray,
+    profile_idx: np.ndarray,
+    cap: np.ndarray,
+    epoch: np.ndarray,
+    n_epochs: int,
+    n_servers: int,
+) -> PoolReplay:
+    """One pool's whole-trace event columns through a fresh kernel."""
+    kernel = PoolKernel(n_servers, (int(cap.max()) if cap.size else 0) + 2)
+    kernel.step(is_arrival, job_pos, profile_idx, cap,
+                np.searchsorted(epoch, np.arange(n_epochs + 1)))
+    return kernel.result()
+
+
+def run_pool_shards(
+    pool_inputs: list[dict[str, Any]], *, shards: int, jobs: int | None = None,
+) -> list[PoolReplay]:
+    """:func:`replay_pool_events` for every pool, as one sharded step."""
+    pool = EpochShardPool(
+        [(p["n_servers"], (int(p["cap"].max()) if p["cap"].size else 0) + 2)
+         for p in pool_inputs],
+        shards=shards, jobs=jobs,
+    )
+    pool.step([
+        (p["is_arrival"], p["job_pos"], p["profile_idx"], p["cap"],
+         np.searchsorted(p["epoch"], np.arange(p["n_epochs"] + 1)))
+        for p in pool_inputs
+    ])
+    return pool.finish()

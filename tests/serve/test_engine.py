@@ -1,11 +1,18 @@
 """Unit tests for the discrete-event serving engine."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.scheduler.qos import QosTarget
 from repro.serve.engine import EventRecord, ReplayOutcome, ServingEngine
 from repro.serve.service import BaselineDecider, Decider, Decision, RandomDecider
+from repro.serve.shard import EpochShardPool
 from repro.serve.slo import WindowedSlo
 from repro.serve.traffic import poisson_trace
 from repro.workloads.cloudsuite import cloudsuite_apps
@@ -177,3 +184,87 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServingEngine(snb_sim, apps, BaselineDecider(),
                           servers_per_app=0)
+
+
+#: Replays a 2-shard trace whose decider SIGKILLs one placement worker
+#: on its third epoch, then reports the error and the surviving
+#: children. Runs in its own interpreter: a leaked worker blocks
+#: interpreter exit, which only a subprocess timeout can observe.
+_KILL_SCRIPT = textwrap.dedent("""
+    import multiprocessing, os, signal, sys
+    from repro.errors import SchedulingError
+    from repro.obs import PredictionAudit
+    from repro.scheduler.qos import QosTarget
+    from repro.serve.engine import ServingEngine
+    from repro.serve.service import BaselineDecider
+    from repro.serve.slo import WindowedSlo
+    from repro.serve.traffic import poisson_trace
+    from repro.smt.params import SANDY_BRIDGE_EN
+    from repro.smt.simulator import Simulator
+    from repro.workloads.cloudsuite import cloudsuite_apps
+    from repro.workloads.spec import spec_even
+
+    class KillingDecider(BaselineDecider):
+        calls = 0
+
+        def decide_batch(self, batch):
+            self.calls += 1
+            if self.calls == 3:
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(10)
+            return super().decide_batch(batch)
+
+    class NoSwaps:
+        \"\"\"Adaptation hook that never swaps: one-epoch runs.\"\"\"
+
+        def observe(self, *args, **kwargs):
+            pass
+
+        def end_epoch(self, time_s):
+            return False
+
+    adapt = sys.argv[1] == "adapt"
+    target = QosTarget.average(0.9)
+    audit = PredictionAudit()
+    engine = ServingEngine(
+        Simulator(SANDY_BRIDGE_EN), cloudsuite_apps()[:2], KillingDecider(),
+        servers_per_app=3, epoch_s=300.0, window_s=900.0,
+        slo=WindowedSlo(900.0, target, audit=audit), audit=audit,
+        adaptation=NoSwaps() if adapt else None,
+    )
+    trace = poisson_trace(spec_even()[:3], rate_per_s=0.02,
+                          horizon_s=3_600.0, seed=0)
+    try:
+        engine.replay(trace, shards=2)
+    except SchedulingError as exc:
+        print("raised:", exc)
+    print("alive:", len(multiprocessing.active_children()))
+""")
+
+
+class TestShardFailure:
+    @pytest.mark.parametrize("mode", ["whole-trace", "adapt"])
+    def test_killed_worker_raises_and_reaps(self, mode):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _KILL_SCRIPT, mode],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("raised: shard ")
+        assert "placement worker died (exit code -9)" in lines[0]
+        assert lines[1] == "alive: 0"
+
+    def test_failing_worker_reports_its_traceback(self):
+        pool = EpochShardPool([(2, 4)] * 2, shards=2)
+        with pytest.raises(SchedulingError,
+                           match=r"(?s)shard 0 placement worker failed"
+                                 r":.*Traceback.*TypeError"):
+            pool.step([("not columns",), ("not columns",)])
+        assert multiprocessing.active_children() == []

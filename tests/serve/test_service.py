@@ -199,24 +199,39 @@ class TestBatchEquivalence:
                         (d.max_safe_instances, d.shed, d.cached))
         return decisions
 
-    @pytest.mark.parametrize("lru_capacity,budget", [
-        (512, 50.0),   # hits + fast-miss paths
-        (3, 50.0),     # evictions force the sequential path
-        (512, 0.3),    # budget exhaustion sheds mid-epoch
+    MIXED_PLAN = [
+        [(0, 0), (1, 1), (0, 0), (0, 2)],
+        [(0, 0), (0, 0), (1, 1)],
+        [],
+        [(1, 2), (0, 1), (1, 2), (0, 1), (1, 0), (0, 0), (1, 1)],
+        [(0, 0), (1, 1), (0, 2), (1, 0)],
+    ]
+    #: Runs of all-hit epochs with repeated pairs, an empty epoch inside
+    #: a run, and a miss that breaks the run.
+    HIT_RUN_PLAN = [
+        [(0, 0), (1, 1)],
+        [(0, 0), (0, 0), (1, 1), (1, 1)],
+        [],
+        [(0, 0), (1, 1), (0, 2)],
+        [(0, 2), (1, 1), (0, 0), (0, 2)],
+        [(1, 1), (1, 1)],
+    ]
+
+    @pytest.mark.parametrize("lru_capacity,budget,plan", [
+        # hits + fast-miss paths
+        pytest.param(512, 50.0, MIXED_PLAN, id="512-50.0"),
+        # evictions force the sequential path
+        pytest.param(3, 50.0, MIXED_PLAN, id="3-50.0"),
+        # budget exhaustion sheds mid-epoch
+        pytest.param(512, 0.3, MIXED_PLAN, id="512-0.3"),
+        pytest.param(512, 50.0, HIT_RUN_PLAN, id="hit-runs"),
     ])
     def test_decide_batch_equals_decide_loop(self, predictor, lru_capacity,
-                                             budget):
+                                             budget, plan):
         apps = cloudsuite_apps()[:2]
         pool = spec_even()[:3]
         admission = AdmissionControl(budget_ms_per_epoch=budget,
                                      hit_cost_ms=0.05, miss_cost_ms=0.1)
-        plan = [
-            [(0, 0), (1, 1), (0, 0), (0, 2)],
-            [(0, 0), (0, 0), (1, 1)],
-            [],
-            [(1, 2), (0, 1), (1, 2), (0, 1), (1, 0), (0, 0), (1, 1)],
-            [(0, 0), (1, 1), (0, 2), (1, 0)],
-        ]
         services = [
             PredictionService(predictor, QosTarget.average(0.90),
                               admission=admission,
@@ -229,58 +244,3 @@ class TestBatchEquivalence:
         assert columnar == scalar
         assert list(services[0]._lru.items()) == \
             list(services[1]._lru.items())
-
-    def test_decide_stream_equals_epoch_loop(self, predictor):
-        import numpy as np
-
-        from repro.serve.service import CandidateStream
-
-        apps = cloudsuite_apps()[:2]
-        pool = spec_even()[:3]
-        plan = [
-            [(0, 0), (1, 1)],
-            [(0, 0), (0, 0), (1, 1), (1, 1)],
-            [],
-            [(0, 0), (1, 1), (0, 2)],          # miss breaks the run
-            [(0, 2), (1, 1), (0, 0), (0, 2)],
-            [(1, 1), (1, 1)],
-        ]
-        app_idx = np.array([a for epoch in plan for a, _p in epoch],
-                           dtype=np.intp)
-        prof_idx = np.array([p for epoch in plan for _a, p in epoch],
-                            dtype=np.intp)
-        pair_id = app_idx * len(pool) + prof_idx
-        starts = [0]
-        for epoch in plan:
-            starts.append(starts[-1] + len(epoch))
-        key_table = [(a.name, p.name, 2) for a in apps for p in pool]
-        uid_offs, uid_pair, inv, firsts = [0], [], [], []
-        for e, epoch in enumerate(plan):
-            index = {}
-            for i, (a, p) in enumerate(epoch):
-                u = a * len(pool) + p
-                j = index.get(u)
-                if j is None:
-                    index[u] = j = len(index)
-                    uid_pair.append(u)
-                    firsts.append(i)
-                inv.append(j)
-            uid_offs.append(len(uid_pair))
-        stream = CandidateStream(
-            apps, pool, app_idx, prof_idx, pair_id, 2, key_table,
-            starts, uid_offs, uid_pair, inv, firsts,
-        )
-        bulk_svc = PredictionService(predictor, QosTarget.average(0.90))
-        loop_svc = PredictionService(predictor, QosTarget.average(0.90))
-        counts, shed = bulk_svc.decide_stream(stream)
-        loop_counts = []
-        loop_shed = []
-        for e in range(stream.n_epochs):
-            batch = stream.batch(e)
-            loop_svc.begin_epoch_batch(batch)
-            out = loop_svc.decide_batch(batch)
-            loop_counts.extend(out.max_safe_instances.tolist())
-            loop_shed.extend(out.shed.tolist())
-        assert counts.tolist() == loop_counts
-        assert shed.tolist() == loop_shed
-        assert list(bulk_svc._lru.items()) == list(loop_svc._lru.items())

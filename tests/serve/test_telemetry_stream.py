@@ -26,7 +26,7 @@ from repro.obs import PredictionAudit, timeseries
 from repro.scheduler.qos import QosTarget
 from repro.serve.engine import ServingEngine
 from repro.serve.service import PredictionService
-from repro.serve.shard import replay_pool_events, run_pool_shards
+from repro.serve.shard import EpochShardPool, PoolKernel
 from repro.serve.slo import WindowedSlo
 from repro.serve.traffic import poisson_trace
 from repro.workloads.cloudsuite import cloudsuite_apps
@@ -139,25 +139,41 @@ class TestTelemetryParity:
         assert _run(sampled=True) == _run(sampled=False)
 
 
-def _pool_inputs(n_pools, seed=0):
-    """Synthetic per-pool event streams of uneven sizes (one empty)."""
+def _pool_runs(n_pools, n_runs=2, seed=0):
+    """Synthetic per-pool event runs of uneven sizes (one pool empty).
+
+    Returns ``n_runs`` steps, each holding one :meth:`PoolKernel.step`
+    argument tuple per pool over 3 epochs; every job departs in the run
+    it arrived in.
+    """
     rng = np.random.default_rng(seed)
-    inputs = []
-    for p in range(n_pools):
-        m = 0 if p == 1 else 4 * (p + 1)  # pool 1: early-exit worker
-        is_arrival = np.ones(m, dtype=np.int8)
-        is_arrival[1::2] = 0
-        job_pos = np.repeat(np.arange((m + 1) // 2), 2)[:m]
-        inputs.append(dict(
-            is_arrival=is_arrival,
-            job_pos=job_pos.astype(np.int64),
-            profile_idx=rng.integers(0, 2, size=m).astype(np.int64),
-            cap=np.full(m, 2, dtype=np.int64),
-            epoch=np.sort(rng.integers(0, 3, size=m)).astype(np.int64),
-            n_epochs=3,
-            n_servers=2,
-        ))
-    return inputs
+    steps = []
+    for _ in range(n_runs):
+        runs = []
+        for p in range(n_pools):
+            m = 0 if p == 1 else 4 * (p + 1)  # pool 1: early-exit worker
+            is_arrival = np.ones(m, dtype=bool)
+            is_arrival[1::2] = False
+            job_pos = np.repeat(np.arange((m + 1) // 2), 2)[:m]
+            epoch = np.sort(rng.integers(0, 3, size=m))
+            runs.append((
+                is_arrival,
+                job_pos.astype(np.int64),
+                rng.integers(0, 2, size=m).astype(np.int64),
+                np.full(m, 2, dtype=np.int64),
+                np.searchsorted(epoch, np.arange(4)),
+            ))
+        steps.append(runs)
+    return steps
+
+
+_SPEC = (2, 4)  # (n_servers, n_states) of every synthetic pool
+
+
+def _run_pool(steps, n_pools, **pool_kwargs):
+    pool = EpochShardPool([_SPEC] * n_pools, **pool_kwargs)
+    groups = [pool.step(runs) for runs in steps]
+    return groups, _replay_fingerprint(pool.finish())
 
 
 def _replay_fingerprint(replays):
@@ -170,11 +186,19 @@ def _replay_fingerprint(replays):
 
 class TestIncrementalShardStream:
     def test_streamed_merge_equals_foldback_at_every_boundary(self):
-        inputs = _pool_inputs(4)
+        n_pools = 4
+        steps = _pool_runs(n_pools)
 
-        # Reference: the non-streamed path (no sampler, no on_frame).
+        # In-process kernels are the placement reference.
+        kernels = [PoolKernel(*_SPEC) for _ in range(n_pools)]
+        in_process = [
+            [kernel.step(*columns) for kernel, columns in zip(kernels, runs)]
+            for runs in steps
+        ]
+
+        # Reference fold-back: no frames, one end-of-run merge.
         obs.reset()
-        reference = run_pool_shards(list(inputs), shards=4, jobs=2)
+        reference = _run_pool(steps, n_pools, shards=n_pools)
         reference_counters = obs.snapshot()["counters"]
 
         # Streamed: collect every frame and check, at each boundary,
@@ -194,35 +218,56 @@ class TestIncrementalShardStream:
                 if name != "serve.telemetry.frames"
             ))
 
-        streamed = run_pool_shards(list(inputs), shards=4, jobs=2,
-                                   on_frame=on_frame)
+        streamed = _run_pool(steps, n_pools, shards=n_pools,
+                             stream_every=1, on_frame=on_frame)
         streamed_counters = obs.snapshot()["counters"]
 
-        assert _replay_fingerprint(streamed) == \
-            _replay_fingerprint(reference)
-        # One frame per non-empty pool, plus the boundary invariant.
-        assert len(boundary_checks) == len(inputs)
+        assert streamed == reference
+        assert reference[0] == in_process
+        assert reference[1] == _replay_fingerprint(
+            [kernel.result() for kernel in kernels]
+        )
+        # One frame per worker per step, plus the boundary invariant.
+        n_frames = n_pools * len(steps)
+        assert len(boundary_checks) == n_frames
         assert all(boundary_checks)
-        assert streamed_counters.pop("serve.telemetry.frames") == \
-            len(inputs)
+        assert streamed_counters.pop("serve.telemetry.frames") == n_frames
         assert streamed_counters == reference_counters
 
-    def test_active_sampler_switches_to_streaming(self):
-        """run_pool_shards streams frames whenever a series is installed,
-        even without an explicit collector."""
-        inputs = _pool_inputs(3)
-        obs.reset()
-        timeseries.install(1e9)  # cadence never due; presence is enough
-        try:
-            run_pool_shards(list(inputs), shards=3)
-        finally:
-            timeseries.uninstall()
-        counters = obs.snapshot()["counters"]
-        assert counters["serve.telemetry.frames"] == 3
-        assert counters["serve.shard.workers"] == 3
+    def test_active_sampler_switches_to_streaming(self, snb_sim, apps,
+                                                  pool):
+        """A sharded replay streams frames whenever a series is
+        installed, per worker on the sampler's 600 s cadence: the one
+        whole-trace step without adaptation, every second of the 24
+        one-epoch steps with it."""
+        trace = poisson_trace(pool, rate_per_s=0.02, horizon_s=7_200.0,
+                              seed=7)
+        for adapt, frames in ((False, 2), (True, 24)):
+            _sampled_replay(snb_sim, apps, pool, trace, adapt=adapt,
+                            strategy="vector", shards=2, jobs=2)
+            counters = obs.snapshot()["counters"]
+            assert counters["serve.telemetry.frames"] == frames
+            assert counters["serve.shard.workers"] == 2
 
-    def test_off_path_ships_no_frames(self):
-        inputs = _pool_inputs(3)
+    def test_off_path_ships_no_frames(self, snb_sim, apps, pool):
+        n_pools = 3
+        shipped = []
         obs.reset()
-        run_pool_shards(list(inputs), shards=3)
+        _run_pool(_pool_runs(n_pools), n_pools, shards=n_pools,
+                  on_frame=shipped.append)
+        assert shipped == []
         assert "serve.telemetry.frames" not in obs.snapshot()["counters"]
+
+        predictor = SMiTe(snb_sim).fit(spec_odd()[:4], mode="smt")
+        obs.reset()
+        engine = ServingEngine(
+            snb_sim, apps, PredictionService(predictor, TARGET),
+            servers_per_app=3, epoch_s=EPOCH_S, window_s=WINDOW_S,
+        )
+        engine.replay(
+            poisson_trace(pool, rate_per_s=0.02, horizon_s=4_800.0, seed=3),
+            shards=2,
+        )
+        counters = obs.snapshot()["counters"]
+        assert counters["serve.shard.workers"] == 2
+        assert "serve.telemetry.frames" not in counters
