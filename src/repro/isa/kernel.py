@@ -105,10 +105,18 @@ class Kernel:
         return len(self.body) * self.unroll + 1
 
     def count_kinds(self) -> dict[UopKind, int]:
-        """Dynamic uop-kind counts over one unrolled iteration."""
+        """Dynamic uop-kind counts over one unrolled iteration.
+
+        Closed form of counting over :meth:`iterate`: the body's counts
+        times ``unroll``, plus the loop branch. Keys keep the order of
+        first appearance in the iteration.
+        """
         counts: dict[UopKind, int] = {}
-        for instr in self.iterate():
+        for instr in self.body:
             counts[instr.kind] = counts.get(instr.kind, 0) + 1
+        for kind in counts:
+            counts[kind] *= self.unroll
+        counts[UopKind.BRANCH] = counts.get(UopKind.BRANCH, 0) + 1
         return counts
 
     def distinct_destinations(self, kind: UopKind) -> int:

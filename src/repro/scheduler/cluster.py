@@ -107,7 +107,11 @@ class Cluster:
         front, and the outcome measurements are prefetched between the
         decision and measurement passes. With 4,000 servers drawing from a
         small app x candidate pool, this collapses thousands of
-        ``measure_server_degradation`` calls into a few batch solves.
+        ``measure_server_degradation`` calls into a few batch solves, and
+        the simulator's measurement memo answers every repeat of an
+        (app, candidate, instances) measurement with one lookup, so
+        simulator requests scale with the distinct combinations, not with
+        the number of servers.
         """
         with span("cluster.apply_policy"):
             if policy.uses_simulator:

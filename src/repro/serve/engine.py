@@ -215,11 +215,11 @@ class ServingEngine:
         #: idle SMT contexts per server = one sibling per core
         self.threads_per_server = simulator.machine.cores
         self.n_servers = servers_per_app * len(apps)
-        #: measured degradation per (app, profile, instances) colocation
-        #: state — filled lazily through one batched prefetch per epoch
-        self._deg_cache: dict[tuple[str, str, int], float] = {}
-        #: index-keyed view of the same cache, valid for one replay's
-        #: pool (reset per replay — profile indices are trace-relative)
+        #: measured degradation per (app idx, profile idx, instances)
+        #: colocation state, filled lazily through one batched prefetch
+        #: per epoch; valid for one replay's pool (reset per replay —
+        #: profile indices are trace-relative, and the simulator's
+        #: measurement memo carries values across replays)
         self._deg_idx: dict[tuple[int, int, int], float] = {}
         #: index-keyed memo of the decider's (deterministic) predictions
         self._pred_idx: dict[tuple[int, int, int], float] = {}
@@ -306,14 +306,11 @@ class ServingEngine:
                 for a, p, inst in missing
             ])
             for a, p, inst in missing:
-                name_key = (self.apps[a].name, pool[p].name, inst)
-                degradation = self._deg_cache.get(name_key)
-                if degradation is None:
-                    degradation = self.simulator.measure_server_degradation(
+                deg_idx[(a, p, inst)] = (
+                    self.simulator.measure_server_degradation(
                         self.apps[a].profile, pool[p], instances=inst,
                     )
-                    self._deg_cache[name_key] = degradation
-                deg_idx[(a, p, inst)] = degradation
+                )
         scored: list[tuple[str, float, int, int]] = []
         audit = self.audit
         adaptation = self.adaptation
@@ -879,11 +876,13 @@ class ServingEngine:
                 for server in self.servers:
                     if server.is_colocated:
                         assert server.batch_profile is not None
-                        server.actual_degradation = self._deg_cache[(
-                            server.latency_app.name,
-                            server.batch_profile.name,
-                            server.instances,
-                        )]
+                        server.actual_degradation = (
+                            self.simulator.measure_server_degradation(
+                                server.latency_app.profile,
+                                server.batch_profile,
+                                instances=server.instances,
+                            )
+                        )
                     else:
                         server.actual_degradation = 0.0
                 self._telemetry_tick(epoch_end, arrivals, departures, shed)

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduler.cluster import Cluster
+from repro.obs import snapshot
+from repro.scheduler.cluster import Cluster, ServerState
 from repro.scheduler.metrics import violation_stats
-from repro.scheduler.policies import NoColocationPolicy, RandomPolicy
+from repro.scheduler.policies import (
+    NoColocationPolicy,
+    OraclePolicy,
+    RandomPolicy,
+)
 from repro.scheduler.qos import QosTarget
 from repro.scheduler.scaleout import random_counts_for_gain
 from repro.smt.params import SANDY_BRIDGE_EN
@@ -117,3 +122,27 @@ class TestRandomCountsForGain:
     def test_deterministic(self):
         assert random_counts_for_gain(30, 20, 6, seed=3) == \
             random_counts_for_gain(30, 20, 6, seed=3)
+
+
+class TestOracleRequests:
+    @staticmethod
+    def _oracle_run(copies: int) -> tuple[int, list[int]]:
+        """Simulator requests and decisions of an oracle pass over a fleet
+        that repeats the same (app, candidate) servers ``copies`` times."""
+        simulator = Simulator(SANDY_BRIDGE_EN)
+        combos = [(app, batch) for app in cloudsuite_apps()[:2]
+                  for batch in spec_even()[:3]]
+        servers = [ServerState(index=i, latency_app=app, batch_candidate=b)
+                   for i, (app, b) in enumerate(combos * copies)]
+        cluster = Cluster(simulator=simulator, servers=servers)
+        before = snapshot()["counters"].get("smt.simulator.requests", 0)
+        cluster.apply_policy(OraclePolicy(simulator), QosTarget.average(0.9))
+        after = snapshot()["counters"].get("smt.simulator.requests", 0)
+        return after - before, [s.instances for s in servers]
+
+    def test_requests_scale_with_distinct_combinations(self):
+        requests_one, decisions_one = self._oracle_run(1)
+        requests_many, decisions_many = self._oracle_run(5)
+        assert requests_one > 0
+        assert requests_many == requests_one
+        assert decisions_many == decisions_one * 5

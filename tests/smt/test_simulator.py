@@ -2,10 +2,16 @@
 
 import pytest
 
+import repro.smt.simulator as simulator_module
 from repro.errors import ConfigurationError
+from repro.obs import snapshot
 from repro.smt.params import SANDY_BRIDGE_EN
 from repro.smt.simulator import Simulator
 from repro.workloads.spec import SPEC_CPU2006
+
+
+def _requests() -> int:
+    return snapshot()["counters"].get("smt.simulator.requests", 0)
 
 
 class TestTopologies:
@@ -113,3 +119,80 @@ class TestCaching:
         count = sim.solve_count
         sim.run_solo(mcf)
         assert sim.solve_count == count + 1
+
+    def test_clear_cache_forgets_prefetch_marks(self, mcf, namd,
+                                                 monkeypatch):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        jobs = [sim.server_placements(mcf, namd, instances=k)
+                for k in (0, 2)]
+        sim.prefetch(jobs)
+        sim.clear_cache()
+        sim.prefetch(jobs)
+        scalar_solves = []
+        monkeypatch.setattr(simulator_module, "solve",
+                            lambda *args: scalar_solves.append(args))
+        for placements in jobs:
+            sim.run(placements)
+        assert scalar_solves == []
+
+    def test_clear_cache_forgets_measurements(self, mcf, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        first = sim.measure_server(web, mcf, instances=2)
+        sim.clear_cache()
+        before = _requests()
+        again = sim.measure_server(web, mcf, instances=2)
+        assert _requests() > before
+        assert again == first
+
+
+class TestMeasurementMemo:
+    def test_repeat_is_one_lookup(self, mcf, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        first = sim.measure_server(web, mcf, instances=3)
+        before = _requests()
+        second = sim.measure_server(web, mcf, instances=3)
+        assert second is first
+        assert sim.measure_server_degradation(
+            web, mcf, instances=3) == first.degradation_a
+        assert _requests() == before
+
+    @pytest.mark.parametrize("variant", [
+        {"instances": 2},
+        {"mode": "cmp"},
+        {"latency_threads": 3},
+    ], ids=["instances", "mode", "latency_threads"])
+    def test_each_argument_keys_its_own_entry(self, mcf, cloud_apps,
+                                              variant):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        base = sim.measure_server(web, mcf, instances=1)
+        before = _requests()
+        varied = sim.measure_server(web, mcf, **{"instances": 1, **variant})
+        assert _requests() > before
+        assert varied != base
+        fresh = Simulator(SANDY_BRIDGE_EN).measure_server(
+            web, mcf, **{"instances": 1, **variant})
+        assert varied == fresh
+
+    def test_memoized_values_match_fresh_simulators(self, mcf, lbm,
+                                                    cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        grid = [(app.profile, batch, k, mode)
+                for app in cloud_apps[:2] for batch in (mcf, lbm)
+                for mode, k in (("smt", 1), ("smt", 6), ("cmp", 3))]
+        for _round in range(2):
+            for latency, batch, k, mode in grid:
+                memoized = sim.measure_server(latency, batch, instances=k,
+                                              mode=mode)
+                fresh = Simulator(SANDY_BRIDGE_EN).measure_server(
+                    latency, batch, instances=k, mode=mode)
+                assert memoized == fresh
+
+    def test_errors_are_not_memoized(self, mcf, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        for _attempt in range(2):
+            with pytest.raises(ConfigurationError):
+                sim.measure_server(web, mcf, instances=0)
