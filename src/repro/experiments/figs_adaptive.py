@@ -104,6 +104,9 @@ def _study(fast: bool, seed: int) -> dict[str, object]:
 
     target = QosTarget.average(_QOS_LEVEL)
     budget = target.degradation_budget()
+    # Ranking reads every app's Ruler characterization; one batched
+    # sweep instead of a scalar solve per Ruler co-run.
+    predictor.characterize_all([app.profile for app in apps])
     ranked = sorted(
         candidates,
         key=lambda p: (_safe_cap(predictor, apps, p, budget),

@@ -11,28 +11,39 @@ Semantics are kept deliberately identical to the scalar reference in
 :mod:`repro.smt.solver`:
 
 - static per-context quantities (port demand, dependency bound, penalty
-  CPIs, occupancy pressures) come from the scalar ``_prepare``;
+  CPIs, occupancy pressures, full-capacity hits) are the solver's
+  per-(machine, profile) statics, computed once per profile and shared;
+  the flat arrays gather one packed row per distinct profile;
 - capacity shares and hit fractions are intrinsic (IPC-independent), so
   they are computed once up front with the scalar ``_update_capacities``
-  — exactly what the scalar loop recomputes, idempotently, every
-  iteration;
+  — the same values the scalar loop reads from its memo every iteration
+  — memoized per sharing group and per (profile, capacities) across the
+  batch;
 - the iteration is Gauss-Seidel *in placement order*, exactly like the
   scalar loop: the update for context slot ``k`` is vectorized across
   problems, and later slots see earlier slots' freshly damped IPCs and
   port placements.
 
+Sibling pressure (per-port, front-end and in-flight misses) is summed
+per core from a per-slot table built once: the contexts sharing a core
+with the slot's contexts, in flat order, each tagged with its core's
+slot-local id. A slot update sums only that list, restricted to the
+problems still iterating. Each core's total adds the same elements in
+the same order a bincount over the whole batch would, so the results
+are bitwise those of summing every context every time.
+
 Because each problem performs the same arithmetic in the same order as a
 scalar :func:`repro.smt.solver.solve` call (modulo float summation
 association), per-context IPCs agree to ~1e-9, far inside the 1e-6
-fixed-point tolerance. A property test in
-``tests/properties/test_prop_batch.py`` enforces the agreement across
-the full workload population.
+fixed-point tolerance. A problem's result is bitwise independent of the
+rest of its batch: ``solve_many(ps)[i] == solve_many([ps[i]])[0]``.
+Property tests in ``tests/properties/test_prop_batch.py`` enforce both.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -42,12 +53,13 @@ from repro.isa.opcodes import ALL_PORTS, PORT_BINDINGS, UopKind
 from repro.smt.params import MachineSpec
 from repro.smt.results import ContextResult, CpiBreakdown, RunResult
 from repro.smt.solver import (_DAMPING, _MAX_ITERATIONS, _TOLERANCE,
-                              ContextPlacement, _ContextState, _prepare,
-                              _update_capacities)
+                              ContextPlacement, _ContextState,
+                              _ProfileStatics, _prepare, _update_capacities)
 
 __all__ = ["solve_many"]
 
 _N_PORTS = len(ALL_PORTS)
+_PORT_COLUMNS = np.arange(_N_PORTS)
 
 #: The order ``WorkloadProfile.uops`` enumerates kinds in; ties in the
 #: flexible sort below must respect it to mirror ``split_port_demand``.
@@ -84,117 +96,110 @@ def _water_fill_rows(levels: np.ndarray, amount: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, water - levels)
 
 
+def _statics_row(statics: _ProfileStatics) -> list[float]:
+    """One profile's packed statics (see ``_Packed`` for the columns)."""
+    rates = {kind: rate for kind, rate, _ports in statics.flexible}
+    return ([statics.port_demand[p] for p in ALL_PORTS]
+            + [statics.pinned[p] for p in ALL_PORTS]
+            + [rates.get(kind, 0.0) for kind in _FLEX_KINDS]
+            + [max(statics.uops_total, 1.0), statics.dep_bound, statics.apki,
+               statics.mlp, statics.throttle_cpi, statics.branch_cpi,
+               statics.tlb_cpi, statics.icache_cpi])
+
+
 class _Packed:
-    """Flat context arrays for a batch of independent problems."""
+    """Flat context arrays for a batch of independent problems.
+
+    Contexts are laid out problem by problem, in placement order
+    ("flat order"). Per-profile columns are gathered from one packed row
+    per distinct :class:`_ProfileStatics`.
+    """
 
     def __init__(self, machine: MachineSpec,
                  problems: list[list[_ContextState]]) -> None:
-        counts = [len(states) for states in problems]
+        counts = np.array([len(states) for states in problems])
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        n = int(offsets[-1])
-        self.problems = problems
-        self.offsets = offsets
-        self.n_contexts = n
         self.n_problems = len(problems)
-        self.max_slots = max(counts)
-
         self.prob = np.repeat(np.arange(self.n_problems), counts)
-        self.slot = np.concatenate([np.arange(c) for c in counts])
-        # Globally unique (problem, core) ids so one bincount aggregates
-        # every core of every problem without cross-talk.
-        core_keys: dict[tuple[int, int], int] = {}
-        core_gid = np.empty(n, dtype=np.intp)
         flat = [state for states in problems for state in states]
-        for i, state in enumerate(flat):
-            key = (int(self.prob[i]), state.placement.core)
-            core_gid[i] = core_keys.setdefault(key, len(core_keys))
-        self.core_gid = core_gid
-        self.n_cores = len(core_keys)
-        core_count = np.bincount(core_gid, minlength=self.n_cores)
-        self.n_sib = core_count[core_gid] - 1
-        # Fused (core, port) bucket keys: one bincount aggregates all
-        # ports' sibling pressure instead of one bincount per port.
-        self.core_port_key = (core_gid[:, None] * _N_PORTS
-                              + np.arange(_N_PORTS)).ravel()
 
-        self.port_demand = np.array(
-            [[s.port_demand[p] for p in ALL_PORTS] for s in flat]
-        )
-        from repro.smt.ports import split_port_demand
-
-        pinned = np.zeros((n, _N_PORTS))
-        flex_rates = np.zeros((n, len(_FLEX_KINDS)))
-        for i, state in enumerate(flat):
-            base, flexible = split_port_demand(state.profile.uops)
-            for p in ALL_PORTS:
-                pinned[i, p] = base[p]
-            rates = {kind: rate for kind, rate, _ports in flexible}
-            for j, kind in enumerate(_FLEX_KINDS):
-                flex_rates[i, j] = rates.get(kind, 0.0)
-        self.pinned = pinned
-        self.flex_rates = flex_rates
+        rows: dict[_ProfileStatics, int] = {}
+        row_of = [rows.setdefault(state.statics, len(rows)) for state in flat]
+        table = np.array([_statics_row(statics) for statics in rows])[row_of]
+        n_flex = len(_FLEX_KINDS)
+        self.port_demand = table[:, :_N_PORTS].copy()
+        self.pinned = table[:, _N_PORTS:2 * _N_PORTS].copy()
+        self.flex_rates = table[:, 2 * _N_PORTS:2 * _N_PORTS + n_flex].copy()
+        (self.uops_eff, self.dep_bound, self.apki, self.mlp, self.throttle,
+         self.branch_cpi, self.tlb_cpi, self.icache_cpi) = \
+            table[:, 2 * _N_PORTS + n_flex:].T.copy()
         self.flex_ports = [np.array(PORT_BINDINGS[k], dtype=np.intp)
                            for k in _FLEX_KINDS]
+        self.h1, self.h2, self.h3, self.hm = np.array(
+            [(s.hits.l1, s.hits.l2, s.hits.l3, s.hits.memory) for s in flat]
+        ).T.copy()
 
-        self.uops_eff = np.array([max(s.uops_total, 1.0) for s in flat])
-        self.dep_bound = np.array([s.dep_bound for s in flat])
-        self.apki = np.array([s.apki for s in flat])
-        self.mlp = np.array([s.profile.mlp for s in flat])
-        self.throttle = np.array([s.throttle_cpi for s in flat])
-        self.branch_cpi = np.array(
-            [s.profile.branch_misprediction_rate * machine.branch_penalty_cycles
-             for s in flat])
-        self.tlb_cpi = np.array(
-            [(s.profile.itlb_mpki + s.profile.dtlb_mpki) / 1000.0
-             * machine.tlb_walk_cycles for s in flat])
-        self.icache_cpi = np.array(
-            [s.profile.icache_mpki / 1000.0 * machine.icache_miss_cycles
-             for s in flat])
-        self.h1 = np.array([s.hits.l1 for s in flat])
-        self.h2 = np.array([s.hits.l2 for s in flat])
-        self.h3 = np.array([s.hits.l3 for s in flat])
-        self.hm = np.array([s.hits.memory for s in flat])
+        # Core ids unique across problems; only their grouping matters.
+        core = np.array([state.placement.core for state in flat])
+        _keys, core_gid, core_count = np.unique(
+            self.prob * machine.cores + core,
+            return_inverse=True, return_counts=True)
+        self.n_sib = core_count[core_gid] - 1
 
-        self.ipc = np.ones(n)
-        self.breakdown = {field: np.zeros(n) for field in (
+        self.ipc = np.ones(len(flat))
+        self.breakdown = {field: np.zeros(len(flat)) for field in (
             "frontend", "port", "dependency", "compute", "contention",
             "smt_overhead", "memory")}
         self.breakdown["dependency"] = self.dep_bound
 
-        # slots_idx[s]: flat index of slot s in every problem that has one.
-        self.slots_idx = [
-            (offsets[:-1] + s)[np.asarray(counts) > s]
-            for s in range(self.max_slots)
-        ]
+        # One table per slot: ``idx`` are the flat indices of the slot's
+        # contexts (one per problem that has the slot); ``sib`` lists, in
+        # flat order, every context sharing a core with one of them, and
+        # ``loc`` the position in ``idx`` of that core's slot context.
+        self.slots: list[tuple[np.ndarray, ...]] = []
+        local = np.full(len(core_count), -1, dtype=np.intp)
+        for slot in range(int(counts.max())):
+            idx = (offsets[:-1] + slot)[counts > slot]
+            local[core_gid[idx]] = np.arange(idx.size)
+            loc_all = local[core_gid]
+            sib = np.flatnonzero(loc_all >= 0)
+            self.slots.append((idx, self.prob[idx], sib, loc_all[sib]))
+            local[core_gid[idx]] = -1
 
 
 def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
+                 sib: np.ndarray, loc: np.ndarray,
                  dram_lat: np.ndarray) -> np.ndarray:
     """One Gauss-Seidel update of context slot ``idx`` (vectorized).
 
-    Mirrors the scalar ``_compute_cpi`` plus the damped IPC update;
-    returns each updated context's relative IPC delta.
+    ``sib`` lists, in flat order, every context on the cores being
+    updated and ``loc`` which of ``idx`` shares each one's core. Mirrors
+    the scalar ``_compute_cpi`` plus the damped IPC update; returns each
+    updated context's relative IPC delta.
     """
     width = machine.issue_width
     rho_cap = machine.contention_rho_cap
+    m = idx.size
+    own_ipc = pk.ipc[idx]
+    sib_ipc = pk.ipc[sib]
 
     # Sibling background per port: per-core totals minus own contribution.
-    # One bincount over fused (core, port) keys covers every port; the
-    # per-bucket accumulation order matches the per-port version, so the
-    # sums are bitwise identical.
-    ipd = pk.ipc[:, None] * pk.port_demand
+    # One bincount over fused (core, port) keys covers every port; each
+    # core's total adds its contexts in flat order, as a bincount over
+    # the whole batch would, so the sums are bitwise the same.
+    own_ipd = own_ipc[:, None] * pk.port_demand[idx]
     core_ipd = np.bincount(
-        pk.core_port_key, weights=ipd.ravel(),
-        minlength=pk.n_cores * _N_PORTS,
-    ).reshape(pk.n_cores, _N_PORTS)
-    bg = core_ipd[pk.core_gid[idx]] - ipd[idx]
+        (loc[:, None] * _N_PORTS + _PORT_COLUMNS).ravel(),
+        weights=(sib_ipc[:, None] * pk.port_demand[sib]).ravel(),
+        minlength=m * _N_PORTS,
+    ).reshape(m, _N_PORTS)
+    bg = core_ipd - own_ipd
 
     # Re-place flexible uops against the sibling pressure (water-fill),
     # then damp — same steering-and-damping as the scalar solver.
-    demand = pk.pinned[idx].copy()
-    own_rate = pk.ipc[idx]
+    demand = pk.pinned[idx]
     for j, ports in enumerate(pk.flex_ports):
-        levels = demand[:, ports] + bg[:, ports] / own_rate[:, None]  # smite: noqa[SMT302]: pk.ipc starts positive and damped updates keep it positive
+        levels = demand[:, ports] + bg[:, ports] / own_ipc[:, None]  # smite: noqa[SMT302]: pk.ipc starts positive and damped updates keep it positive
         demand[:, ports] += _water_fill_rows(levels, pk.flex_rates[idx, j])
     new_demand = _DAMPING * pk.port_demand[idx] + (1.0 - _DAMPING) * demand
     pk.port_demand[idx] = new_demand
@@ -205,10 +210,10 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     port_delay = (new_demand * inflation).sum(axis=1)
 
     fe_occ = pk.uops_eff[idx] / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
-    core_fe = np.bincount(pk.core_gid, weights=pk.ipc * pk.uops_eff,
-                          minlength=pk.n_cores)
-    rho_fe = (core_fe[pk.core_gid[idx]]  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
-              - pk.ipc[idx] * pk.uops_eff[idx]) / width
+    core_fe = np.bincount(loc, weights=sib_ipc * pk.uops_eff[sib],
+                          minlength=m)
+    rho_fe = (core_fe  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+              - own_ipc * pk.uops_eff[idx]) / width
     clip_fe = np.minimum(rho_fe, rho_cap)
     fe_delay = fe_occ * (machine.frontend_contention_kappa  # smite: noqa[SMT302]: clip_fe <= contention_rho_cap, validated < 1 by MachineSpec
                          * clip_fe / (1.0 - clip_fe))
@@ -222,10 +227,13 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
 
     # MSHR-shared memory stalls: siblings' in-flight misses (Little's
     # law) reduce the overlap this context can sustain.
-    inflight = np.minimum(pk.mlp, pk.ipc * pk.apki * pk.hm * dram_lat[pk.prob])
-    core_infl = np.bincount(pk.core_gid, weights=inflight,
-                            minlength=pk.n_cores)
-    occupied = core_infl[pk.core_gid[idx]] - inflight[idx]
+    dl = dram_lat[pk.prob[idx]]
+    core_infl = np.bincount(loc, weights=np.minimum(
+        pk.mlp[sib],
+        sib_ipc * pk.apki[sib] * pk.hm[sib] * dram_lat[pk.prob[sib]],
+    ), minlength=m)
+    occupied = core_infl - np.minimum(
+        pk.mlp[idx], own_ipc * pk.apki[idx] * pk.hm[idx] * dl)
     available = np.maximum(1.0, machine.mshr_count - occupied)
     mlp_eff = np.where(
         has_sib,
@@ -233,7 +241,6 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
         / (1.0 + machine.smt_mlp_penalty * pk.n_sib[idx]),
         pk.mlp[idx],
     )
-    dl = dram_lat[pk.prob[idx]]
     per_access = (pk.h1[idx] * machine.l1d.latency_cycles
                   + pk.h2[idx] * machine.l2.latency_cycles
                   + pk.h3[idx] * machine.l3.latency_cycles
@@ -247,8 +254,8 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     cpi = (compute + contention + overhead + memory + pk.branch_cpi[idx]
            + pk.tlb_cpi[idx] + pk.icache_cpi[idx] + pk.throttle[idx])
     new_ipc = 1.0 / cpi  # smite: noqa[SMT302]: cpi includes compute, floored at the 1-uop front-end occupancy
-    delta = np.abs(new_ipc - pk.ipc[idx]) / np.maximum(pk.ipc[idx], 1e-12)
-    pk.ipc[idx] = _DAMPING * pk.ipc[idx] + (1.0 - _DAMPING) * new_ipc
+    delta = np.abs(new_ipc - own_ipc) / np.maximum(own_ipc, 1e-12)
+    pk.ipc[idx] = _DAMPING * own_ipc + (1.0 - _DAMPING) * new_ipc
 
     bd = pk.breakdown
     bd["frontend"][idx] = fe_occ
@@ -285,8 +292,9 @@ def solve_many(
     # Capacity shares and hit fractions depend only on intrinsic
     # pressures, so one pass pins them for the whole iteration (the
     # scalar loop recomputes the same values every iteration).
+    memo: dict[tuple, Any] = {}
     for states in problems:
-        _update_capacities(machine, states)
+        _update_capacities(machine, states, memo)
     pk = _Packed(machine, problems)
 
     line = float(machine.l3.line_bytes)
@@ -314,12 +322,19 @@ def solve_many(
         dram_lat = machine.dram_latency_cycles * factor
 
         max_delta = np.zeros(n_problems)
-        for idx_all in pk.slots_idx:
-            idx = idx_all[active[pk.prob[idx_all]]]
-            if idx.size == 0:
-                continue
-            delta = _slot_update(machine, pk, idx, dram_lat)
-            p_idx = pk.prob[idx]
+        for idx, p_idx, sib, loc in pk.slots:
+            # Converged problems drop out of the slot and its sibling
+            # table; the survivors keep their flat order.
+            live = active[p_idx]
+            if not live.all():
+                if not live.any():
+                    continue
+                keep = live[loc]
+                sib = sib[keep]
+                loc = (np.cumsum(live) - 1)[loc[keep]]
+                idx = idx[live]
+                p_idx = p_idx[live]
+            delta = _slot_update(machine, pk, idx, sib, loc, dram_lat)
             max_delta[p_idx] = np.maximum(max_delta[p_idx], delta)
         active &= max_delta >= tolerance
         if not active.any():
@@ -332,41 +347,37 @@ def solve_many(
             f"(worst delta {worst:.3e})"
         )
 
+    ipc = pk.ipc.tolist()
+    utilization = np.minimum(1.0, pk.ipc[:, None] * pk.port_demand).tolist()
+    bd = pk.breakdown
+    breakdowns = list(zip(
+        bd["frontend"].tolist(), bd["port"].tolist(),
+        bd["dependency"].tolist(), bd["compute"].tolist(),
+        bd["contention"].tolist(), bd["smt_overhead"].tolist(),
+        bd["memory"].tolist(), pk.branch_cpi.tolist(), pk.tlb_cpi.tolist(),
+        pk.icache_cpi.tolist(),
+    ))
     results = []
-    for p, states in enumerate(problems):
+    g = 0
+    for states, dram, its in zip(problems, dram_rho.tolist(),
+                                 iterations.tolist()):
         contexts = []
-        for local, state in enumerate(states):
-            g = int(pk.offsets[p]) + local
-            breakdown = CpiBreakdown(
-                frontend=float(pk.breakdown["frontend"][g]),
-                port=float(pk.breakdown["port"][g]),
-                dependency=float(pk.breakdown["dependency"][g]),
-                compute=float(pk.breakdown["compute"][g]),
-                contention=float(pk.breakdown["contention"][g]),
-                smt_overhead=float(pk.breakdown["smt_overhead"][g]),
-                memory=float(pk.breakdown["memory"][g]),
-                branch=float(pk.branch_cpi[g]),
-                tlb=float(pk.tlb_cpi[g]),
-                icache=float(pk.icache_cpi[g]),
-            )
-            utilization = {
-                port: min(1.0, float(pk.ipc[g] * pk.port_demand[g, port]))
-                for port in ALL_PORTS
-            }
+        for state in states:
             contexts.append(ContextResult(
                 profile=state.profile,
                 core=state.placement.core,
-                ipc=float(pk.ipc[g]),
-                breakdown=breakdown,
+                ipc=ipc[g],
+                breakdown=CpiBreakdown(*breakdowns[g]),
                 hits=state.hits,
-                port_utilization=utilization,
+                port_utilization=dict(zip(ALL_PORTS, utilization[g])),
                 effective_capacities=state.capacities,
             ))
+            g += 1
         results.append(RunResult(
             machine_name=machine.name,
             contexts=tuple(contexts),
-            dram_utilization=float(dram_rho[p]),
-            iterations=int(iterations[p]),
+            dram_utilization=dram,
+            iterations=its,
         ))
     histogram("smt.batch.solve_seconds").record(time.perf_counter() - started)
     return results

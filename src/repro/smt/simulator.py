@@ -190,7 +190,7 @@ class Simulator:
         input.
         """
         requests = []
-        todo: dict[tuple, list[ContextPlacement]] = {}
+        todo: dict[tuple, tuple[list[ContextPlacement], str | None]] = {}
         memo_hits = 0
         for placements in placements_list:
             placements = list(placements)
@@ -200,17 +200,13 @@ class Simulator:
             if key in self._cache:
                 memo_hits += 1
             elif key not in todo:
-                if self._load_from_disk(canonical, key) is None:
-                    todo[key] = canonical
+                disk_key = self._disk_key(canonical)
+                if self._load_from_disk(disk_key, key) is None:
+                    todo[key] = (canonical, disk_key)
         counter("smt.simulator.requests").inc(len(requests))
         counter("smt.simulator.canonicalizations").inc(len(requests))
         counter("smt.simulator.memo_hits").inc(memo_hits)
-        if todo:
-            keys = list(todo)
-            solved = solve_many(self.machine, [todo[k] for k in keys])
-            for key, canonical, result in zip(keys, (todo[k] for k in keys),
-                                              solved):
-                self._store(canonical, key, result)
+        self._solve_todo(todo)
         return [self._reindex(self._cache[key], order, placements)
                 for key, order, placements in requests]
 
@@ -218,7 +214,7 @@ class Simulator:
         self, placements_list: Sequence[Sequence[ContextPlacement]],
     ) -> None:
         """Fill the solve caches in bulk without materializing results."""
-        todo: dict[tuple, list[ContextPlacement]] = {}
+        todo: dict[tuple, tuple[list[ContextPlacement], str | None]] = {}
         raw_keys: list[tuple] = []
         n_requests = 0
         memo_hits = 0
@@ -234,16 +230,13 @@ class Simulator:
             if key in self._cache:
                 memo_hits += 1
             elif key not in todo:
-                if self._load_from_disk(canonical, key) is None:
-                    todo[key] = canonical
+                disk_key = self._disk_key(canonical)
+                if self._load_from_disk(disk_key, key) is None:
+                    todo[key] = (canonical, disk_key)
         counter("smt.simulator.requests").inc(n_requests)
         counter("smt.simulator.canonicalizations").inc(n_requests)
         counter("smt.simulator.memo_hits").inc(memo_hits)
-        if todo:
-            keys = list(todo)
-            solved = solve_many(self.machine, [todo[k] for k in keys])
-            for key, result in zip(keys, solved):
-                self._store(todo[key], key, result)
+        self._solve_todo(todo)
         self._prefetched.update(raw_keys)
 
     # -- cache plumbing -------------------------------------------------
@@ -252,28 +245,47 @@ class Simulator:
     def _memo_key(canonical: Sequence[ContextPlacement]) -> tuple:
         return tuple((pl.profile, pl.core) for pl in canonical)
 
-    def _load_from_disk(self, canonical: list[ContextPlacement],
-                        key: tuple) -> RunResult | None:
+    def _disk_key(self, canonical: Sequence[ContextPlacement]) -> str | None:
+        """A canonical placement's disk-cache key (hashed once per miss)."""
         if self.disk_cache is None:
             return None
-        result = self.disk_cache.get(solve_key(self.machine, canonical))
+        return solve_key(self.machine, canonical)
+
+    def _load_from_disk(self, disk_key: str | None,
+                        key: tuple) -> RunResult | None:
+        if disk_key is None:
+            return None
+        result = self.disk_cache.get(disk_key)
         if result is not None:
             self._cache[key] = result
         return result
 
-    def _store(self, canonical: Sequence[ContextPlacement], key: tuple,
+    def _store(self, disk_key: str | None, key: tuple,
                result: RunResult) -> None:
         self._cache[key] = result
         self._solve_count += 1
-        if self.disk_cache is not None:
-            self.disk_cache.put(solve_key(self.machine, canonical), result)
+        if disk_key is not None:
+            self.disk_cache.put(disk_key, result)
+
+    def _solve_todo(
+        self, todo: dict[tuple, tuple[list[ContextPlacement], str | None]],
+    ) -> None:
+        """Batch-solve memo/disk misses and store them in both caches."""
+        if not todo:
+            return
+        solved = solve_many(self.machine,
+                            [canonical for canonical, _ in todo.values()])
+        for (key, (_canonical, disk_key)), result in zip(todo.items(),
+                                                          solved):
+            self._store(disk_key, key, result)
 
     def _solve_canonical(self, canonical: list[ContextPlacement],
                          key: tuple) -> RunResult:
-        result = self._load_from_disk(canonical, key)
+        disk_key = self._disk_key(canonical)
+        result = self._load_from_disk(disk_key, key)
         if result is None:
             result = solve(self.machine, canonical)
-            self._store(canonical, key, result)
+            self._store(disk_key, key, result)
         return result
 
     @staticmethod

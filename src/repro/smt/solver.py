@@ -27,17 +27,19 @@ the damping here has a twin in ``batch.py``, and the property tests in
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.obs import counter, histogram
-from repro.isa.opcodes import UOP_LATENCY
+from repro.isa.opcodes import UOP_LATENCY, UopKind
 from repro.smt.cache import (HitFractions, hit_fractions,
                              occupancy_pressures, share_capacity)
 from repro.smt.membw import aggregate_traffic, dram_latency_factor
 from repro.smt.params import MachineSpec
-from repro.smt.ports import balance_port_demand, contention_inflation
+from repro.smt.ports import (balance_port_demand, contention_inflation,
+                             split_port_demand)
 from repro.smt.results import ContextResult, CpiBreakdown, RunResult
 from repro.workloads.profile import WorkloadProfile
 
@@ -60,22 +62,83 @@ class ContextPlacement:
             raise ConfigurationError(f"core index must be >= 0, got {self.core}")
 
 
-@dataclass
-class _ContextState:
-    """Pre-computed static quantities plus the iteration state."""
+@dataclass(frozen=True, eq=False)
+class _ProfileStatics:
+    """A profile's IPC-independent quantities on one machine.
 
-    placement: ContextPlacement
+    Computed once per (machine, profile) and shared by every context
+    that runs the profile, across problems and calls: treat it as
+    read-only (``port_demand`` and ``pinned`` are never mutated).
+    """
+
+    #: static port balance: the fixed point's initial port placement
     port_demand: dict[int, float]
+    #: single-port demand and the flexible kinds left to place, in the
+    #: order ``balance_port_demand`` places them
+    pinned: dict[int, float]
+    flexible: tuple[tuple[UopKind, float, tuple[int, ...]], ...]
     uops_total: float
     apki: float
     dep_bound: float
-    penalty_cpi: float
+    mlp: float
+    branch_cpi: float
+    tlb_cpi: float
+    icache_cpi: float
     throttle_cpi: float
-    #: intrinsic per-level occupancy pressure (see cache.occupancy_pressures)
-    pressures: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    #: hit fractions and occupancy pressures at full capacities
+    full_hits: HitFractions
+    pressures: tuple[float, float, float]
+
+
+#: (profile -> machine -> statics). Keyed on the profile's value (its
+#: ``__eq__``), so a same-named ``replace`` gets its own entry; kept off
+#: the profile instance, which is pickled into every cached result. The
+#: keys are weak: an entry lives as long as its profile does.
+_STATICS: weakref.WeakKeyDictionary[
+    WorkloadProfile, dict[MachineSpec, _ProfileStatics]] = (
+        weakref.WeakKeyDictionary())
+
+
+def _compute_statics(machine: MachineSpec,
+                     profile: WorkloadProfile) -> _ProfileStatics:
+    uops = profile.uops
+    pinned, flexible = split_port_demand(uops)
+    apki = profile.accesses_per_instruction
+    full = (float(machine.l1d.size_bytes), float(machine.l2.size_bytes),
+            float(machine.l3.size_bytes))
+    return _ProfileStatics(
+        port_demand=balance_port_demand(uops),
+        pinned=pinned,
+        flexible=tuple(flexible),
+        uops_total=profile.uops_per_instruction,
+        apki=apki,
+        dep_bound=_dependency_bound(profile),
+        mlp=profile.mlp,
+        branch_cpi=(profile.branch_misprediction_rate
+                    * machine.branch_penalty_cycles),
+        tlb_cpi=((profile.itlb_mpki + profile.dtlb_mpki) / 1000.0
+                 * machine.tlb_walk_cycles),
+        icache_cpi=profile.icache_mpki / 1000.0 * machine.icache_miss_cycles,
+        throttle_cpi=float(getattr(profile, "throttle_cpi", 0.0) or 0.0),
+        full_hits=hit_fractions(profile.strata, full,
+                                machine.capture_exponent),
+        pressures=occupancy_pressures(
+            profile.strata, apki, full, machine.capture_exponent,
+            reuse_exponent=machine.reuse_exponent,
+        ),
+    )
+
+
+@dataclass
+class _ContextState:
+    """A context's shared statics plus its iteration state."""
+
+    placement: ContextPlacement
+    statics: _ProfileStatics
+    port_demand: dict[int, float]
+    capacities: tuple[float, float, float]
+    hits: HitFractions
     ipc: float = 1.0
-    hits: HitFractions = HitFractions(0.0, 0.0, 0.0, 0.0)
-    capacities: tuple[float, float, float] = (0.0, 0.0, 0.0)
     breakdown: CpiBreakdown | None = None
 
     @property
@@ -87,14 +150,6 @@ def _dependency_bound(profile: WorkloadProfile) -> float:
     """Serialized-chain cycles per instruction."""
     path = sum(rate * UOP_LATENCY[kind] for kind, rate in profile.uops.items())
     return profile.dependency_factor * path
-
-
-def _penalties(machine: MachineSpec, profile: WorkloadProfile) -> float:
-    return (
-        profile.branch_misprediction_rate * machine.branch_penalty_cycles
-        + (profile.itlb_mpki + profile.dtlb_mpki) / 1000.0 * machine.tlb_walk_cycles
-        + profile.icache_mpki / 1000.0 * machine.icache_miss_cycles
-    )
 
 
 def _prepare(machine: MachineSpec,
@@ -114,103 +169,119 @@ def _prepare(machine: MachineSpec,
                 f"core {pl.core} given more contexts than its "
                 f"{machine.smt_contexts_per_core} SMT slots"
             )
-    states = []
     full = (float(machine.l1d.size_bytes), float(machine.l2.size_bytes),
             float(machine.l3.size_bytes))
+    states = []
     for pl in placements:
-        profile = pl.profile
-        throttle = float(getattr(profile, "throttle_cpi", 0.0) or 0.0)
-        state = _ContextState(
-            placement=pl,
-            port_demand=balance_port_demand(profile.uops),
-            uops_total=profile.uops_per_instruction,
-            apki=profile.accesses_per_instruction,
-            dep_bound=_dependency_bound(profile),
-            penalty_cpi=_penalties(machine, profile),
-            throttle_cpi=throttle,
-        )
-        state.capacities = full
-        state.hits = hit_fractions(profile.strata, full, machine.capture_exponent)
-        state.pressures = occupancy_pressures(
-            profile.strata, state.apki, full, machine.capture_exponent,
-            reuse_exponent=machine.reuse_exponent,
-        )
-        states.append(state)
+        per_machine = _STATICS.get(pl.profile)
+        if per_machine is None:
+            per_machine = _STATICS[pl.profile] = {}
+        statics = per_machine.get(machine)
+        if statics is None:
+            statics = per_machine[machine] = _compute_statics(machine,
+                                                              pl.profile)
+        states.append(_ContextState(
+            placement=pl, statics=statics,
+            port_demand=statics.port_demand,
+            capacities=full, hits=statics.full_hits,
+        ))
     return states
 
 
-def _cache_entities(group: list[int],
-                    states: list[_ContextState]) -> list[list[int]]:
+def _cache_entities(group: Sequence[_ContextState]) -> list[list[int]]:
     """Partition a sharing group into cache-occupancy entities.
 
     Threads of a ``shares_memory`` profile work on one data set, so they
     hold cache lines collectively rather than competing with each other;
-    everything else is its own entity.
+    everything else is its own entity. Entities list group positions.
     """
     singles: list[list[int]] = []
     shared: dict[str, list[int]] = {}
-    for idx in group:
-        profile = states[idx].profile
+    for pos, state in enumerate(group):
+        profile = state.profile
         if profile.shares_memory:
-            shared.setdefault(profile.name, []).append(idx)
+            shared.setdefault(profile.name, []).append(pos)
         else:
-            singles.append([idx])
+            singles.append([pos])
     return singles + list(shared.values())
 
 
-def _update_capacities(machine: MachineSpec, states: list[_ContextState]) -> None:
-    """Divide shared cache capacity by pressure at every level."""
-    levels = machine.cache_levels()
+def _share_level(machine: MachineSpec, level_idx: int,
+                 group: Sequence[_ContextState]) -> list[float]:
+    """Each group member's share of one cache level, in group order."""
+    entities = _cache_entities(group)
+    pressures = []
+    for members in entities:
+        # Pressure is each context's *intrinsic* per-level occupancy
+        # demand (precomputed at full capacity; see
+        # cache.occupancy_pressures). Scaling by achieved IPC instead
+        # would create winner-take-all feedback — whoever slows down
+        # first loses all capacity — which is both unphysical for
+        # set-sampled LRU and bistable in the fixed point. An entity's
+        # members access one shared data set, so their rates sum over a
+        # common footprint.
+        pressures.append(sum(group[pos].statics.pressures[level_idx]
+                             for pos in members))
+    spec = machine.cache_levels()[level_idx]
+    shares = share_capacity(float(spec.size_bytes), pressures,
+                            machine.capacity_share_floor)
+    caps = [0.0] * len(group)
+    for members, cap in zip(entities, shares):
+        for pos in members:
+            caps[pos] = cap
+    return caps
+
+
+def _update_capacities(machine: MachineSpec, states: list[_ContextState],
+                       memo: dict[tuple, Any]) -> None:
+    """Divide shared cache capacity by pressure at every level.
+
+    ``memo`` carries the pure parts across calls on one machine: each
+    sharing group's split is keyed on its members' statics, and each
+    profile's hit fractions on its statics and capacities. A scalar
+    solve keeps one across its iterations; a batch shares one across
+    its problems.
+    """
     # Grouping: L1/L2 shared per core, L3 shared chip-wide.
     core_groups: dict[int, list[int]] = {}
     for idx, state in enumerate(states):
         core_groups.setdefault(state.placement.core, []).append(idx)
+    groups = [(level_idx, group) for level_idx in (0, 1)
+              for group in core_groups.values()]
+    groups.append((2, list(range(len(states)))))
     new_caps = [[0.0, 0.0, 0.0] for _ in states]
-
-    for level_idx, spec in enumerate(levels):
-        if level_idx < 2:
-            groups = list(core_groups.values())
-        else:
-            groups = [list(range(len(states)))]
-        for group in groups:
-            entities = _cache_entities(group, states)
-            pressures = []
-            for members in entities:
-                # Pressure is each context's *intrinsic* per-level
-                # occupancy demand (precomputed at full capacity; see
-                # cache.occupancy_pressures). Scaling by achieved IPC
-                # instead would create winner-take-all feedback — whoever
-                # slows down first loses all capacity — which is both
-                # unphysical for set-sampled LRU and bistable in the
-                # fixed point. An entity's members access one shared data
-                # set, so their rates sum over a common footprint.
-                pressures.append(sum(
-                    states[idx].pressures[level_idx] for idx in members
-                ))
-            shares = share_capacity(float(spec.size_bytes), pressures,
-                                    machine.capacity_share_floor)
-            for members, cap in zip(entities, shares):
-                for idx in members:
-                    new_caps[idx][level_idx] = cap
+    for level_idx, group in groups:
+        members = [states[idx] for idx in group]
+        key = (level_idx, *(state.statics for state in members))
+        caps = memo.get(key)
+        if caps is None:
+            caps = memo[key] = _share_level(machine, level_idx, members)
+        for idx, cap in zip(group, caps):
+            new_caps[idx][level_idx] = cap
 
     for state, caps in zip(states, new_caps):
-        state.capacities = (caps[0], caps[1], caps[2])
-        state.hits = hit_fractions(state.profile.strata, state.capacities,
-                                   machine.capture_exponent)
+        capacities = (caps[0], caps[1], caps[2])
+        state.capacities = capacities
+        key = (state.statics, capacities)
+        hits = memo.get(key)
+        if hits is None:
+            hits = memo[key] = hit_fractions(
+                state.profile.strata, capacities, machine.capture_exponent)
+        state.hits = hits
 
 
 def _inflight_misses(state: _ContextState, dram_latency: float) -> float:
     """A context's average outstanding DRAM misses (Little's law)."""
-    if state.apki == 0.0:
+    if state.statics.apki == 0.0:
         return 0.0
-    miss_rate = state.ipc * state.apki * state.hits.memory
+    miss_rate = state.ipc * state.statics.apki * state.hits.memory
     return min(state.profile.mlp, miss_rate * dram_latency)
 
 
 def _memory_stall(machine: MachineSpec, state: _ContextState,
                   siblings: list["_ContextState"],
                   dram_latency: float) -> float:
-    if state.apki == 0.0:
+    if state.statics.apki == 0.0:
         return 0.0
     hits = state.hits
     per_access = (hits.l1 * machine.l1d.latency_cycles
@@ -227,7 +298,7 @@ def _memory_stall(machine: MachineSpec, state: _ContextState,
         available = max(1.0, machine.mshr_count - occupied)
         mlp = min(mlp, available)
         mlp /= 1.0 + machine.smt_mlp_penalty * len(siblings)
-    return state.apki * per_access / max(mlp, 1.0)
+    return state.statics.apki * per_access / max(mlp, 1.0)
 
 
 def _compute_cpi(machine: MachineSpec, states: list[_ContextState],
@@ -274,9 +345,9 @@ def _compute_cpi(machine: MachineSpec, states: list[_ContextState],
     # Every instruction occupies at least one issue/retire slot, so the
     # occupancy floor is 1 uop/instruction even for sparse uop mixes.
     width = machine.issue_width
-    frontend = max(state.uops_total, 1.0) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    frontend = max(state.statics.uops_total, 1.0) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
     fe_delay = 0.0
-    rho_fe = sum(s.ipc * max(s.uops_total, 1.0) for s in siblings) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    rho_fe = sum(s.ipc * max(s.statics.uops_total, 1.0) for s in siblings) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
     if rho_fe > 0.0:
         fe_factor = contention_inflation(
             rho_fe, machine.frontend_contention_kappa,
@@ -284,7 +355,7 @@ def _compute_cpi(machine: MachineSpec, states: list[_ContextState],
         )
         fe_delay = frontend * (fe_factor - 1.0)
 
-    compute = max(frontend, port_bound, state.dep_bound)
+    compute = max(frontend, port_bound, state.statics.dep_bound)
     # Out-of-order slack hides part of the queueing delay: a context whose
     # throughput bound is far above its port occupancy can overlap waits
     # with other work, so only the port-bound fraction of the delay is
@@ -299,18 +370,16 @@ def _compute_cpi(machine: MachineSpec, states: list[_ContextState],
     breakdown = CpiBreakdown(
         frontend=frontend,
         port=port_bound,
-        dependency=state.dep_bound,
+        dependency=state.statics.dep_bound,
         compute=compute,
         contention=contention,
         smt_overhead=overhead,
         memory=memory,
-        branch=(state.profile.branch_misprediction_rate
-                * machine.branch_penalty_cycles),
-        tlb=((state.profile.itlb_mpki + state.profile.dtlb_mpki) / 1000.0
-             * machine.tlb_walk_cycles),
-        icache=state.profile.icache_mpki / 1000.0 * machine.icache_miss_cycles,
+        branch=state.statics.branch_cpi,
+        tlb=state.statics.tlb_cpi,
+        icache=state.statics.icache_cpi,
     )
-    cpi = breakdown.total + state.throttle_cpi
+    cpi = breakdown.total + state.statics.throttle_cpi
     return cpi, breakdown
 
 
@@ -330,11 +399,12 @@ def solve(
     iterations = 0
     dram_rho = 0.0
     factor = 1.0
+    memo: dict[tuple, Any] = {}
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        _update_capacities(machine, states)
+        _update_capacities(machine, states, memo)
         traffic = aggregate_traffic(
-            [s.ipc * s.apki * s.hits.memory * line for s in states]
+            [s.ipc * s.statics.apki * s.hits.memory * line for s in states]
         )
         dram_rho = min(traffic / peak, machine.bandwidth_rho_cap)  # smite: noqa[SMT302]: MachineSpec validates dram_bytes_per_cycle positive
         # The latency factor is damped across iterations: near saturation

@@ -214,6 +214,13 @@ class WorkloadProfile:
         # sharing a name are rare and just fall back to __eq__.
         return hash(self.name)
 
+    def __getstate__(self) -> dict[str, object]:
+        # Only the fields: memo stashes (``_key`` and the solver-side
+        # ``_sort_key``/``_cache_payload``) recompute on demand, and
+        # pickling them would double every cached result's profiles.
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
+
     def replace(self, **changes: object) -> "WorkloadProfile":
         """A copy of this profile with the given fields replaced."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

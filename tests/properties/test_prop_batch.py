@@ -101,3 +101,40 @@ class TestBatchMatchesScalar:
         batches = solve_many(IVY_BRIDGE, problems)
         for placements, batch in zip(problems, batches):
             _assert_matches(batch, solve(IVY_BRIDGE, placements))
+
+
+def _composed_problem(kind, seed_a, seed_b, instances):
+    machine = SANDY_BRIDGE_EN
+    a = random_profile(seed_a)
+    b = random_profile(seed_b + 20_000)
+    if kind == "solo":
+        return [ContextPlacement(a, core=0)]
+    if kind == "smt":
+        return [ContextPlacement(a, core=0), ContextPlacement(b, core=0)]
+    if kind == "cmp":
+        return [ContextPlacement(a, core=0), ContextPlacement(b, core=1)]
+    # The server topology: a latency thread per core, batch instances on
+    # the first cores' sibling slots (12 contexts at full complement).
+    return ([ContextPlacement(a, core=i) for i in range(machine.cores)]
+            + [ContextPlacement(b, core=i) for i in range(instances)])
+
+
+_composed_problems = st.lists(
+    st.tuples(st.sampled_from(("solo", "smt", "cmp", "server")),
+              profile_seeds, profile_seeds,
+              st.integers(min_value=1, max_value=SANDY_BRIDGE_EN.cores)),
+    min_size=2, max_size=6,
+)
+
+
+class TestBatchComposition:
+    @_settings
+    @given(_composed_problems)
+    def test_in_batch_result_is_the_solo_batch_result(self, drawn):
+        # A problem's result must not depend on what else is in the
+        # batch: its siblings' sums, its convergence, and the other
+        # problems freezing at different iterations are all its own.
+        problems = [_composed_problem(*spec) for spec in drawn]
+        together = solve_many(SANDY_BRIDGE_EN, problems)
+        for placements, result in zip(problems, together):
+            assert result == solve_many(SANDY_BRIDGE_EN, [placements])[0]

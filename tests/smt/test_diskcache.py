@@ -96,6 +96,22 @@ class TestPersistentCache:
         warm.run_many([[ContextPlacement(p, core=0)] for p in profiles])
         assert warm.solve_count == 0
 
+    def test_cold_miss_hashes_its_key_once(self, tmp_path, monkeypatch):
+        import repro.smt.simulator as simulator
+
+        calls = []
+
+        def counting_solve_key(machine, placements, **kwargs):
+            calls.append(placements)
+            return solve_key(machine, placements, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_key", counting_solve_key)
+        problems = [[ContextPlacement(p, core=0)] for p in _profiles(5)]
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
+        sim.run_many(problems)
+        assert sim.disk_cache.writes == len(problems)
+        assert len(calls) == len(problems)
+
     def test_warm_results_identical(self, tmp_path, mcf, namd):
         cold = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
         first = cold.run_pair(mcf, namd, "smt")

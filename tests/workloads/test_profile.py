@@ -132,3 +132,24 @@ class TestDerived:
         assert a == b
         assert hash(a) == hash(b)
         assert a != make_profile(int_alu=0.41)
+
+
+class TestPickle:
+    def test_round_trip_drops_memo_stashes(self):
+        import pickle
+
+        from repro.smt.diskcache import _profile_payload
+        from repro.smt.simulator import _profile_sort_key
+
+        profile = make_profile()
+        key = profile.key()
+        _profile_sort_key(profile)
+        _profile_payload(profile)
+        assert {"_key", "_sort_key", "_cache_payload"} <= set(profile.__dict__)
+
+        loaded = pickle.loads(pickle.dumps(profile))
+        assert loaded == profile
+        assert hash(loaded) == hash(profile)
+        assert not [name for name in loaded.__dict__ if name.startswith("_")]
+        assert loaded.key() == key
+        assert len(pickle.dumps(profile)) == len(pickle.dumps(loaded))
