@@ -11,9 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
 
-__all__ = ["LinearModel", "fit_least_squares"]
+__all__ = ["LinearModel", "fit_least_squares", "nnls"]
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,9 @@ def _fit_nonnegative(design: np.ndarray, y: np.ndarray,
     """NNLS over the features; the intercept stays unconstrained.
 
     The intercept (last design column) is split into +1/-1 columns so its
-    net coefficient can take either sign while scipy's NNLS constrains
+    net coefficient can take either sign while NNLS constrains
     everything it sees.
     """
-    from scipy.optimize import nnls
-
     features = design[:, :-1]
     n = features.shape[1]
     ones = np.ones((features.shape[0], 1))
@@ -140,8 +138,43 @@ def _fit_nonnegative(design: np.ndarray, y: np.ndarray,
         penalty = np.hstack([penalty, np.zeros((n, 2))])
         augmented = np.vstack([augmented, penalty])
         y = np.concatenate([y, np.zeros(n)])
-    solution, _residual = nnls(augmented, y)
+    solution = nnls(augmented, y)
     beta = np.empty(n + 1)
     beta[:n] = solution[:n]
     beta[n] = solution[n] - solution[n + 1]
     return beta
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||a @ x - b||`` subject to ``x >= 0``.
+
+    Lawson and Hanson's active-set method (*Solving Least Squares
+    Problems*, 1974, ch. 23): move the column with the steepest descent
+    into the passive set, solve the unconstrained least squares on the
+    passive columns, and step back toward the last feasible point
+    whenever that solution leaves the orthant.
+    """
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    scale = np.abs(a).sum(axis=0).max() * max(a.shape)
+    tol = 10.0 * np.finfo(float).eps * scale
+    for _ in range(3 * n):
+        gradient = a.T @ (b - a @ x)
+        gradient[passive] = -np.inf
+        j = int(np.argmax(gradient))
+        if gradient[j] <= tol:
+            return x
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocking = passive & (z <= 0.0)
+            if not blocking.any():
+                break
+            x += np.min(x[blocking] / np.maximum(
+                x[blocking] - z[blocking], np.finfo(float).tiny)) * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = z
+    raise ConvergenceError(f"NNLS did not converge in {3 * n} iterations")

@@ -49,7 +49,17 @@ class Characterization:
 
     @property
     def dimensions(self) -> tuple[Dimension, ...]:
-        return tuple(d for d in Dimension if d in self.sensitivity)
+        """Measured dimensions in canonical order, stashed on the instance.
+
+        Model features ask for this twice per call; walking the enum
+        each time is measurable on the warm pipeline.
+        """
+        try:
+            return self.__dict__["_dimensions"]
+        except KeyError:
+            dims = tuple(d for d in Dimension if d in self.sensitivity)
+            object.__setattr__(self, "_dimensions", dims)
+            return dims
 
     def sensitivity_vector(self) -> np.ndarray:
         """Sensitivities in canonical dimension order."""

@@ -70,17 +70,17 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("counter", "smt.diskcache.requests", "probes",
                "disk-cache lookups; equals hits + misses by construction"),
     MetricSpec("counter", "smt.diskcache.hits", "probes",
-               "lookups served from a cached pickle"),
+               "lookups served from a loaded segment"),
     MetricSpec("counter", "smt.diskcache.misses", "probes",
                "lookups that found no (usable) entry"),
-    MetricSpec("counter", "smt.diskcache.invalidations", "entries",
-               "corrupt or stale-format entries dropped during a lookup"),
+    MetricSpec("counter", "smt.diskcache.invalidations", "segments",
+               "corrupt segments deleted when read; their keys recompute"),
     MetricSpec("counter", "smt.diskcache.writes", "entries",
-               "solve results persisted to disk"),
+               "solve results persisted, one segment per solved batch"),
     MetricSpec("counter", "smt.diskcache.bytes_read", "bytes",
-               "pickle bytes read on cache hits"),
+               "segment bytes read: key lists, and results loaded"),
     MetricSpec("counter", "smt.diskcache.bytes_written", "bytes",
-               "pickle bytes written on cache stores"),
+               "segment bytes written"),
     # -- simulator facade (smt/simulator.py) ----------------------------
     MetricSpec("counter", "smt.simulator.requests", "placements",
                "placement solve requests (run / run_many / prefetch)"),

@@ -260,12 +260,17 @@ class Simulator:
             self._cache[key] = result
         return result
 
-    def _store(self, disk_key: str | None, key: tuple,
-               result: RunResult) -> None:
-        self._cache[key] = result
-        self._solve_count += 1
-        if disk_key is not None:
-            self.disk_cache.put(disk_key, result)
+    def _store(self, solved: list[tuple[tuple, str | None, RunResult]],
+               ) -> None:
+        """Memoize fresh solves and persist them as one disk segment."""
+        fresh = {}
+        for key, disk_key, result in solved:
+            self._cache[key] = result
+            if disk_key is not None:
+                fresh[disk_key] = result
+        self._solve_count += len(solved)
+        if fresh:
+            self.disk_cache.put(fresh)
 
     def _solve_todo(
         self, todo: dict[tuple, tuple[list[ContextPlacement], str | None]],
@@ -275,9 +280,8 @@ class Simulator:
             return
         solved = solve_many(self.machine,
                             [canonical for canonical, _ in todo.values()])
-        for (key, (_canonical, disk_key)), result in zip(todo.items(),
-                                                          solved):
-            self._store(disk_key, key, result)
+        self._store([(key, disk_key, result) for (key, (_, disk_key)), result
+                     in zip(todo.items(), solved)])
 
     def _solve_canonical(self, canonical: list[ContextPlacement],
                          key: tuple) -> RunResult:
@@ -285,7 +289,7 @@ class Simulator:
         result = self._load_from_disk(disk_key, key)
         if result is None:
             result = solve(self.machine, canonical)
-            self._store(disk_key, key, result)
+            self._store([(key, disk_key, result)])
         return result
 
     @staticmethod

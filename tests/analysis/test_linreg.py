@@ -1,10 +1,17 @@
 """Unit tests for the least-squares backend."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.analysis.linreg import LinearModel, fit_least_squares
+from repro.analysis.linreg import LinearModel, fit_least_squares, nnls
 from repro.errors import ConfigurationError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _make_data(coefs, intercept, n=60, seed=3, noise=0.0):
@@ -99,3 +106,54 @@ class TestPredict:
         model = fit_least_squares(x, y, feature_names=["pressure"])
         assert "pressure" in model.describe()
         assert "R^2" in model.describe()
+
+
+def _nnls_problem(rng):
+    """A random NNLS problem shaped like ``_fit_nonnegative``'s."""
+    rows = int(rng.integers(8, 60))
+    n = int(rng.integers(1, 9))
+    features = rng.normal(size=(rows, n)) * rng.uniform(0.01, 3.0)
+    ones = np.ones((rows, 1))
+    a = np.hstack([features, ones, -ones])
+    b = features @ rng.normal(size=n) + rng.normal(scale=0.3, size=rows)
+    if rng.random() < 0.5:
+        ridge = np.sqrt(rng.uniform(1e-4, 1.0)) * np.eye(n)
+        a = np.vstack([a, np.hstack([ridge, np.zeros((n, 2))])])
+        b = np.concatenate([b, np.zeros(n)])
+    return a, b
+
+
+class TestNnls:
+    def test_matches_scipy_oracle(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2014)
+        for _ in range(500):
+            a, b = _nnls_problem(rng)
+            x = nnls(a, b)
+            _want, want_norm = scipy_optimize.nnls(a, b)
+            assert (x >= 0.0).all()
+            got_norm = np.linalg.norm(a @ x - b)
+            assert got_norm == pytest.approx(want_norm, rel=1e-12, abs=1e-300)
+
+    def test_zero_when_nothing_helps(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert nnls(a, np.array([-1.0, -1.0, -1.0])).tolist() == [0.0, 0.0]
+
+    def test_fitting_smite_never_imports_scipy(self):
+        # numpy is the only runtime dependency: scipy is a test oracle.
+        code = """
+import sys
+import numpy as np
+from repro.core.characterize import Characterization
+from repro.core.model import SMiTeModel
+from repro.rulers.base import Dimension
+rng = np.random.default_rng(0)
+chars = [Characterization(f"w{i}", dict(zip(Dimension, rng.uniform(size=7))),
+                          dict(zip(Dimension, rng.uniform(size=7))))
+         for i in range(6)]
+pairs = [(v, a, float(rng.uniform())) for v in chars for a in chars]
+assert SMiTeModel().fit(pairs).is_fitted
+assert "scipy" not in sys.modules, "fitting imported scipy"
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

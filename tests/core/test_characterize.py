@@ -84,3 +84,16 @@ class TestCharacterizationType:
     def test_describe_mentions_dimensions(self, ivy_sim, ivy_rulers, mcf):
         text = characterize(ivy_sim, mcf, ivy_rulers).describe()
         assert "FP_MUL" in text and "L3" in text
+
+    def test_dimensions_computed_once_in_canonical_order(self):
+        char = Characterization(
+            workload="x",
+            sensitivity={Dimension.L3: 0.2, Dimension.FP_MUL: 0.1},
+            contentiousness={Dimension.FP_MUL: 0.3, Dimension.L3: 0.4},
+        )
+        assert char.dimensions == (Dimension.FP_MUL, Dimension.L3)
+        assert char.dimensions is char.dimensions
+        assert char == Characterization(
+            workload="x", sensitivity=dict(char.sensitivity),
+            contentiousness=dict(char.contentiousness),
+        )

@@ -1,9 +1,13 @@
 """Tests for symmetric memoization, run_many, and the persistent cache."""
 
+import gc
 import pickle
+import weakref
+from pathlib import Path
 
 import pytest
 
+from repro.obs import snapshot
 from repro.smt.diskcache import PersistentSolveCache, default_cache, solve_key
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.simulator import ContextPlacement, Simulator
@@ -12,6 +16,24 @@ from repro.workloads.spec import SPEC_CPU2006
 
 def _profiles(n):
     return list(dict(SPEC_CPU2006).values())[:n]
+
+
+def _segments(root):
+    return sorted((root / "segments").glob("*/*.seg"))
+
+
+def _count(name):
+    return snapshot()["counters"].get(f"smt.diskcache.{name}", 0)
+
+
+def _invalidations():
+    return _count("invalidations")
+
+
+def _segment_parts(segment):
+    """A segment's key list and results, in file order."""
+    with segment.open("rb") as stream:
+        return pickle.load(stream), pickle.load(stream)
 
 
 class TestSymmetricMemoization:
@@ -134,15 +156,164 @@ class TestPersistentCache:
     # a LONG opcode and raises ValueError. Both must fall back to a miss.
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
     def test_corrupt_entry_recomputed(self, tmp_path, mcf, junk):
-        cache = PersistentSolveCache(tmp_path)
         key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
-        path = cache._path(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(junk)
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        segment.write_bytes(junk)
+        cache = PersistentSolveCache(tmp_path)
+        invalidations = _invalidations()
         assert cache.get(key) is None
-        assert not path.exists()
+        assert not segment.exists()
+        assert _invalidations() == invalidations + 1
         sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=cache)
         assert sim.run_solo(mcf).ipc > 0
+        assert sim.solve_count == 1
+        assert len(_segments(tmp_path)) == 1
+
+    def test_one_segment_per_batch(self, tmp_path):
+        problems = [[ContextPlacement(p, core=0)] for p in _profiles(5)]
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
+        sim.run_many(problems)
+        (segment,) = _segments(tmp_path)
+        keys, results = _segment_parts(segment)
+        assert keys == tuple(results)
+        assert len(results) == len(problems)
+
+    def test_only_segments_holding_asked_keys_load(self, tmp_path, mcf, namd):
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
+        sim.run_solo(mcf)
+        (first,) = _segments(tmp_path)
+        sim.run_solo(namd)
+        (second,) = set(_segments(tmp_path)) - {first}
+        cache = PersistentSolveCache(tmp_path)
+        bytes_read = _count("bytes_read")
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(namd, core=0)])
+        assert cache.get(key) is not None
+        # Both key lists are read, but only the second segment's results.
+        (first_key,), _ = _segment_parts(first)
+        assert first_key not in cache._entries
+        header = len(pickle.dumps((first_key,), pickle.HIGHEST_PROTOCOL))
+        assert _count("bytes_read") == \
+            bytes_read + header + second.stat().st_size
+        assert len(cache) == 2
+
+    def test_vanished_segment_is_a_plain_miss(self, tmp_path, mcf):
+        # Another reader may drop a segment between our listing and load.
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        cache = PersistentSolveCache(tmp_path)
+        assert len(cache) == 1  # listed: its key list is read
+        segment.unlink()
+        invalidations = _invalidations()
+        assert cache.get(key) is None
+        assert cache.get(key) is None
+        assert _invalidations() == invalidations
+
+    def test_read_error_keeps_the_segment(self, tmp_path, monkeypatch, mcf):
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        cache = PersistentSolveCache(tmp_path)
+        invalidations = _invalidations()
+
+        def no_descriptors(self, *args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", no_descriptors)
+            assert cache.get(key) is None
+        assert segment.exists()
+        assert _invalidations() == invalidations
+        assert cache.get(key) is not None
+
+    def test_damaged_results_recomputed_once(self, tmp_path, monkeypatch):
+        # The key list survives but the results are cut short.
+        problems = [[ContextPlacement(p, core=0)] for p in _profiles(3)]
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_many(
+            problems)
+        (segment,) = _segments(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-100])
+        collections = []
+        collect = gc.collect
+        monkeypatch.setattr(gc, "collect",
+                            lambda: collections.append(1) or collect())
+        cache = PersistentSolveCache(tmp_path)
+        invalidations = _invalidations()
+        keys = [solve_key(IVY_BRIDGE, problem) for problem in problems]
+        assert [cache.get(key) for key in keys] == [None] * len(keys)
+        assert not segment.exists()
+        assert _invalidations() == invalidations + 1
+        assert len(collections) == 1  # later keys do not retry the load
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=cache)
+        sim.run_many(problems)
+        assert sim.solve_count == len(problems)
+
+    def test_other_model_hash_never_loaded(self, tmp_path, mcf):
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        stale = tmp_path / "segments" / "0123456789abcdef"
+        stale.mkdir()
+        segment.rename(stale / segment.name)
+        cache = PersistentSolveCache(tmp_path)
+        assert cache.get(key) is None
+        assert len(cache) == 0
+
+    def test_leftover_tmp_never_read(self, tmp_path, mcf):
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        segment.rename(segment.with_suffix(".tmp"))
+        cache = PersistentSolveCache(tmp_path)
+        assert cache.get(key) is None
+        assert segment.with_suffix(".tmp").exists()
+
+    def test_writers_see_each_other_after_a_miss(self, tmp_path, mcf, namd,
+                                                 lbm):
+        keys, results = {}, {}
+        for p in (mcf, namd, lbm):
+            placement = [ContextPlacement(p, core=0)]
+            keys[p.name] = solve_key(IVY_BRIDGE, placement)
+            results[p.name] = Simulator(IVY_BRIDGE, jitter=0.0).run(placement)
+        first = PersistentSolveCache(tmp_path)
+        second = PersistentSolveCache(tmp_path)
+
+        def put(cache, name):
+            cache.put({keys[name]: results[name]})
+
+        put(first, mcf.name)
+        assert second.get(keys[mcf.name]) == results[mcf.name]
+        assert second.get(keys[namd.name]) is None
+        put(first, namd.name)
+        assert second.get(keys[namd.name]) == results[namd.name]
+        put(second, lbm.name)
+        assert first.get(keys[lbm.name]) == results[lbm.name]
+        assert len(first) == len(second) == 3
+
+    def test_load_collects_then_freezes(self, tmp_path, mcf):
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        cache = PersistentSolveCache(tmp_path)
+
+        class Node:
+            pass
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            garbage = Node()
+            garbage.cycle = garbage
+            pending = weakref.ref(garbage)
+            del garbage
+            frozen = gc.get_freeze_count()
+            assert cache.get(key) is not None
+            assert pending() is None  # collected, not frozen
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+            if was:
+                gc.enable()
 
     def test_roundtrip(self, tmp_path, mcf):
         cache = PersistentSolveCache(tmp_path)

@@ -138,13 +138,14 @@ class TestPickle:
     def test_round_trip_drops_memo_stashes(self):
         import pickle
 
-        from repro.smt.diskcache import _profile_payload
-        from repro.smt.simulator import _profile_sort_key
+        from repro.smt.diskcache import solve_key
+        from repro.smt.params import IVY_BRIDGE
+        from repro.smt.simulator import ContextPlacement, _profile_sort_key
 
         profile = make_profile()
         key = profile.key()
         _profile_sort_key(profile)
-        _profile_payload(profile)
+        solve_key(IVY_BRIDGE, [ContextPlacement(profile, core=0)])
         assert {"_key", "_sort_key", "_cache_payload"} <= set(profile.__dict__)
 
         loaded = pickle.loads(pickle.dumps(profile))
