@@ -7,7 +7,10 @@ docs/*.md) and
 1. **executes fenced code snippets** in a scratch directory with the
    repository's ``src/`` on ``PYTHONPATH``, so a renamed API or a stale
    import in the docs fails CI instead of a reader;
-2. **resolves every relative markdown link**, so moved or deleted files
+2. **resolves every relative markdown link**, and every repository path
+   written in inline code (a path under ``src/``, ``tests/``,
+   ``scripts/``, ``benchmarks/``, ``docs/`` or ``examples/``, or a root
+   ``*.json``; glob patterns are skipped), so moved or deleted files
    can't leave dead references behind;
 3. **checks documentation coverage**: every public ``repro.cli``
    subcommand must be mentioned (as ``repro.cli <name>``) somewhere in
@@ -61,6 +64,15 @@ RUN_MARK = "<!-- check-docs: run -->"
 _FENCE = re.compile(r"^```(?P<lang>[A-Za-z]*)\s*$")
 _LINK = re.compile(r"(?<!!)\[[^\]]*\]\((?P<target>[^)\s]+)\)")
 _SNIPPET_TIMEOUT = 120
+
+#: Inline code naming a repository path: a token under one of the
+#: source trees (a ``:line`` or ``::test`` suffix is dropped), or a whole
+#: span naming a root ``*.json``.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_TREE_PATH = re.compile(
+    r"(?:src|tests|scripts|benchmarks|docs|examples)/[^\s:,;()'\"]*")
+_ROOT_JSON = re.compile(r"[\w.-]+\.json")
+_GLOB_CHARS = frozenset("*?[]{}<>")
 
 
 @dataclass
@@ -180,6 +192,40 @@ def check_links() -> list[str]:
     return errors
 
 
+def inline_paths(line: str) -> list[str]:
+    """The repository paths one line of prose names in inline code."""
+    paths: list[str] = []
+    for span in _CODE_SPAN.findall(line):
+        for token in span.split():
+            match = _TREE_PATH.match(token)
+            if match:
+                paths.append(match.group())
+        if _ROOT_JSON.fullmatch(span):
+            paths.append(span)
+    return [path for path in paths if not _GLOB_CHARS & set(path)]
+
+
+def check_inline_paths() -> list[str]:
+    """Every repository path named in inline code must exist."""
+    errors: list[str] = []
+    for path in doc_paths():
+        fenced = False
+        for line_number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if fenced:
+                continue
+            for target in inline_paths(line):
+                if not (REPO / target).exists():
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{line_number}: "
+                        f"dead repository path -> {target}"
+                    )
+    return errors
+
+
 def _all_doc_text() -> str:
     return "\n".join(path.read_text(encoding="utf-8")
                      for path in doc_paths())
@@ -295,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     errors = check_links()
+    errors += check_inline_paths()
     errors += check_cli_coverage()
     errors += check_metric_coverage()
     errors += check_rule_coverage()

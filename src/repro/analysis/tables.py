@@ -1,8 +1,8 @@
 """Fixed-width text tables for experiment reports.
 
 Every experiment driver prints its result as one of these tables so the
-benchmark harness output reads like the rows of the corresponding paper
-table or figure.
+runner output reads like the rows of the corresponding paper table or
+figure.
 """
 
 from __future__ import annotations

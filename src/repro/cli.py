@@ -367,7 +367,7 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             drained = False
             summaries = []
-        served = sum(s["requests"] or 0 for s in summaries)
+        served = sum(s["requests"] for s in summaries)
         if drained:
             print(f"{len(summaries)} shard workers drained "
                   f"after {served} requests")

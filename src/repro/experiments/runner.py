@@ -10,9 +10,12 @@ Usage::
 
 With ``--jobs N`` (or ``SMITE_JOBS=N``) experiments fan out over a
 process pool. Workers share the persistent solve cache (atomic writes,
-no locking needed), so the expensive fixed-point solves are computed
-once cluster-wide even when several experiments need the same ones; a
-warm cache makes re-runs nearly solver-free.
+no locking needed) and reuse what it already holds, but on a cold cache
+concurrent workers solve overlapping batches: a cold ``--all --fast
+--jobs 2`` stores 8,153 results for 5,780 distinct keys, and two such
+runs can differ in the last digits of fig10-fig13 and fig17. A serial
+cold run is byte-reproducible; a warm cache makes re-runs nearly
+solver-free.
 
 Every run can emit a machine-readable *run report* — per-experiment
 span durations, solve-cache hit rates, and per-worker metric snapshots

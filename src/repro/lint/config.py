@@ -1,7 +1,7 @@
 """Lint configuration: defaults plus the ``[tool.smite-lint]`` block.
 
-Configuration lives in ``pyproject.toml`` so the lint, the test suite,
-and the benchmark preflight all agree on what is checked::
+Configuration lives in ``pyproject.toml`` so the lint CLI and the test
+suite agree on what is checked::
 
     [tool.smite-lint]
     paths = ["src"]

@@ -101,7 +101,7 @@ def module_name_for(relpath: str) -> str:
     """Dotted module name for a repo-relative path.
 
     ``src/`` is the import root (``src/repro/obs/__init__.py`` →
-    ``repro.obs``); paths outside it (``benchmarks/bench_api.py``) keep
+    ``repro.obs``); paths outside it (``scripts/check_docs.py``) keep
     their directory as a pseudo-package so intra-project resolution
     still has a unique name per file.
     """

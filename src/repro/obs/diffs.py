@@ -6,10 +6,6 @@ attribution, counter movements, audit accuracy, and — via the schema-2
 ``provenance`` block — whether the *environment* changed out from under
 the comparison (different interpreter, different ``SMITE_*`` knobs), in
 which case a throughput delta may not be a code regression at all.
-
-``scripts/bench_regress.py`` renders its regression message through the
-same :func:`format_phase_deltas` helper, so the gate's attribution lines
-and the CLI's read identically.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from repro.analysis.tables import format_table
 
 __all__ = [
     "diff_reports",
-    "format_phase_deltas",
     "provenance_changes",
     "render_diff",
 ]
@@ -113,28 +108,6 @@ def diff_reports(
                            alerts_b.get("resolves")),
         "provenance_changes": provenance_changes(a, b),
     }
-
-
-def format_phase_deltas(
-    fresh: Mapping[str, float],
-    baseline: Mapping[str, float],
-) -> list[str]:
-    """Attribution lines: one per phase, with the baseline ratio.
-
-    Shared between ``obs diff`` and the bench-regression gate so a
-    regression message always names the phase that moved.
-    """
-    if not fresh:
-        return []
-    width = max(len(name) for name in fresh)
-    lines = []
-    for name, value in sorted(fresh.items()):
-        line = f"  {name:<{width}}  {value:.6g}"
-        reference = baseline.get(name)
-        if reference:
-            line += f"  (baseline {reference:.6g}, x{value / reference:.2f})"
-        lines.append(line)
-    return lines
 
 
 def _ratio(before: float, after: float) -> str:

@@ -4,13 +4,13 @@ A *run report* is one JSON document describing everything a pipeline
 invocation did: the merged metrics snapshot, per-worker sub-snapshots
 (so cross-process aggregation stays auditable), per-experiment wall
 times, and the command line. The experiment runner writes one with
-``--metrics-out PATH``; setting ``SMITE_METRICS_OUT`` does the same for
-any entry point that calls :func:`maybe_write_env_report` (the runner
-and the benchmark harness both do).
+``--metrics-out PATH`` (``SMITE_METRICS_OUT`` is its default), and
+``repro.cli`` writes one through :func:`maybe_write_env_report` when
+the variable is set.
 
-``scripts/bench_regress.py`` consumes these reports to attribute a
-throughput regression to a phase: the top spans and the cache ratios
-say *where* the time went, not just that it grew.
+``repro.cli obs diff`` compares two reports to attribute a slowdown to
+a phase: the top spans and the cache ratios say *where* the time went,
+not just that it grew.
 """
 
 from __future__ import annotations

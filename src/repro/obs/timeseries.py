@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 #: Environment variable naming the telemetry export path; when set,
-#: ``repro.cli`` (and the pytest benchmark harness) install a sampler at
+#: ``repro.cli`` (and ``scripts/overhead_gate.py``) install a sampler at
 #: startup and write the series on exit, exactly like ``SMITE_TRACE_OUT``.
 ENV_TELEMETRY_OUT = "SMITE_TELEMETRY_OUT"
 #: Optional override of the sampling cadence in (sim or wall) seconds.

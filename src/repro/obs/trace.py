@@ -18,10 +18,10 @@ drop count is recorded in the export's ``otherData`` so a truncated
 trace is never mistaken for a complete one.
 
 Enable it with ``--trace-out PATH`` on ``repro.cli serve`` or the
-experiment runner, or by setting ``SMITE_TRACE_OUT=PATH`` for any entry
-point that calls :func:`maybe_install_env_tracer` /
-:func:`maybe_write_env_trace` (the CLI, the runner, and the benchmark
-harness all do).
+experiment runner, or by setting ``SMITE_TRACE_OUT=PATH``: the runner
+reads it as the ``--trace-out`` default, and the CLI (like
+``scripts/overhead_gate.py``) calls :func:`maybe_install_env_tracer` /
+:func:`maybe_write_env_trace`.
 
 Every event name must resolve against :mod:`repro.obs.catalog` — span
 events use span leaves, counter instants use counter names, and marker

@@ -11,7 +11,7 @@ predictor as a live service. Three modules:
 - :mod:`repro.serve.api.server` — the asyncio micro-batching server
   with bounded-queue backpressure and multi-process sharding,
 - :mod:`repro.serve.api.client` — the blocking reference client used by
-  tests, the benchmark harness, and the docs snippets.
+  tests and the docs snippets.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@
 responses by ``id`` (so pipelined requests may be answered out of
 order), and raises :class:`ApiError` on error responses, exposing the
 backpressure fields (``retry_after_ms`` and the shed-to-baseline
-``fallback`` result) that an overloaded server attaches. The benchmark
-harness, the test suite, and the docs/API.md snippet all drive servers
-through this class; a scheduler integrating against the service can use
-it directly or treat it as executable protocol documentation.
+``fallback`` result) that an overloaded server attaches. The test suite
+and the docs/API.md snippet drive servers through this class; a
+scheduler integrating against the service can use it directly or treat
+it as executable protocol documentation.
 """
 
 from __future__ import annotations
@@ -103,9 +103,8 @@ class ApiClient:
         """Send one request frame without waiting; returns its id.
 
         ``v`` and ``id`` are filled in when absent. Pair with
-        :meth:`wait` to collect the response later — this is how the
-        benchmark client keeps many requests in flight on one
-        connection.
+        :meth:`wait` to collect the response later — this is how a
+        client keeps many requests in flight on one connection.
         """
         message = dict(message)
         message.setdefault("v", PROTOCOL_VERSION)

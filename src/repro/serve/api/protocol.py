@@ -9,7 +9,7 @@ client that pipelines requests must correlate by ``id``. The full
 reference, including every error code and the backpressure semantics,
 lives in ``docs/API.md``; this module is the executable half of that
 contract (framing, validation, response construction) shared by the
-server, the client, and the benchmark harness.
+server and the client.
 
 Versioning rule: ``PROTOCOL_VERSION`` bumps only on incompatible frame
 or schema changes; a server answers a request whose ``v`` it does not

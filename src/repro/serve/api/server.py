@@ -48,7 +48,7 @@ from multiprocessing.connection import wait as _pipe_wait
 from typing import Any, Callable, Iterator
 
 from repro import obs
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, SchedulingError
 from repro.obs import counter, diff_snapshots, gauge, histogram, span
 from repro.obs import timeseries
 from repro.obs.alerts import AlertEngine, queue_saturation_rule
@@ -98,7 +98,7 @@ class ApiServer:
     The server is created idle; :meth:`start` binds the socket inside a
     running event loop, :meth:`serve_until_stopped` blocks until a drain
     completes, and :meth:`background` packages both into a thread for
-    synchronous callers (tests, benchmarks, docs snippets).
+    synchronous callers (tests, docs snippets).
     """
 
     def __init__(
@@ -267,8 +267,8 @@ class ApiServer:
 
         The context body runs while the server accepts connections; on
         exit the server drains gracefully and the thread joins. This is
-        the synchronous entry point used by tests, the benchmark
-        harness, and the docs snippets.
+        the synchronous entry point used by tests and the docs
+        snippets.
         """
         ready = threading.Event()
         failures: list[BaseException] = []
@@ -723,6 +723,8 @@ def run_api_shards(
     lowers ``shards``).
 
     Returns one summary dict per worker: host, port, requests served.
+    A worker that dies raises :class:`~repro.errors.SchedulingError`
+    once every other worker has been terminated and reaped.
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -748,8 +750,11 @@ def run_api_shards(
                 # when start() itself fails.
                 child_conn.close()
         addresses: list[tuple[str, int]] = []
-        for _process, parent_conn in workers:
-            kind, payload = parent_conn.recv()
+        for k, (process, parent_conn) in enumerate(workers):
+            try:
+                kind, payload = parent_conn.recv()
+            except EOFError:
+                raise _shard_died(k, process) from None
             if kind != "ready":  # pragma: no cover - defensive
                 raise ReproError(
                     f"api shard worker sent {kind!r} before ready")
@@ -769,12 +774,8 @@ def run_api_shards(
                 bound_host, port = addresses[k]
                 try:
                     kind, payload = parent_conn.recv()
-                except EOFError:  # pragma: no cover - crashed worker
-                    process.join()
-                    summaries[k] = {"host": bound_host, "port": port,
-                                    "requests": None}
-                    pending.remove(parent_conn)
-                    continue
+                except EOFError:
+                    raise _shard_died(k, process) from None
                 if kind == "frame":
                     obs.merge(payload["obs"])
                     counter("serve.telemetry.frames").inc()
@@ -794,5 +795,15 @@ def run_api_shards(
                 process.join()
         return summaries
     finally:
-        for _process, parent_conn in workers:
+        for process, _parent_conn in workers:
+            if process.is_alive():
+                process.terminate()
+        for process, parent_conn in workers:
+            process.join()
             parent_conn.close()
+
+
+def _shard_died(k: int, process: multiprocessing.Process) -> SchedulingError:
+    process.join(timeout=1.0)
+    return SchedulingError(
+        f"api shard {k} worker died (exit code {process.exitcode})")

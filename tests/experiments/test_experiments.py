@@ -1,8 +1,7 @@
-"""Tests for the experiment framework and the cheap experiment drivers.
+"""Tests for the experiment framework and every paper experiment.
 
-The heavyweight scale-out experiments are exercised by the benchmark
-harness; here we cover the framework plumbing plus every experiment that
-runs in a few seconds with a warm cache.
+Each paper table and figure is run at ``ExperimentConfig(fast=True)``
+(seed 42) and checked against the finding the paper reports for it.
 """
 
 import json
@@ -117,6 +116,73 @@ class TestCheapExperiments:
         assert result.metric("smite_mean_error") < 0.07
         assert result.metric("pmu_mean_error") > \
             result.metric("smite_mean_error")
+
+
+class TestHeadlineExperiments:
+    """CloudSuite accuracy, scale-out utilization and TCO (fig12-fig18)."""
+
+    def test_fig12_cloudsuite_prediction(self):
+        result = run_experiment("fig12", FAST)
+        # Paper: SMiTe 1.79%/1.36% vs PMU 17.45%/27.01%. Shape: SMiTe wins
+        # in both topologies.
+        assert result.metric("smite_smt_error") < \
+            result.metric("pmu_smt_error")
+        assert result.metric("smite_cmp_error") < \
+            result.metric("pmu_cmp_error")
+        assert result.metric("smite_smt_error") < 0.08
+
+    def test_fig13_tail_latency_prediction(self):
+        result = run_experiment("fig13", FAST)
+        # Paper: 4.61% (Web-Search) and 6.17% (Data-Caching) average error.
+        assert result.metric("web-search_tail_error") < 0.10
+        assert result.metric("data-caching_tail_error") < 0.10
+        assert result.metric("web-search_fit_r2") > 0.9
+
+    def test_fig14_utilization_improvement(self):
+        result = run_experiment("fig14", FAST)
+        # Paper shape: gains grow as the target loosens; SMiTe tracks Oracle.
+        assert result.metric("smite_85") > result.metric("smite_90") > \
+            result.metric("smite_95") > 0.0
+        for level in (95, 90, 85):
+            assert result.metric(f"smite_{level}") <= \
+                result.metric(f"oracle_{level}") + 0.02
+
+    def test_fig15_qos_violations(self):
+        result = run_experiment("fig15", FAST)
+        # Paper: Random violates up to 26%; SMiTe's worst magnitude 1.67%;
+        # 78.57% average violation reduction.
+        for level in (95, 90, 85):
+            assert result.metric(f"random_rate_{level}") >= \
+                result.metric(f"smite_rate_{level}")
+        assert result.metric("mean_violation_reduction") > 0.5
+        assert result.metric("smite_worst_95") < 0.05
+
+    def test_fig16_tail_utilization(self):
+        result = run_experiment("fig16", FAST)
+        # Paper shape: tail QoS admits far less than average QoS (the paper
+        # reaches 0% at the 95% target; our predictor's ~1-2% single-
+        # instance error lets a few servers through the 2.5% tail budget),
+        # with gains growing as the target loosens.
+        assert result.metric("smite_95") < 0.15
+        assert result.metric("smite_85") >= result.metric("smite_90") >= \
+            result.metric("smite_95")
+
+    def test_fig17_tail_violations(self):
+        result = run_experiment("fig17", FAST)
+        # Paper: Random reaches 110% violation (queueing blow-up); SMiTe's
+        # violations stay small in magnitude.
+        assert result.metric("random_worst_90") > 1.0
+        assert result.metric("smite_worst_90") < 0.10
+        assert result.metric("smite_worst_85") < 0.10
+
+    def test_fig18_tco_savings(self):
+        result = run_experiment("fig18", FAST)
+        # Paper shape: positive savings, average-performance QoS saves
+        # roughly twice what the (harder) tail-latency QoS saves.
+        avg = result.metric("max_saving_average_qos")
+        tail = result.metric("max_saving_tail_qos")
+        assert avg > tail > 0.0
+        assert avg > 0.05
 
 
 class TestRunnerCli:

@@ -30,8 +30,8 @@ def _graph(sources: dict[str, str]):
 def test_module_names_strip_src_and_init():
     assert module_name_for("src/repro/obs/__init__.py") == "repro.obs"
     assert module_name_for("src/repro/smt/batch.py") == "repro.smt.batch"
-    assert module_name_for("benchmarks/bench_api.py") \
-        == "benchmarks.bench_api"
+    assert module_name_for("benchmarks/bench_ablations.py") \
+        == "benchmarks.bench_ablations"
 
 
 # ----------------------------------------------------------------------

@@ -65,19 +65,6 @@ class TestProvenanceChanges:
         assert diffs.provenance_changes(legacy, legacy) == []
 
 
-class TestFormatPhaseDeltas:
-    def test_lines_carry_value_and_baseline_ratio(self):
-        lines = diffs.format_phase_deltas(
-            {"scalar_solve_mean_s": 0.004, "new_phase": 1.0},
-            {"scalar_solve_mean_s": 0.002},
-        )
-        joined = "\n".join(lines)
-        assert "scalar_solve_mean_s" in joined
-        assert "x2.00" in joined
-        assert "new_phase" in joined  # present even without a baseline
-        assert diffs.format_phase_deltas({}, {}) == []
-
-
 class TestRenderDiff:
     def test_warns_on_environment_change(self):
         a, b = _report(), _report()

@@ -1,7 +1,11 @@
 """Server behavior: micro-batching, backpressure, edge cases, sharding."""
 
+import os
 import queue
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -388,6 +392,28 @@ class TestPredictionServiceIntegration:
                           "cached": False}
 
 
+#: Serves from two API shard workers and SIGKILLs one as soon as both
+#: listen, then reports the error and the surviving children. Runs in
+#: its own interpreter: a hung drain or a leaked worker only shows up
+#: as a subprocess timeout.
+_KILL_SHARD_SCRIPT = textwrap.dedent("""
+    import multiprocessing, os, signal
+    from repro.errors import SchedulingError
+    from repro.serve.api import run_api_shards
+    from repro.serve.service import BaselineDecider
+
+    def kill_one(addresses):
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+
+    try:
+        run_api_shards(BaselineDecider(), shards=2, ready_callback=kill_one)
+    except SchedulingError as exc:
+        print("raised:", exc)
+    print("alive:", len(multiprocessing.active_children()))
+""")
+
+
 class TestSharding:
     def test_two_shards_serve_and_merge_obs(self):
         before = snapshot()["counters"]
@@ -422,6 +448,22 @@ class TestSharding:
         assert delta("serve.api.shard_workers") == 2
         assert delta("serve.api.connections") == 2
         assert delta("serve.api.requests") == 4
+
+    def test_killed_worker_raises_and_reaps(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _KILL_SHARD_SCRIPT],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("raised: api shard ")
+        assert lines[0].endswith(" worker died (exit code -9)")
+        assert lines[1] == "alive: 0"
 
     def test_shard_config_validation(self):
         with pytest.raises(ConfigurationError):

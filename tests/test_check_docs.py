@@ -111,6 +111,37 @@ def test_anchored_link_to_existing_file_resolves(tmp_path, monkeypatch):
     assert check_docs.check_links() == []
 
 
+def test_inline_paths_pick_repo_paths_and_skip_globs():
+    line = ("run `python scripts/check_docs.py --links-only`, see "
+            "`tests/serve/test_engine.py::TestShardFailure`, "
+            "`DESIGN.md:79`, `src/repro/smt/{solver,batch}.py`, "
+            "`docs/*.md`, `BENCHMARK.json`, `--json out.json` and "
+            "`repro/serve/engine.py`")
+    assert check_docs.inline_paths(line) == [
+        "scripts/check_docs.py",
+        "tests/serve/test_engine.py",
+        "BENCHMARK.json",
+    ]
+
+
+def test_dead_inline_path_is_caught(tmp_path, monkeypatch):
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "real.py").write_text("", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "run `python scripts/real.py` and `scripts/gone.py`, then read "
+        "`BASELINE.json`\n"
+        "```bash\npython scripts/fenced_example.py\n```\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ("README.md",))
+    monkeypatch.setattr(check_docs, "DOC_GLOBS", ())
+    assert check_docs.check_inline_paths() == [
+        "README.md:1: dead repository path -> scripts/gone.py",
+        "README.md:1: dead repository path -> BASELINE.json",
+    ]
+
+
 # ----------------------------------------------------------------------
 # Lint-rule reference coverage
 
@@ -152,6 +183,10 @@ def test_repo_alert_reference_is_two_way_complete():
 
 def test_repo_docs_have_no_dead_links():
     assert check_docs.check_links() == []
+
+
+def test_repo_docs_name_no_dead_paths():
+    assert check_docs.check_inline_paths() == []
 
 
 @pytest.mark.slow
