@@ -162,8 +162,12 @@ CATALOG: tuple[MetricSpec, ...] = (
                "worker processes the sharded placement phase fanned "
                "pools out to"),
     MetricSpec("counter", "serve.shard.events", "events",
-               "pool-local placement events replayed inside shard "
-               "workers (interesting events only)"),
+               "pool-local placement events replayed by the placement "
+               "kernels, in-process or in shard workers (interesting "
+               "events only)"),
+    MetricSpec("counter", "serve.shard.stale_pops", "entries",
+               "lazily invalidated placement-heap entries the kernels "
+               "popped and discarded (wasted search work)"),
     MetricSpec("counter", "serve.slo.windows", "windows",
                "SLO accounting windows closed over the event clock"),
     MetricSpec("gauge", "serve.slo.violation_rate", "fraction",
@@ -274,7 +278,8 @@ CATALOG: tuple[MetricSpec, ...] = (
                "vectorized phase 1: all epochs' decisions batched "
                "through the decider's columnar interface"),
     MetricSpec("span", "serve.place", "seconds",
-               "vectorized phase 2: per-pool O(1) placement kernels "
+               "vectorized phase 2: per-pool placement kernels, one "
+               "encoded-event loop over lazily validated heaps "
                "(in-process or sharded)"),
     MetricSpec("span", "serve.score", "seconds",
                "vectorized phase 3: event assembly plus per-epoch "

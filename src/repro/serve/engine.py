@@ -18,7 +18,8 @@ arrivals, epochs assigned by one ``searchsorted`` over the epoch grid):
   it *decides* each epoch of the run through
   :meth:`~repro.serve.service.Decider.begin_epoch_batch` and
   :meth:`~repro.serve.service.Decider.decide_batch`, *places* the whole
-  run in one pass through per-pool O(1) free-list kernels from
+  run in one pass through per-pool placement kernels (lazily
+  validated heaps) from
   :mod:`repro.serve.shard` (optionally resident in worker processes
   with ``shards``/``jobs``), then *scores* each epoch (aggregated
   SLO/audit accounting, telemetry, the adaptation hook). Placement

@@ -4,17 +4,19 @@ The vectorized replay works in runs of epochs: it decides a run, places
 it, then scores it. This module owns the *place* step, the only one
 whose state is per server pool and therefore shards cleanly. The kernel
 (:class:`PoolKernel`) consumes one pool's pre-decided event columns
-(already filtered to events that can touch pool state) and replays them
-with O(1) free-list structures:
+(already filtered to events that can touch pool state), encodes each
+event in numpy as one int, and replays the codes in one Python loop
+over dense list state:
 
-- ``prof_of`` / ``cnt_of``: the batch profile and instance count of
-  every server (``-1`` / ``0`` when idle);
-- a lazily-validated min-heap per ``(profile, count)`` bucket plus an
-  idle-server heap, giving the scalar engine's bin-packing rule —
-  fullest same-profile server under the cap, lowest index on ties, else
-  the lowest-index idle server — without scanning the pool;
-- ``n_at`` occupancy counts, snapshotted after each epoch into the
-  ``(profile, instances) -> servers`` groups the SLO/audit scorer needs.
+- ``key_of``: every server's colocation state as a bucket key
+  ``profile * n_states + instances`` (``-1`` when idle);
+- ``n_at``: the number of servers in each state, snapshotted after each
+  epoch into the ``(profile, instances) -> servers`` groups the
+  SLO/audit scorer needs;
+- one lazily-validated min-heap per state plus an idle-server heap
+  (O(log n) per push or pop), giving the scalar engine's bin-packing
+  rule — fullest same-profile server under the cap, lowest index on
+  ties, else the lowest-index idle server — without scanning the pool.
 
 Decisions never depend on which server a job landed on, so pools are
 independent. :class:`EpochShardPool` keeps contiguous pool ranges'
@@ -76,31 +78,61 @@ class PoolKernel:
     the lowest-index idle server, else the baseline pool — the same rule
     as the scalar engine's ``_pick_server`` scan.
 
-    ``n_states`` bounds the per-server instance count from above; bucket
-    keys are dense ints ``profile * n_states + count`` (cheaper to hash
-    than tuples, and sorting them sorts (profile, count)
-    lexicographically). The outputs never depend on its exact value as
+    ``n_states`` bounds the per-server instance count from above; state
+    keys are dense ints ``profile * n_states + count``, so per-state
+    lists index by key and ascending keys sort (profile, count)
+    lexicographically. The outputs never depend on its exact value as
     long as every cap stays below it.
+
+    :meth:`step` encodes each event as one int before the loop runs:
+
+    - an arrival becomes the highest key it may search,
+      ``profile * n_states + cap - 1`` (count 0: straight to idle);
+    - a departure becomes ``~k``, where ``k`` is the kernel-local output
+      index of the same job's arrival, looked up in ``arrival_of`` (a
+      numpy map from job position to that index). The departure frees
+      the server its arrival's output row names; ``-1`` there means
+      the job went to the baseline pool and leaves no state to free.
+
+    A job position may arrive at most once per step and must depart
+    after its arrival; positions may be reused in later steps.
+
+    Heap entries are validated lazily: a server that leaves a state
+    keeps its stale entry until a search pops it
+    (``serve.shard.stale_pops``). A server is pushed into a state's
+    heap only if some arrival seen so far could search that state, i.e.
+    its count is below the highest cap seen for its profile; servers
+    that reach a profile's highest cap — most of the fleet's fills —
+    would otherwise leave one entry per fill that nothing ever pops.
+    The first arrival with a higher cap makes its states searchable and
+    fills their heaps from ``key_of``, at most ``n_states`` times per
+    profile.
     """
 
     __slots__ = (
-        "n_servers", "n_states", "prof_of", "cnt_of", "idle", "buckets",
-        "n_at", "placed", "out_srv", "out_plc", "out_inst",
-        "groups_per_epoch",
+        "n_servers", "n_states", "key_of", "idle", "n_at", "buckets",
+        "searchable", "count_of_key", "group_keys", "arrival_of", "out_srv",
+        "out_inst", "groups_per_epoch",
     )
 
     def __init__(self, n_servers: int, n_states: int) -> None:
         self.n_servers = n_servers
         self.n_states = n_states
-        self.prof_of = [-1] * n_servers
-        self.cnt_of = [0] * n_servers
+        self.key_of = [-1] * n_servers
         # ascending == already a valid min-heap
         self.idle = list(range(n_servers))
-        self.buckets: dict[int, list[int]] = {}
-        self.n_at: dict[int, int] = {}
-        self.placed: dict[int, int] = {}
+        # Per state key, grown one profile at a time. ``n_at`` holds a
+        # nonzero sentinel at each profile's count-0 key, which stops
+        # the downward search there (groups skip count-0 keys).
+        self.n_at: list[int] = []
+        self.buckets: list[list[int]] = []
+        self.searchable: list[bool] = []
+        self.count_of_key: list[int] = []
+        #: ``(key, profile, count)`` of every state with count >= 1.
+        self.group_keys: list[tuple[int, int, int]] = []
+        # int32 halves the map's memory; output rows stay below 2**31.
+        self.arrival_of = np.full(0, -1, dtype=np.int32)
         self.out_srv: list[int] = []
-        self.out_plc: list[int] = []
         self.out_inst: list[int] = []
         self.groups_per_epoch: list[list[tuple[int, int, int]]] = []
 
@@ -117,127 +149,172 @@ class PoolKernel:
         The four event columns are aligned; epoch ``k`` of the run owns
         events ``[splits[k], splits[k + 1])``.
         """
-        is_arr = is_arrival.tolist()
-        jobs = job_pos.tolist()
-        profs = profile_idx.tolist()
-        caps = cap.tolist()
+        n = int(is_arrival.size)
+        first = len(self.out_srv)
+        codes = self._encode(is_arrival, job_pos, profile_idx, cap, first)
+        self.out_srv += [-1] * n
+        self.out_inst += [0] * n
+        counter("serve.shard.events").inc(n)
         bounds = splits.tolist()
-        return [
-            self._epoch(is_arr, jobs, profs, caps, bounds[k], bounds[k + 1])
-            for k in range(len(bounds) - 1)
-        ]
+        stale = 0
+        groups = []
+        for k in range(len(bounds) - 1):
+            lo, hi = bounds[k], bounds[k + 1]
+            stale += self._replay(codes[lo:hi], first + lo)
+            groups.append(self._groups())
+        counter("serve.shard.stale_pops").inc(stale)
+        self.groups_per_epoch.extend(groups)
+        return groups
 
-    def _epoch(
+    def _encode(
         self,
-        is_arr: Sequence[bool],
-        jobs: Sequence[int],
-        profs: Sequence[int],
-        caps: Sequence[int],
-        lo: int,
-        hi: int,
-    ) -> list[tuple[int, int, int]]:
-        """Replay events ``[lo, hi)`` of one epoch; returns its groups."""
+        is_arrival: np.ndarray,
+        job_pos: np.ndarray,
+        profile_idx: np.ndarray,
+        cap: np.ndarray,
+        first: int,
+    ) -> list[int]:
+        """One int per event (see the class docstring); grows the state."""
+        arrive = is_arrival.astype(bool, copy=False)
+        local = np.arange(first, first + arrive.size)
+        if not local.size:
+            return []
+        self._grow_profiles(int(profile_idx.max()) + 1)
+        top_job = int(job_pos.max())
+        if top_job >= self.arrival_of.size:
+            grown = np.full(max(top_job + 1, 2 * self.arrival_of.size), -1,
+                            dtype=self.arrival_of.dtype)
+            grown[:self.arrival_of.size] = self.arrival_of
+            self.arrival_of = grown
+        arrival_of = self.arrival_of
+        before = arrival_of[job_pos]
+        arr_jobs = job_pos[arrive]
+        arr_local = local[arrive]
+        arrival_of[arr_jobs] = arr_local
+        if not np.array_equal(arrival_of[arr_jobs], arr_local):
+            raise ConfigurationError(
+                "a job position arrives more than once in one step"
+            )
+        # A departure belongs to this step's arrival of its job only if
+        # that arrival came first; otherwise to the one before the step.
+        # (An arrival maps to itself here, so only departures can be -1.)
+        after = arrival_of[job_pos]
+        origin = np.where(after <= local, after, before)
+        if int(origin.min()) < 0:
+            raise ConfigurationError("a job departs that never arrived")
+        return np.where(
+            arrive,
+            profile_idx.astype(np.int64, copy=False) * self.n_states
+            + np.maximum(cap - 1, 0),
+            ~origin,
+        ).tolist()
+
+    def _grow_profiles(self, n_profiles: int) -> None:
+        """Extend the per-state lists to cover ``n_profiles`` profiles."""
         n_states = self.n_states
-        prof_of = self.prof_of
-        cnt_of = self.cnt_of
+        for key in range(len(self.n_at), n_profiles * n_states):
+            count = key % n_states
+            self.n_at.append(0 if count else 1)
+            self.buckets.append([])
+            self.searchable.append(not count)
+            self.count_of_key.append(count)
+            if count:
+                self.group_keys.append((key, key // n_states, count))
+
+    def _make_searchable(self, code: int) -> None:
+        """Fill the heaps of every state up to ``code`` not yet searchable.
+
+        Nothing was pushed into them, so each is rebuilt from ``key_of``
+        (ascending server order is already a valid min-heap).
+        """
+        searchable = self.searchable
+        key = code
+        while not searchable[key]:
+            key -= 1
+        new_keys = range(key + 1, code + 1)
+        occupied = [k for k in new_keys if self.n_at[k]]
+        if occupied:
+            key_of = np.asarray(self.key_of)
+            for k in occupied:
+                self.buckets[k] = np.flatnonzero(key_of == k).tolist()
+        for k in new_keys:
+            searchable[k] = True
+
+    def _replay(self, codes: Sequence[int], first: int) -> int:
+        """Replay encoded events whose outputs start at ``first``.
+
+        Returns the number of stale heap entries popped.
+        """
+        key_of = self.key_of
         idle = self.idle
-        buckets = self.buckets
         n_at = self.n_at
-        placed = self.placed
+        buckets = self.buckets
+        searchable = self.searchable
+        count_of_key = self.count_of_key
         out_srv = self.out_srv
-        out_plc = self.out_plc
         out_inst = self.out_inst
         hpush, hpop = heapq.heappush, heapq.heappop
-        n_at_get = n_at.get
-        for i in range(lo, hi):
-            j = jobs[i]
-            if is_arr[i]:
-                p = profs[i]
-                pbase = p * n_states
-                best = -1
-                c = caps[i] - 1
-                while c >= 1:
-                    key = pbase + c
-                    if n_at_get(key, 0):
-                        heap = buckets[key]
-                        s = heap[0]
-                        # entries are lazily validated: pop servers that
-                        # have since left this (profile, count) state
-                        while prof_of[s] != p or cnt_of[s] != c:
-                            hpop(heap)
-                            s = heap[0]
-                        hpop(heap)
-                        best = s
-                        break
-                    c -= 1
-                if best < 0:
-                    while idle:
-                        s = hpop(idle)
-                        if prof_of[s] == -1:
-                            best = s
-                            break
-                if best >= 0:
-                    old = cnt_of[best]
-                    if old:
-                        key = pbase + old
-                        left = n_at[key] - 1
-                        if left:
-                            n_at[key] = left
-                        else:
-                            del n_at[key]
-                    else:
-                        prof_of[best] = p
-                    new = old + 1
-                    cnt_of[best] = new
-                    key = pbase + new
-                    n_at[key] = n_at_get(key, 0) + 1
-                    hpush(buckets.setdefault(key, []), best)
-                    placed[j] = best
-                    out_srv.append(best)
-                    out_plc.append(0)
-                    out_inst.append(new)
+        stale = 0
+        for o, code in enumerate(codes, first):
+            if code >= 0:
+                if not searchable[code]:
+                    self._make_searchable(code)
+                key = code
+                while not n_at[key]:
+                    key -= 1
+                if count_of_key[key]:
+                    heap = buckets[key]
+                    s = hpop(heap)
+                    while key_of[s] != key:
+                        stale += 1
+                        s = hpop(heap)
+                    n_at[key] -= 1
+                elif idle:
+                    s = hpop(idle)
                 else:
-                    out_srv.append(-1)
-                    out_plc.append(1)
-                    out_inst.append(0)
+                    continue  # baseline: the output row stays (-1, 0)
+                key += 1
+                key_of[s] = key
+                n_at[key] += 1
+                if searchable[key]:
+                    hpush(buckets[key], s)
+                out_srv[o] = s
+                out_inst[o] = count_of_key[key]
             else:
-                s = placed.pop(j, -1)
-                if s >= 0:
-                    p = prof_of[s]
-                    c = cnt_of[s]
-                    key = p * n_states + c
-                    left = n_at[key] - 1
-                    if left:
-                        n_at[key] = left
-                    else:
-                        del n_at[key]
-                    nc = c - 1
-                    cnt_of[s] = nc
-                    if nc:
-                        key -= 1
-                        n_at[key] = n_at_get(key, 0) + 1
-                        hpush(buckets.setdefault(key, []), s)
-                    else:
-                        prof_of[s] = -1
-                        hpush(idle, s)
-                    out_srv.append(s)
-                    out_plc.append(0)
-                    out_inst.append(nc)
+                s = out_srv[~code]
+                if s < 0:
+                    continue
+                key = key_of[s]
+                n_at[key] -= 1
+                key -= 1
+                count = count_of_key[key]
+                if count:
+                    key_of[s] = key
+                    n_at[key] += 1
+                    if searchable[key]:
+                        hpush(buckets[key], s)
                 else:
-                    out_srv.append(-1)
-                    out_plc.append(1)
-                    out_inst.append(0)
-        groups = [
-            (*divmod(key, n_states), n) for key, n in sorted(n_at.items())
+                    key_of[s] = -1
+                    hpush(idle, s)
+                out_srv[o] = s
+                out_inst[o] = count
+        return stale
+
+    def _groups(self) -> list[tuple[int, int, int]]:
+        """The current occupied states as sorted ``(profile, count, n)``."""
+        n_at = self.n_at
+        return [
+            (profile, count, n)
+            for key, profile, count in self.group_keys
+            if (n := n_at[key])
         ]
-        self.groups_per_epoch.append(groups)
-        return groups
 
     def result(self) -> PoolReplay:
         """The accumulated :class:`PoolReplay` over every step so far."""
+        server = np.array(self.out_srv, dtype=np.int64)
         return PoolReplay(
-            server=np.array(self.out_srv, dtype=np.int64),
-            placement=np.array(self.out_plc, dtype=np.int8),
+            server=server,
+            placement=(server < 0).astype(np.int8),
             instances_after=np.array(self.out_inst, dtype=np.int64),
             groups_per_epoch=self.groups_per_epoch,
         )
@@ -277,9 +354,6 @@ def _shard_worker(
                     kernel.step(*columns)
                     for kernel, columns in zip(kernels, message)
                 ]
-                counter("serve.shard.events").inc(
-                    sum(int(columns[0].size) for columns in message)
-                )
                 steps += 1
                 frame = None
                 if stream_every and steps % stream_every == 0:
