@@ -7,7 +7,9 @@ output per file, keyed by everything that can change it:
 
 - the file's own bytes,
 - the lint framework itself (a digest of the ``repro.lint`` package
-  sources, so editing a rule invalidates every entry),
+  sources, so editing a rule invalidates every entry, and of the metric
+  catalog SMT2xx checks names against, so registering a metric does
+  too),
 - the effective configuration (paths, disables, per-family scopes),
 - the module's *graph slice* (:meth:`ProjectGraph.module_signature`) —
   the taints, resolved callees, and blocking chains phase 2 consults,
@@ -27,12 +29,16 @@ import json
 from pathlib import Path
 
 from repro.lint.findings import Finding
+from repro.obs import catalog
 
 __all__ = ["ResultCache", "ruleset_signature"]
 
 _FORMAT_VERSION = 1
 
 _RULESET_SIG: str | None = None
+
+#: Sources outside ``repro.lint`` whose content changes findings.
+_EXTRA_SOURCES = (Path(catalog.__file__),)
 
 
 def ruleset_signature() -> str:
@@ -41,7 +47,7 @@ def ruleset_signature() -> str:
     if _RULESET_SIG is None:
         digest = hashlib.sha256()
         package_dir = Path(__file__).resolve().parent
-        for path in sorted(package_dir.rglob("*.py")):
+        for path in (*sorted(package_dir.rglob("*.py")), *_EXTRA_SOURCES):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
         _RULESET_SIG = digest.hexdigest()

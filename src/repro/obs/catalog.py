@@ -183,6 +183,9 @@ CATALOG: tuple[MetricSpec, ...] = (
                "(bad framing, schema violations, version mismatches)"),
     MetricSpec("counter", "serve.api.batches", "batches",
                "decision micro-batches drained from the pending queue"),
+    MetricSpec("counter", "serve.api.loop_batches", "batches",
+               "micro-batches decided on the event loop from the LRU "
+               "alone; batches minus loop_batches is the executor hops"),
     MetricSpec("counter", "serve.api.sheds", "requests",
                "requests answered with the 429-style overloaded "
                "shed-to-baseline response because the queue bound was hit"),
@@ -296,8 +299,9 @@ CATALOG: tuple[MetricSpec, ...] = (
                "one coefficient hot-swap: override install plus cache "
                "invalidation"),
     MetricSpec("span", "serve.api.batch", "seconds",
-               "one decision micro-batch: epoch prefetch plus per-request "
-               "decisions through the decider"),
+               "one decision micro-batch: all-hit place batches are "
+               "decided on the event loop, the rest on an executor thread "
+               "(epoch prefetch plus per-request decisions)"),
     MetricSpec("span", "serve.api.shard_merge", "seconds",
                "folding one API shard worker's metric snapshot back into "
                "the parent registry"),

@@ -11,9 +11,11 @@ the in-process :class:`~repro.serve.service.PredictionService` design:
    the decider via :meth:`Decider.begin_epoch` before deciding, so every
    simulator solve a batch of cache misses needs goes through one
    batched prefetch (the same epoch-prefetch path the replay engine
-   uses). While a batch is being decided, newly arriving requests
-   accumulate — batch occupancy grows with offered load instead of
-   per-request overhead.
+   uses). A batch of ``place`` requests the decider can answer from
+   its LRU alone (:meth:`Decider.decide_cached`) is decided on the
+   event loop; every other batch runs on an executor thread. While a
+   batch is being decided, newly arriving requests accumulate — batch
+   occupancy grows with offered load instead of per-request overhead.
 2. **Backpressure** — the pending queue is bounded (``queue_bound``).
    A request that would overflow it is answered *immediately* with a
    429-style ``overloaded`` error carrying a deterministic
@@ -66,7 +68,7 @@ from repro.serve.api.protocol import (
     read_frame,
     validate_request,
 )
-from repro.serve.service import Decider
+from repro.serve.service import Decider, Decision
 from repro.workloads.cloudsuite import CLOUDSUITE, LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.registry import get_profile
@@ -495,11 +497,16 @@ class ApiServer:
                 self._in_flight = True
                 try:
                     with span("serve.api.batch"):
-                        # Decide off the loop: begin_epoch can miss the
-                        # LRU and fall through to the disk cache, and a
-                        # cold solve would stall every open connection.
-                        await self._loop.run_in_executor(
-                            None, self._run_batch, items)
+                        # A batch the decider answers from memory alone
+                        # is decided right here. Anything else goes off
+                        # the loop: begin_epoch can miss the LRU and fall
+                        # through to the disk cache, and a cold solve
+                        # would stall every open connection.
+                        if self._decide_on_loop(items):
+                            counter("serve.api.loop_batches").inc()
+                        else:
+                            await self._loop.run_in_executor(
+                                None, self._run_batch, items)
                 finally:
                     self._in_flight = False
                 counter("serve.api.batches").inc()
@@ -509,6 +516,32 @@ class ApiServer:
                 # and response writers can flush.
                 await asyncio.sleep(0)
 
+    def _decide_on_loop(self, items: list[_Pending]) -> bool:
+        """Answer an all-``place`` batch from the decider's memory.
+
+        Returns False, having touched nothing, when the batch holds
+        another op or the decider declines (a cache miss, a budget that
+        might shed, or a decider without a memory-only path); the caller
+        then hops to :meth:`_run_batch` on the executor.
+        """
+        if any(item.op != "place" for item in items):
+            return False
+        try:
+            decisions = self.decider.decide_cached(
+                [(item.app, item.profile, item.count) for item in items]
+            )
+        except Exception as exc:  # pragma: no cover - defensive
+            _fail_all(items, exc)
+            return True
+        if decisions is None:
+            return False
+        for item, decision in zip(items, decisions):
+            if not item.future.done():
+                item.future.set_result(
+                    ok_response(item.request_id, _place_result(decision))
+                )
+        return True
+
     def _run_batch(self, items: list[_Pending]) -> None:
         """Decide one micro-batch through the epoch-prefetch path."""
         candidates = [(item.app, item.profile, item.count)
@@ -516,25 +549,14 @@ class ApiServer:
         try:
             self.decider.begin_epoch(candidates)
         except Exception as exc:  # pragma: no cover - defensive
-            for item in items:
-                if not item.future.done():
-                    item.future.set_result(error_response(
-                        item.request_id, E_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    ))
+            _fail_all(items, exc)
             return
         for item in items:
             try:
                 if item.op == "place":
-                    decision = self.decider.decide(
+                    result = _place_result(self.decider.decide(
                         item.app, item.profile, max_instances=item.count,
-                    )
-                    result: dict[str, Any] = {
-                        "max_safe_instances":
-                            int(decision.max_safe_instances),
-                        "shed": bool(decision.shed),
-                        "cached": bool(decision.cached),
-                    }
+                    ))
                 else:
                     predicted = self.decider.predicted_degradation(
                         item.app, item.profile, item.count,
@@ -640,6 +662,25 @@ class ApiServer:
                 self.decider, "last_swap_epoch_s", None,
             ),
         }
+
+
+def _place_result(decision: Decision) -> dict[str, Any]:
+    """The wire form of one ``place`` answer."""
+    return {
+        "max_safe_instances": int(decision.max_safe_instances),
+        "shed": bool(decision.shed),
+        "cached": bool(decision.cached),
+    }
+
+
+def _fail_all(items: list[_Pending], exc: Exception) -> None:
+    """Answer every still-open request of a batch with ``internal``."""
+    for item in items:
+        if not item.future.done():
+            item.future.set_result(error_response(
+                item.request_id, E_INTERNAL,
+                f"{type(exc).__name__}: {exc}",
+            ))
 
 
 def _api_shard_worker(decider: Decider, host: str, conn,

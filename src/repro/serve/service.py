@@ -75,6 +75,16 @@ def _last_touch_order(inv: np.ndarray) -> list[int]:
     return uniq[np.argsort(first_rev)[::-1]].tolist()
 
 
+def _provably_affordable(total_ms: float, remaining_ms: float) -> bool:
+    """Whether one bulk charge of ``total_ms`` can shed no arrival.
+
+    Sequential decisions subtract their costs one at a time, so their
+    running budget rounds differently from one product; the margin keeps
+    a bulk path from deciding an arrival the sequential loop would shed.
+    """
+    return total_ms <= remaining_ms - 1e-6
+
+
 class CandidateBatch(Sequence):
     """One epoch's decision candidates, stored struct-of-arrays.
 
@@ -298,6 +308,19 @@ class Decider(ABC):
             cached[i] = decision.cached
         return DecisionBatch(max_safe_instances=counts, shed=shed,
                              cached=cached)
+
+    def decide_cached(
+        self, candidates: Sequence[Candidate]
+    ) -> list[Decision] | None:
+        """Decide a whole epoch from memory alone, or decline with None.
+
+        A non-None answer must equal :meth:`begin_epoch` followed by one
+        :meth:`decide` per candidate, decisions and counters alike. It
+        must also be cheap enough to run on an event loop: no simulator
+        solve, no disk read. The default declines, so callers take the
+        :meth:`begin_epoch` path.
+        """
+        return None
 
     def predicted_degradation(
         self,
@@ -693,16 +716,57 @@ class PredictionService(Decider):
         n_miss = sum(1 for c in uid_counts if c is None)
         total_ms = (n_miss * admission.miss_cost_ms
                     + (n - n_miss) * admission.hit_cost_ms)
-        if total_ms <= self._epoch_remaining_ms - 1e-6:
+        if _provably_affordable(total_ms, self._epoch_remaining_ms):
             if n_miss == 0:
-                return self._decide_batch_hits(
-                    n, inv, keys, uid_counts, total_ms,
+                self._charge_hits(
+                    n, [keys[j] for j in _last_touch_order(inv)], total_ms,
+                )
+                return DecisionBatch(
+                    max_safe_instances=np.asarray(
+                        uid_counts, dtype=np.int64)[inv],
+                    shed=np.zeros(n, dtype=bool),
+                    cached=np.ones(n, dtype=bool),
                 )
             if len(lru) + n_miss <= self._lru_capacity:
                 return self._decide_batch_fast(
                     batch, uids, inv, firsts, keys, uid_counts, total_ms,
                 )
         return self._decide_batch_sequential(batch, inv, keys)
+
+    def decide_cached(
+        self, candidates: Sequence[Candidate]
+    ) -> list[Decision] | None:
+        """An all-hit epoch decided from the LRU alone; None otherwise.
+
+        Declines without touching any state when a candidate misses the
+        LRU or the epoch is not provably affordable under a fresh budget
+        (the test :meth:`decide_batch` applies before its all-hit path).
+        Otherwise it resets and charges the budget, refreshes LRU recency
+        and counts requests, decisions and hits exactly as
+        :meth:`begin_epoch` plus sequential :meth:`decide` would.
+        """
+        lru = self._lru
+        counts: list[int] = []
+        # Re-inserting a key on every touch leaves the dict in order of
+        # last touch, the order the LRU must replay.
+        last_touched: dict[tuple[str, str, int], None] = {}
+        for latency_app, batch_profile, max_instances in candidates:
+            key = self._key(latency_app, batch_profile, max_instances)
+            count = lru.get(key)
+            if count is None:
+                return None
+            counts.append(count)
+            last_touched.pop(key, None)
+            last_touched[key] = None
+        n = len(counts)
+        total_ms = n * self.admission.hit_cost_ms
+        budget_ms = self.admission.budget_ms_per_epoch
+        if not _provably_affordable(total_ms, budget_ms):
+            return None
+        self._epoch_remaining_ms = budget_ms
+        self._charge_hits(n, last_touched, total_ms)
+        return [Decision(max_safe_instances=count, cached=True)
+                for count in counts]
 
     def decide_stream(
         self, stream: CandidateStream
@@ -723,27 +787,25 @@ class PredictionService(Decider):
             shed[starts[e]:starts[e + 1]] = decisions.shed
         return counts, shed
 
-    def _decide_batch_hits(
+    def _charge_hits(
         self,
         n: int,
-        inv: np.ndarray,
-        keys: list[tuple[str, str, int]],
-        uid_counts: list[int],
+        last_touched: Iterable[tuple[str, str, int]],
         total_ms: float,
-    ) -> DecisionBatch:
-        """All-hit affordable epoch: dictionary reads plus LRU recency."""
+    ) -> None:
+        """Account an affordable all-hit epoch of ``n`` arrivals.
+
+        ``last_touched`` holds the epoch's distinct keys in ascending
+        order of last touch; moving them to the LRU's end in that order
+        leaves the recency a sequential :meth:`decide` loop would.
+        """
         counter("serve.service.requests").inc(n)
         counter("serve.service.decisions").inc(n)
         counter("serve.service.cache_hits").inc(n)
         lru = self._lru
-        for j in _last_touch_order(inv):
-            lru.move_to_end(keys[j])
+        for key in last_touched:
+            lru.move_to_end(key)
         self._epoch_remaining_ms -= total_ms
-        return DecisionBatch(
-            max_safe_instances=np.asarray(uid_counts, dtype=np.int64)[inv],
-            shed=np.zeros(n, dtype=bool),
-            cached=np.ones(n, dtype=bool),
-        )
 
     def _decide_batch_fast(
         self,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+from repro.lint import cache as lint_cache
 from repro.lint import load_config, run
 from repro.lint.cache import ResultCache
 
@@ -110,3 +111,16 @@ def test_cache_prunes_deleted_files(tmp_path):
     run(config)
     cache = ResultCache(config.cache_file)
     assert "src/fix/mid.py" not in cache._entries
+
+
+def test_catalog_edit_changes_the_ruleset_signature(tmp_path, monkeypatch):
+    # SMT2xx reads the metric catalog, so a newly registered metric must
+    # invalidate entries that flagged it as undeclared.
+    fake = tmp_path / "catalog.py"
+    fake.write_text("SPECS = ()\n", encoding="utf-8")
+    monkeypatch.setattr(lint_cache, "_EXTRA_SOURCES", (fake,))
+    monkeypatch.setattr(lint_cache, "_RULESET_SIG", None)
+    before = lint_cache.ruleset_signature()
+    fake.write_text("SPECS = ('serve.api.new',)\n", encoding="utf-8")
+    monkeypatch.setattr(lint_cache, "_RULESET_SIG", None)
+    assert lint_cache.ruleset_signature() != before

@@ -36,7 +36,8 @@ from repro.serve.service import (
     Decision,
     PredictionService,
 )
-from repro.workloads.spec import spec_odd
+from repro.workloads.cloudsuite import cloudsuite_apps
+from repro.workloads.spec import spec_even, spec_odd
 
 
 class RecordingDecider(Decider):
@@ -59,6 +60,38 @@ class RecordingDecider(Decider):
 
     def predicted_degradation(self, latency_app, batch_profile, instances):
         return 0.05 * instances
+
+
+class ExecutorOnlyService(PredictionService):
+    """Declines every memory-only epoch, so every batch hops."""
+
+    def decide_cached(self, candidates):
+        return None
+
+
+class ThreadRecordingService(PredictionService):
+    """Records which thread each kind of batch was decided on."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.threads: list[tuple[str, int]] = []
+
+    def decide_cached(self, candidates):
+        decisions = super().decide_cached(candidates)
+        kind = "declined" if decisions is None else "loop"
+        self.threads.append((kind, threading.get_ident()))
+        return decisions
+
+    def begin_epoch(self, candidates) -> None:
+        self.threads.append(("executor", threading.get_ident()))
+        super().begin_epoch(candidates)
+
+
+def _counter_deltas(before, prefix):
+    after = snapshot()["counters"]
+    return {name: value - before.get(name, 0)
+            for name, value in after.items()
+            if name.startswith(prefix) and value != before.get(name, 0)}
 
 
 def _place(client, request_id=None):
@@ -203,6 +236,7 @@ class TestMicroBatching:
     def test_max_batch_splits_the_queue(self):
         decider = RecordingDecider()
         server = ApiServer(decider, batch_window_s=0.25, max_batch=3)
+        before = snapshot()["counters"]
         with server.background() as (host, port):
             with ApiClient(host, port) as client:
                 ids = [_place(client) for _ in range(7)]
@@ -211,6 +245,11 @@ class TestMicroBatching:
         sizes = [len(epoch) for epoch in decider.epochs]
         assert sum(sizes) == 7
         assert max(sizes) <= 3
+        # A decider without a memory-only path sees one begin_epoch per
+        # batch: every batch hopped to the executor.
+        deltas = _counter_deltas(before, "serve.api.")
+        assert deltas["serve.api.batches"] == len(sizes)
+        assert "serve.api.loop_batches" not in deltas
 
 
 class TestBackpressure:
@@ -390,6 +429,86 @@ class TestPredictionServiceIntegration:
         # inside the batch: the second backpressure layer.
         assert result == {"max_safe_instances": 0, "shed": True,
                           "cached": False}
+
+
+class TestLoopDecisions:
+    """All-hit place batches are decided on the loop, the rest hop."""
+
+    @pytest.fixture(scope="class")
+    def predictor(self, snb_sim):
+        return SMiTe(snb_sim).fit(spec_odd()[:4], mode="smt")
+
+    @staticmethod
+    def _stream():
+        """Every key once, then seeded places and predicts over them."""
+        rng = np.random.default_rng(7)
+        keys = [(app.name, profile.name)
+                for app in cloudsuite_apps()[:2]
+                for profile in spec_even()[:3]]
+        warm = [{"op": "place", "latency_app": app, "batch": batch,
+                 "max_instances": 2} for app, batch in keys]
+        mixed = []
+        for _ in range(30):
+            app, batch = keys[rng.integers(len(keys))]
+            if rng.random() < 0.25:
+                mixed.append({"op": "predict", "latency_app": app,
+                              "batch": batch,
+                              "instances": int(rng.integers(1, 3))})
+            else:
+                mixed.append({"op": "place", "latency_app": app,
+                              "batch": batch, "max_instances": 2})
+        burst = [m for m in mixed if m["op"] == "place"] * 2
+        return warm + mixed, burst
+
+    def _serve(self, service):
+        sequential, burst = self._stream()
+        before = snapshot()["counters"]
+        server = ApiServer(service)
+        with server.background() as (host, port):
+            with ApiClient(host, port) as client:
+                results = [client.request(m) for m in sequential]
+                # Pipelined hits coalesce into multi-request batches.
+                ids = [client.send(m) for m in burst]
+                results += [client.wait(i) for i in ids]
+        loop_batches = _counter_deltas(before, "serve.api.loop_batches")
+        return (results, _counter_deltas(before, "serve.service."),
+                loop_batches.get("serve.api.loop_batches", 0))
+
+    def test_loop_path_matches_executor_path(self, predictor):
+        target = QosTarget.average(0.90)
+        loop = PredictionService(predictor, target)
+        hop = ExecutorOnlyService(predictor, target)
+        loop_results, loop_counters, on_loop = self._serve(loop)
+        hop_results, hop_counters, hopped_on_loop = self._serve(hop)
+        assert on_loop > 0 and hopped_on_loop == 0
+        assert loop_results == hop_results
+        assert loop_counters == hop_counters
+        assert loop_counters["serve.service.cache_hits"] > 0
+        assert list(loop._lru.items()) == list(hop._lru.items())
+
+    def test_hits_on_the_loop_thread_misses_on_an_executor(self, predictor):
+        service = ThreadRecordingService(predictor, QosTarget.average(0.90))
+        server = ApiServer(service)
+        before = snapshot()["counters"]
+        with server.background() as (host, port):
+            loop_ident = next(t.ident for t in threading.enumerate()
+                              if t.name == "smite-api-server")
+            with ApiClient(host, port) as client:
+                first = client.place("web-search", "470.lbm", 2)
+                hits = [client.place("web-search", "470.lbm", 2)
+                        for _ in range(3)]
+                client.predict("web-search", "470.lbm", 1)
+        assert not first["cached"]
+        assert all(hit["cached"] for hit in hits)
+        # The miss is declined on the loop, then decided on the
+        # executor; a predict batch never asks for the loop path.
+        assert [kind for kind, _ in service.threads] == [
+            "declined", "executor", "loop", "loop", "loop", "executor"]
+        for kind, ident in service.threads:
+            assert (ident == loop_ident) == (kind != "executor")
+        deltas = _counter_deltas(before, "serve.api.")
+        assert deltas["serve.api.batches"] == 5
+        assert deltas["serve.api.loop_batches"] == 3
 
 
 #: Serves from two API shard workers and SIGKILLs one as soon as both

@@ -244,3 +244,98 @@ class TestBatchEquivalence:
         assert columnar == scalar
         assert list(services[0]._lru.items()) == \
             list(services[1]._lru.items())
+
+
+class TestDecideCached:
+    """The memory-only epoch path must equal begin_epoch + decide."""
+
+    ADMISSION = AdmissionControl(budget_ms_per_epoch=0.3,
+                                 hit_cost_ms=0.05, miss_cost_ms=0.1)
+
+    def _twins(self, predictor, candidates):
+        """Two services whose LRUs both hold every candidate's key."""
+        services = []
+        for _ in range(2):
+            service = PredictionService(predictor, QosTarget.average(0.90),
+                                        admission=self.ADMISSION)
+            for app, profile, n in candidates:
+                service.begin_epoch([(app, profile, n)])
+                service.decide(app, profile, max_instances=n)
+            services.append(service)
+        return services
+
+    @staticmethod
+    def _service_counters():
+        return {name: value for name, value in _counters().items()
+                if name.startswith("serve.service.")}
+
+    def _delta(self, action):
+        before = self._service_counters()
+        result = action()
+        after = self._service_counters()
+        names = set(before) | set(after)
+        return result, {name: after.get(name, 0) - before.get(name, 0)
+                        for name in names
+                        if after.get(name, 0) != before.get(name, 0)}
+
+    def _sequential(self, service, epoch):
+        service.begin_epoch(epoch)
+        return [service.decide(app, profile, max_instances=n)
+                for app, profile, n in epoch]
+
+    def test_all_hit_epochs_match_sequential_decide(self, predictor):
+        apps = cloudsuite_apps()[:2]
+        pool = spec_even()[:3]
+        keys = [(a, p, 2) for a in apps for p in pool]
+        cached, sequential = self._twins(predictor, keys)
+        epochs = [
+            [keys[0], keys[0], keys[3]],
+            [keys[5], keys[1], keys[5], keys[1], keys[0]],
+            [keys[2]],
+            [keys[4], keys[4], keys[4], keys[3]],
+        ]
+        for epoch in epochs:
+            got, got_delta = self._delta(lambda: cached.decide_cached(epoch))
+            want, want_delta = self._delta(
+                lambda: self._sequential(sequential, epoch))
+            assert got == want
+            assert all(d.cached and not d.shed for d in got)
+            assert got_delta == want_delta
+            assert got_delta["serve.service.cache_hits"] == len(epoch)
+            assert list(cached._lru.items()) == \
+                list(sequential._lru.items())
+
+    def _assert_declines_untouched(self, service, epoch):
+        lru = list(service._lru.items())
+        budget = service._epoch_remaining_ms
+        result, delta = self._delta(lambda: service.decide_cached(epoch))
+        assert result is None
+        assert delta == {}
+        assert list(service._lru.items()) == lru
+        assert service._epoch_remaining_ms == budget
+
+    def test_one_miss_declines_without_touching_state(self, predictor):
+        apps = cloudsuite_apps()[:2]
+        pool = spec_even()[:3]
+        warm = [(apps[0], p, 2) for p in pool]
+        service, _ = self._twins(predictor, warm)
+        # A spent budget shows decide_cached did not reset it.
+        service.decide(*warm[0][:2], max_instances=2)
+        assert service._epoch_remaining_ms < self.ADMISSION.budget_ms_per_epoch
+        self._assert_declines_untouched(
+            service, [warm[0], warm[1], (apps[1], pool[0], 2), warm[2]])
+
+    def test_unaffordable_all_hit_epoch_declines(self, predictor):
+        app = cloudsuite_apps()[0]
+        warm = [(app, p, 2) for p in spec_even()[:2]]
+        service, sequential = self._twins(predictor, warm)
+        # More hits than budget / hit cost: the sequential loop sheds.
+        n = round(self.ADMISSION.budget_ms_per_epoch
+                  / self.ADMISSION.hit_cost_ms) + 1
+        epoch = [warm[i % 2] for i in range(n)]
+        assert any(d.shed for d in self._sequential(sequential, epoch))
+        self._assert_declines_untouched(service, epoch)
+
+    def test_simple_deciders_decline(self, app, batch):
+        for decider in (BaselineDecider(), RandomDecider(seed=1)):
+            assert decider.decide_cached([(app, batch[0], 6)]) is None
