@@ -44,13 +44,14 @@ The same checks run inside the test suite (``tests/test_check_docs.py``).
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -205,9 +206,32 @@ def inline_paths(line: str) -> list[str]:
     return [path for path in paths if not _GLOB_CHARS & set(path)]
 
 
+def generated_patterns() -> list[str]:
+    """The root ``.gitignore`` entries: names that runs leave behind."""
+    ignore = REPO / ".gitignore"
+    if not ignore.exists():
+        return []
+    lines = (line.strip() for line in
+             ignore.read_text(encoding="utf-8").splitlines())
+    return [line.strip("/") for line in lines
+            if line and not line.startswith(("#", "!"))]
+
+
+def is_generated(target: str, patterns: list[str]) -> bool:
+    """Whether ``target`` or one of its components is gitignored."""
+    names = (target, *PurePosixPath(target).parts)
+    return any(fnmatch.fnmatchcase(name, pattern)
+               for pattern in patterns for name in names)
+
+
 def check_inline_paths() -> list[str]:
-    """Every repository path named in inline code must exist."""
+    """Every repository path named in inline code must exist.
+
+    Gitignored names are generated files (caches, build output): a clean
+    checkout lacks them, so they are not dead paths.
+    """
     errors: list[str] = []
+    generated = generated_patterns()
     for path in doc_paths():
         fenced = False
         for line_number, line in enumerate(
@@ -218,7 +242,8 @@ def check_inline_paths() -> list[str]:
             if fenced:
                 continue
             for target in inline_paths(line):
-                if not (REPO / target).exists():
+                if not ((REPO / target).exists()
+                        or is_generated(target, generated)):
                     errors.append(
                         f"{path.relative_to(REPO)}:{line_number}: "
                         f"dead repository path -> {target}"

@@ -12,10 +12,10 @@ With ``--jobs N`` (or ``SMITE_JOBS=N``) experiments fan out over a
 process pool. Workers share the persistent solve cache (atomic writes,
 no locking needed) and reuse what it already holds, but on a cold cache
 concurrent workers solve overlapping batches: a cold ``--all --fast
---jobs 2`` stores 8,153 results for 5,780 distinct keys, and two such
-runs can differ in the last digits of fig10-fig13 and fig17. A serial
-cold run is byte-reproducible; a warm cache makes re-runs nearly
-solver-free.
+--jobs 2`` stores ~8,150 results for 5,780 distinct keys. Every solve
+is a batch solve whose result does not depend on its batch, so a cold
+run prints the same bytes at any ``--jobs``; a warm cache makes re-runs
+nearly solver-free.
 
 Every run can emit a machine-readable *run report* — per-experiment
 span durations, solve-cache hit rates, and per-worker metric snapshots

@@ -88,6 +88,8 @@ CATALOG: tuple[MetricSpec, ...] = (
                "requests served from the in-memory memo cache"),
     MetricSpec("counter", "smt.simulator.canonicalizations", "placements",
                "symmetry canonicalizations performed"),
+    MetricSpec("counter", "smt.simulator.run_solves", "placements",
+               "run misses nothing prefetched, solved as a batch of one"),
     # -- fixed-point solvers (smt/solver.py, smt/batch.py) --------------
     MetricSpec("counter", "smt.solver.solves", "solves",
                "scalar fixed-point solves executed"),
@@ -99,6 +101,8 @@ CATALOG: tuple[MetricSpec, ...] = (
                "vectorized solve_many invocations"),
     MetricSpec("counter", "smt.batch.problems", "problems",
                "independent problems stacked across all batch calls"),
+    MetricSpec("counter", "smt.batch.updates", "updates",
+               "wave updates, one per within-core rank per iteration"),
     MetricSpec("histogram", "smt.batch.batch_size", "problems",
                "problems per solve_many call"),
     MetricSpec("histogram", "smt.batch.solve_seconds", "seconds",

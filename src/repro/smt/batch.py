@@ -19,25 +19,33 @@ Semantics are kept deliberately identical to the scalar reference in
   — the same values the scalar loop reads from its memo every iteration
   — memoized per sharing group and per (profile, capacities) across the
   batch;
-- the iteration is Gauss-Seidel *in placement order*, exactly like the
-  scalar loop: the update for context slot ``k`` is vectorized across
-  problems, and later slots see earlier slots' freshly damped IPCs and
-  port placements.
+- the iteration is Gauss-Seidel *in placement order on every core*:
+  a context's update reads only its own core's contexts (port,
+  front-end and in-flight-miss sums) plus the iteration's DRAM latency,
+  so contexts on different cores commute. Each iteration therefore
+  sweeps *waves*: a context's wave is its rank among the contexts on
+  its own core, in placement order (at most ``smt_contexts_per_core``
+  waves). One wave update is vectorized across every problem and core,
+  and a later wave sees the earlier waves' freshly damped IPCs and port
+  placements, exactly as the scalar loop's later contexts see earlier
+  ones on their core.
 
 Sibling pressure (per-port, front-end and in-flight misses) is summed
-per core from a per-slot table built once: the contexts sharing a core
-with the slot's contexts, in flat order, each tagged with its core's
-slot-local id. A slot update sums only that list, restricted to the
+per core from a per-wave table built once: the contexts sharing a core
+with the wave's contexts, in flat order, each tagged with its core's
+wave-local id. A wave update sums only that list, restricted to the
 problems still iterating. Each core's total adds the same elements in
 the same order a bincount over the whole batch would, so the results
-are bitwise those of summing every context every time.
+are bitwise those of summing every context every time, and bitwise
+those of updating one placement slot at a time.
 
 Because each problem performs the same arithmetic in the same order as a
 scalar :func:`repro.smt.solver.solve` call (modulo float summation
 association), per-context IPCs agree to ~1e-9, far inside the 1e-6
 fixed-point tolerance. A problem's result is bitwise independent of the
 rest of its batch: ``solve_many(ps)[i] == solve_many([ps[i]])[0]``.
-Property tests in ``tests/properties/test_prop_batch.py`` enforce both.
+Property tests in ``tests/properties/test_prop_batch.py`` enforce these
+and the wave sweep's bitwise equality with the placement-slot sweep.
 """
 
 from __future__ import annotations
@@ -92,8 +100,8 @@ def _water_fill_rows(levels: np.ndarray, amount: np.ndarray) -> np.ndarray:
     candidates = (amount[:, None] + csum) / counts  # smite: noqa[SMT302]: counts = arange(1, k+1) >= 1
     valid = candidates >= sorted_levels
     t_star = valid.sum(axis=1) - 1  # index of the last valid count
-    water = np.take_along_axis(candidates, t_star[:, None], axis=1)
-    return np.maximum(0.0, water - levels)
+    water = candidates[np.arange(t_star.size), t_star]
+    return np.maximum(0.0, water[:, None] - levels)
 
 
 def _statics_row(statics: _ProfileStatics) -> list[float]:
@@ -118,7 +126,6 @@ class _Packed:
     def __init__(self, machine: MachineSpec,
                  problems: list[list[_ContextState]]) -> None:
         counts = np.array([len(states) for states in problems])
-        offsets = np.concatenate(([0], np.cumsum(counts)))
         self.n_problems = len(problems)
         self.prob = np.repeat(np.arange(self.n_problems), counts)
         flat = [state for states in problems for state in states]
@@ -152,30 +159,37 @@ class _Packed:
             "smt_overhead", "memory")}
         self.breakdown["dependency"] = self.dep_bound
 
-        # One table per slot: ``idx`` are the flat indices of the slot's
-        # contexts (one per problem that has the slot); ``sib`` lists, in
-        # flat order, every context sharing a core with one of them, and
-        # ``loc`` the position in ``idx`` of that core's slot context.
-        self.slots: list[tuple[np.ndarray, ...]] = []
+        # One table per wave: ``idx`` are the flat indices of the wave's
+        # contexts (at most one per core, in flat order); ``sib`` lists,
+        # in flat order, every context sharing a core with one of them,
+        # and ``loc`` the position in ``idx`` of that core's wave context.
+        # np.unique sorts by core, so a stable sort lists each core's
+        # contexts contiguously in flat order and ranks them in place.
+        by_core = np.argsort(core_gid, kind="stable")
+        first = np.cumsum(core_count) - core_count
+        wave = np.empty(len(flat), dtype=np.intp)
+        wave[by_core] = np.arange(len(flat)) - np.repeat(first, core_count)
+        self.waves: list[tuple[np.ndarray, ...]] = []
         local = np.full(len(core_count), -1, dtype=np.intp)
-        for slot in range(int(counts.max())):
-            idx = (offsets[:-1] + slot)[counts > slot]
+        for rank in range(int(core_count.max())):
+            idx = np.flatnonzero(wave == rank)
             local[core_gid[idx]] = np.arange(idx.size)
             loc_all = local[core_gid]
             sib = np.flatnonzero(loc_all >= 0)
-            self.slots.append((idx, self.prob[idx], sib, loc_all[sib]))
+            self.waves.append((idx, self.prob[idx], sib, loc_all[sib]))
             local[core_gid[idx]] = -1
 
 
 def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
                  sib: np.ndarray, loc: np.ndarray,
                  dram_lat: np.ndarray) -> np.ndarray:
-    """One Gauss-Seidel update of context slot ``idx`` (vectorized).
+    """One Gauss-Seidel update of the contexts ``idx`` (vectorized).
 
-    ``sib`` lists, in flat order, every context on the cores being
-    updated and ``loc`` which of ``idx`` shares each one's core. Mirrors
-    the scalar ``_compute_cpi`` plus the damped IPC update; returns each
-    updated context's relative IPC delta.
+    ``idx`` holds at most one context per core (one wave); ``sib``
+    lists, in flat order, every context on the cores being updated and
+    ``loc`` which of ``idx`` shares each one's core. Mirrors the scalar
+    ``_compute_cpi`` plus the damped IPC update; returns each updated
+    context's relative IPC delta.
     """
     width = machine.issue_width
     rho_cap = machine.contention_rho_cap
@@ -187,7 +201,8 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     # One bincount over fused (core, port) keys covers every port; each
     # core's total adds its contexts in flat order, as a bincount over
     # the whole batch would, so the sums are bitwise the same.
-    own_ipd = own_ipc[:, None] * pk.port_demand[idx]
+    own_demand = pk.port_demand[idx]
+    own_ipd = own_ipc[:, None] * own_demand
     core_ipd = np.bincount(
         (loc[:, None] * _N_PORTS + _PORT_COLUMNS).ravel(),
         weights=(sib_ipc[:, None] * pk.port_demand[sib]).ravel(),
@@ -201,7 +216,7 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     for j, ports in enumerate(pk.flex_ports):
         levels = demand[:, ports] + bg[:, ports] / own_ipc[:, None]  # smite: noqa[SMT302]: pk.ipc starts positive and damped updates keep it positive
         demand[:, ports] += _water_fill_rows(levels, pk.flex_rates[idx, j])
-    new_demand = _DAMPING * pk.port_demand[idx] + (1.0 - _DAMPING) * demand
+    new_demand = _DAMPING * own_demand + (1.0 - _DAMPING) * demand
     pk.port_demand[idx] = new_demand
 
     port_bound = new_demand.max(axis=1)
@@ -209,11 +224,12 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     inflation = machine.port_contention_kappa * clipped / (1.0 - clipped)  # smite: noqa[SMT302]: clipped <= contention_rho_cap, validated < 1 by MachineSpec
     port_delay = (new_demand * inflation).sum(axis=1)
 
-    fe_occ = pk.uops_eff[idx] / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    uops = pk.uops_eff[idx]
+    fe_occ = uops / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
     core_fe = np.bincount(loc, weights=sib_ipc * pk.uops_eff[sib],
                           minlength=m)
     rho_fe = (core_fe  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
-              - own_ipc * pk.uops_eff[idx]) / width
+              - own_ipc * uops) / width
     clip_fe = np.minimum(rho_fe, rho_cap)
     fe_delay = fe_occ * (machine.frontend_contention_kappa  # smite: noqa[SMT302]: clip_fe <= contention_rho_cap, validated < 1 by MachineSpec
                          * clip_fe / (1.0 - clip_fe))
@@ -222,32 +238,33 @@ def _slot_update(machine: MachineSpec, pk: _Packed, idx: np.ndarray,
     compute = np.maximum(throughput, pk.dep_bound[idx])
     visibility = np.minimum(1.0, throughput / compute)  # smite: noqa[SMT302]: compute = maximum(throughput, dep_bound) >= fe_occ > 0
     contention = (port_delay + fe_delay) * visibility
-    has_sib = pk.n_sib[idx] > 0
+    n_sib = pk.n_sib[idx]
+    has_sib = n_sib > 0
     overhead = np.where(has_sib, compute * machine.smt_static_overhead, 0.0)
 
     # MSHR-shared memory stalls: siblings' in-flight misses (Little's
     # law) reduce the overlap this context can sustain.
     dl = dram_lat[pk.prob[idx]]
+    mlp, apki, hm = pk.mlp[idx], pk.apki[idx], pk.hm[idx]
     core_infl = np.bincount(loc, weights=np.minimum(
         pk.mlp[sib],
         sib_ipc * pk.apki[sib] * pk.hm[sib] * dram_lat[pk.prob[sib]],
     ), minlength=m)
-    occupied = core_infl - np.minimum(
-        pk.mlp[idx], own_ipc * pk.apki[idx] * pk.hm[idx] * dl)
+    occupied = core_infl - np.minimum(mlp, own_ipc * apki * hm * dl)
     available = np.maximum(1.0, machine.mshr_count - occupied)
     mlp_eff = np.where(
         has_sib,
-        np.minimum(pk.mlp[idx], available)
-        / (1.0 + machine.smt_mlp_penalty * pk.n_sib[idx]),
-        pk.mlp[idx],
+        np.minimum(mlp, available)
+        / (1.0 + machine.smt_mlp_penalty * n_sib),
+        mlp,
     )
     per_access = (pk.h1[idx] * machine.l1d.latency_cycles
                   + pk.h2[idx] * machine.l2.latency_cycles
                   + pk.h3[idx] * machine.l3.latency_cycles
-                  + pk.hm[idx] * dl)
+                  + hm * dl)
     memory = np.where(
-        pk.apki[idx] > 0.0,
-        pk.apki[idx] * per_access / np.maximum(mlp_eff, 1.0),
+        apki > 0.0,
+        apki * per_access / np.maximum(mlp_eff, 1.0),
         0.0,
     )
 
@@ -307,6 +324,7 @@ def solve_many(
     factor = np.ones(n_problems)
     dram_rho = np.zeros(n_problems)
     iterations = np.zeros(n_problems, dtype=np.intp)
+    updates = counter("smt.batch.updates")
 
     for iteration in range(1, max_iterations + 1):
         iterations[active] = iteration
@@ -322,8 +340,8 @@ def solve_many(
         dram_lat = machine.dram_latency_cycles * factor
 
         max_delta = np.zeros(n_problems)
-        for idx, p_idx, sib, loc in pk.slots:
-            # Converged problems drop out of the slot and its sibling
+        for idx, p_idx, sib, loc in pk.waves:
+            # Converged problems drop out of the wave and its sibling
             # table; the survivors keep their flat order.
             live = active[p_idx]
             if not live.all():
@@ -334,8 +352,10 @@ def solve_many(
                 loc = (np.cumsum(live) - 1)[loc[keep]]
                 idx = idx[live]
                 p_idx = p_idx[live]
+            updates.inc()
             delta = _slot_update(machine, pk, idx, sib, loc, dram_lat)
-            max_delta[p_idx] = np.maximum(max_delta[p_idx], delta)
+            # A wave holds several contexts of one problem: fold them all.
+            np.maximum.at(max_delta, p_idx, delta)
         active &= max_delta >= tolerance
         if not active.any():
             break

@@ -36,7 +36,10 @@ from repro.smt.diskcache import PersistentSolveCache, solve_key
 from repro.smt.params import IVY_BRIDGE, MachineSpec
 from repro.smt.pmu import PmuDefectModel, read_pmu
 from repro.smt.results import ContextResult, RunResult
-from repro.smt.solver import ContextPlacement, solve
+# ``solve`` is not called here; it stays importable from this module
+# because benchmarks/e2e/test_harness.py checks that the layer wrappers
+# patch it at this import site.
+from repro.smt.solver import ContextPlacement, solve  # noqa: F401
 from repro.workloads.profile import WorkloadProfile
 
 __all__ = ["Simulator", "ContextPlacement", "PairMeasurement", "PairMode"]
@@ -173,10 +176,17 @@ class Simulator:
         canonical, order = _canonical_placements(placements)
         key = self._memo_key(canonical)
         result = self._cache.get(key)
-        if result is None:
-            result = self._solve_canonical(canonical, key)
-        else:
+        if result is not None:
             counter("smt.simulator.memo_hits").inc()
+        else:
+            disk_key = self._disk_key(canonical)
+            result = self._load_from_disk(disk_key, key)
+            if result is None:
+                # A batch of one: the fixed point a prefetch would have
+                # stored, so no result depends on which path solved first.
+                counter("smt.simulator.run_solves").inc()
+                self._solve_todo({key: (canonical, disk_key)})
+                result = self._cache[key]
         return self._reindex(result, order, placements)
 
     def run_many(
@@ -282,15 +292,6 @@ class Simulator:
                             [canonical for canonical, _ in todo.values()])
         self._store([(key, disk_key, result) for (key, (_, disk_key)), result
                      in zip(todo.items(), solved)])
-
-    def _solve_canonical(self, canonical: list[ContextPlacement],
-                         key: tuple) -> RunResult:
-        disk_key = self._disk_key(canonical)
-        result = self._load_from_disk(disk_key, key)
-        if result is None:
-            result = solve(self.machine, canonical)
-            self._store([(key, disk_key, result)])
-        return result
 
     @staticmethod
     def _reindex(canonical_result: RunResult, order: list[int],

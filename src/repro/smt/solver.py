@@ -19,9 +19,16 @@ converge to 1e-6 for every workload population we ship.
 
 This module is the *reference implementation*. :mod:`repro.smt.batch`
 vectorizes the identical iteration across many independent problems and
-must stay in lockstep: any change to the update order, the CPI terms, or
-the damping here has a twin in ``batch.py``, and the property tests in
+must stay in lockstep: any change to the CPI terms or the damping here
+has a twin in ``batch.py``, and the property tests in
 ``tests/properties/test_prop_batch.py`` hold the two to 1e-6 agreement.
+The batch solver updates all contexts of one within-core rank at once;
+that matches this loop's placement order because a context's update
+reads only its own core's contexts and the iteration's DRAM latency. An
+update that read another core's fresh IPCs would break that equivalence.
+Every ``Simulator`` solve goes through the batch solver (a miss that
+nothing prefetched is a batch of one); this loop is the reference the
+tests hold it to.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The predictor's calibration sweeps run through the batch solver.
 
 ``SMiTe.fit`` and ``fit_server`` prefetch every placement they read, so
-a cold fit makes no scalar solves — and the batched fixed points must
-give the coefficients the scalar miss path gives. Refitting must not
-reuse anything derived from the previous fit.
+a cold fit makes no one-at-a-time ``run`` solves — and the batched fixed
+points must give the coefficients the scalar reference solver gives.
+Refitting must not reuse anything derived from the previous fit.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.core.predictor import SMiTe
 from repro.obs import snapshot
 from repro.smt.params import SANDY_BRIDGE_EN
 from repro.smt.simulator import Simulator
+from repro.smt.solver import solve
 from repro.workloads.cloudsuite import cloudsuite_apps
 from repro.workloads.spec import spec_even, spec_odd
 
@@ -20,14 +21,32 @@ COUNTS = (1, 3)
 
 
 class ScalarSimulator(Simulator):
-    """A simulator whose prefetch does nothing: every read solves alone."""
+    """A simulator whose reads each take the scalar reference solver.
+
+    Its prefetch does nothing and it solves every miss with ``solve``
+    (a plain ``Simulator`` batch-solves them). Built without a disk
+    cache, batch results never stand in for the oracle's.
+    """
 
     def prefetch(self, placements_list) -> None:
         return None
 
+    def _solve_todo(self, todo) -> None:
+        self._store([(key, disk_key, solve(self.machine, canonical))
+                     for key, (canonical, disk_key) in todo.items()])
 
-def _solves() -> int:
-    return snapshot()["counters"].get("smt.solver.solves", 0)
+
+def _counter(name: str) -> int:
+    return snapshot()["counters"].get(name, 0)
+
+
+def _scalar_solves() -> int:
+    return _counter("smt.solver.solves")
+
+
+def _run_solves() -> int:
+    """``Simulator.run`` misses that nothing prefetched."""
+    return _counter("smt.simulator.run_solves")
 
 
 def _fit(simulator: Simulator, training=TRAINING, *, mode="smt",
@@ -42,15 +61,16 @@ def _coefficients(model) -> list[float]:
 
 class TestBatchedFit:
     def test_cold_fit_makes_no_scalar_solves(self):
-        before = _solves()
+        before = _run_solves()
         _fit(Simulator(SANDY_BRIDGE_EN))
-        assert _solves() == before
+        assert _run_solves() == before
 
     def test_coefficients_match_the_scalar_path(self):
         batched = _fit(Simulator(SANDY_BRIDGE_EN))
-        before = _solves()
+        before = _scalar_solves()
         scalar = _fit(ScalarSimulator(SANDY_BRIDGE_EN))
-        assert _solves() > before  # the oracle really took the scalar path
+        # The oracle really took the scalar path.
+        assert _scalar_solves() > before
         assert _coefficients(batched.model) == pytest.approx(
             _coefficients(scalar.model), rel=1e-9, abs=1e-12)
         assert sorted(batched.server_models) == list(COUNTS)
@@ -63,12 +83,12 @@ class TestBatchedFit:
         apps = [app.profile for app in cloudsuite_apps()[:2]]
         batch = spec_even()[:3]
         predictor.prefetch_server(apps, batch, instance_counts=range(1, 7))
-        before = _solves()
+        before = _run_solves()
         for app in apps:
             for profile in batch:
                 for k in range(1, 7):
                     predictor.predict_server(app, profile, instances=k)
-        assert _solves() == before
+        assert _run_solves() == before
 
 
 class TestRefit:

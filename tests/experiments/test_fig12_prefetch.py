@@ -18,7 +18,8 @@ from repro.workloads.spec import spec_even, spec_odd
 
 
 def _solves() -> int:
-    return snapshot()["counters"].get("smt.solver.solves", 0)
+    """``Simulator.run`` misses that nothing prefetched."""
+    return snapshot()["counters"].get("smt.simulator.run_solves", 0)
 
 
 @pytest.fixture
@@ -64,5 +65,5 @@ def test_prediction_loop_makes_no_scalar_solves(small_fig12, monkeypatch,
     assert len(loop_solves) == len(smite_report.predictions)
     assert sum(loop_solves) == 0
     # The fits and the measured dataset are batched too: the whole
-    # experiment takes no scalar solve.
+    # experiment solves nothing one read at a time.
     assert _solves() == before

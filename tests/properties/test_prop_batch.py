@@ -5,11 +5,19 @@ same stall breakdowns, same iteration counts — on every topology the
 pipeline uses. The implementation mirrors the scalar Gauss-Seidel update
 order exactly, so agreement is at float precision; the assertions allow
 1e-6 relative (the acceptance bar) with lots of headroom.
+
+Within an iteration the batch solver sweeps *waves* (each context's rank
+on its own core) rather than placement slots; that reorders updates only
+across cores, so it must be bitwise the one-slot-at-a-time sweep.
 """
 
+from unittest import mock
+
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.smt.batch as batch_module
 from repro.smt.batch import solve_many
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.solver import ContextPlacement, solve
@@ -119,22 +127,83 @@ def _composed_problem(kind, seed_a, seed_b, instances):
             + [ContextPlacement(b, core=i) for i in range(instances)])
 
 
-_composed_problems = st.lists(
+@st.composite
+def _shuffled_placement(draw):
+    """1-12 ``SANDY_BRIDGE_EN`` contexts, at most 2 per core, any order.
+
+    Core labels are whichever cores drew contexts, so they are rarely
+    dense; profiles come from a small pool so some contexts share one.
+    """
+    machine = SANDY_BRIDGE_EN
+    per_core = draw(st.lists(
+        st.integers(min_value=0, max_value=machine.smt_contexts_per_core),
+        min_size=machine.cores, max_size=machine.cores).filter(any))
+    cores = draw(st.permutations(
+        [core for core, n in enumerate(per_core) for _ in range(n)]))
+    pool = draw(st.lists(profile_seeds, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                          min_size=len(cores), max_size=len(cores)))
+    return [ContextPlacement(random_profile(pool[i]), core=core)
+            for i, core in zip(picks, cores)]
+
+
+_problems = st.one_of(
     st.tuples(st.sampled_from(("solo", "smt", "cmp", "server")),
               profile_seeds, profile_seeds,
-              st.integers(min_value=1, max_value=SANDY_BRIDGE_EN.cores)),
-    min_size=2, max_size=6,
+              st.integers(min_value=1, max_value=SANDY_BRIDGE_EN.cores),
+              ).map(lambda spec: _composed_problem(*spec)),
+    _shuffled_placement(),
 )
 
 
 class TestBatchComposition:
     @_settings
-    @given(_composed_problems)
-    def test_in_batch_result_is_the_solo_batch_result(self, drawn):
+    @given(st.lists(_problems, min_size=2, max_size=6))
+    def test_in_batch_result_is_the_solo_batch_result(self, problems):
         # A problem's result must not depend on what else is in the
         # batch: its siblings' sums, its convergence, and the other
         # problems freezing at different iterations are all its own.
-        problems = [_composed_problem(*spec) for spec in drawn]
         together = solve_many(SANDY_BRIDGE_EN, problems)
         for placements, result in zip(problems, together):
             assert result == solve_many(SANDY_BRIDGE_EN, [placements])[0]
+
+
+class _SlotOrderPacked(batch_module._Packed):
+    """``_Packed`` with one update table per placement slot.
+
+    The placement-order oracle: slot ``k`` updates every problem's
+    ``k``-th context, the sweep order of the scalar solver. The tables
+    have the wave tables' layout, so ``solve_many`` runs them through
+    the same ``_slot_update``.
+    """
+
+    def __init__(self, machine, problems):
+        super().__init__(machine, problems)
+        counts = np.array([len(states) for states in problems])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        core = np.array([state.placement.core
+                         for states in problems for state in states])
+        _keys, core_gid = np.unique(self.prob * machine.cores + core,
+                                    return_inverse=True)
+        local = np.full(core_gid.max() + 1, -1, dtype=np.intp)
+        self.waves = []
+        for slot in range(int(counts.max())):
+            idx = (offsets[:-1] + slot)[counts > slot]
+            local[core_gid[idx]] = np.arange(idx.size)
+            loc_all = local[core_gid]
+            sib = np.flatnonzero(loc_all >= 0)
+            self.waves.append((idx, self.prob[idx], sib, loc_all[sib]))
+            local[core_gid[idx]] = -1
+
+
+def _placement_order_solve(machine, problems):
+    with mock.patch.object(batch_module, "_Packed", _SlotOrderPacked):
+        return solve_many(machine, problems)
+
+
+class TestWaveSweep:
+    @_settings
+    @given(st.lists(_problems, min_size=1, max_size=4))
+    def test_waves_are_the_placement_order_sweep(self, problems):
+        assert (solve_many(SANDY_BRIDGE_EN, problems)
+                == _placement_order_solve(SANDY_BRIDGE_EN, problems))

@@ -5,6 +5,7 @@ import itertools
 import weakref
 
 import repro.smt.solver as solver
+from repro.obs import snapshot
 from repro.smt.batch import solve_many
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.solver import ContextPlacement, solve
@@ -72,3 +73,21 @@ class TestProfileStatics:
         gc.collect()
         assert alive() is None
         assert mcf.replace(load=mcf.load * 0.25) not in solver._STATICS
+
+
+def _updates() -> int:
+    return snapshot()["counters"].get("smt.batch.updates", 0)
+
+
+class TestWaveUpdates:
+    def test_one_update_per_within_core_rank_per_iteration(self):
+        # A full Sandy Bridge-EN server has 12 contexts but only two
+        # within-core ranks, so each iteration makes two wave updates.
+        mcf, namd = SPEC_CPU2006["429.mcf"], SPEC_CPU2006["444.namd"]
+        cores = SANDY_BRIDGE_EN.cores
+        server = ([ContextPlacement(mcf, core=i) for i in range(cores)]
+                  + [ContextPlacement(namd, core=i) for i in range(cores)])
+        for placements, waves in ((server, 2), (server[:cores], 1)):
+            before = _updates()
+            [result] = solve_many(SANDY_BRIDGE_EN, [placements])
+            assert _updates() - before == waves * result.iterations

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.obs import snapshot
 from repro.smt.params import SANDY_BRIDGE_EN
 from repro.smt.simulator import Simulator
+from repro.smt.solver import ContextPlacement
 from repro.workloads.spec import SPEC_CPU2006
 
 
@@ -128,12 +129,12 @@ class TestCaching:
         sim.prefetch(jobs)
         sim.clear_cache()
         sim.prefetch(jobs)
-        scalar_solves = []
-        monkeypatch.setattr(simulator_module, "solve",
-                            lambda *args: scalar_solves.append(args))
+        solves = []
+        monkeypatch.setattr(simulator_module, "solve_many",
+                            lambda *args: solves.append(args))
         for placements in jobs:
             sim.run(placements)
-        assert scalar_solves == []
+        assert solves == []
 
     def test_clear_cache_forgets_measurements(self, mcf, cloud_apps):
         sim = Simulator(SANDY_BRIDGE_EN)
@@ -144,6 +145,27 @@ class TestCaching:
         again = sim.measure_server(web, mcf, instances=2)
         assert _requests() > before
         assert again == first
+
+
+class TestSolvePathIndependence:
+    """A result never depends on whether a prefetch solved its key first."""
+
+    @pytest.mark.parametrize("topology", ["solo", "smt_pair", "server"])
+    def test_run_miss_equals_prefetched_run(self, topology, mcf, namd,
+                                            cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        placements = {
+            "solo": [ContextPlacement(mcf, core=0)],
+            "smt_pair": [ContextPlacement(mcf, core=0),
+                         ContextPlacement(namd, core=0)],
+            "server": sim.server_placements(
+                cloud_apps[0].profile, mcf,
+                instances=SANDY_BRIDGE_EN.cores),
+        }[topology]
+        direct = sim.run(placements)
+        prefetched = Simulator(SANDY_BRIDGE_EN)
+        prefetched.prefetch([placements])
+        assert prefetched.run(placements) == direct
 
 
 class TestMeasurementMemo:

@@ -142,6 +142,24 @@ def test_dead_inline_path_is_caught(tmp_path, monkeypatch):
     ]
 
 
+def test_gitignored_names_are_generated_not_dead(tmp_path, monkeypatch):
+    (tmp_path / ".gitignore").write_text(
+        "# run output\n.smite-lint-cache.json\n.bench_build/\n",
+        encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "the lint cache `.smite-lint-cache.json`, the build tree "
+        "`benchmarks/.bench_build/run.log`, and the deleted baseline "
+        "`BENCH_solver.json`\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ("README.md",))
+    monkeypatch.setattr(check_docs, "DOC_GLOBS", ())
+    assert check_docs.check_inline_paths() == [
+        "README.md:1: dead repository path -> BENCH_solver.json",
+    ]
+
+
 # ----------------------------------------------------------------------
 # Lint-rule reference coverage
 
