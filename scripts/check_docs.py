@@ -21,7 +21,13 @@ docs/*.md) and
    alert rule must have a table row in ``docs/TELEMETRY.md`` (each in
    both directions — a doc row for an unregistered id is equally
    fatal). Adding a subcommand, metric, rule, or alert without
-   documenting it fails CI.
+   documenting it fails CI;
+4. **checks README's "Configuration reference" flag tables** against
+   the parsers they name: every flag in a table's first column must
+   exist on that parser (the runner, ``repro.cli serve``, ``repro.cli
+   serve-api``), and every option of those parsers needs a row in its
+   own table or in the shared runner table. Removing a flag without
+   its row, or adding one without a row, fails CI.
 
 Snippet policy, controlled by an HTML comment on the line above the
 fence:
@@ -359,6 +365,78 @@ def check_alert_rule_coverage() -> list[str]:
     return errors
 
 
+#: README flag-table label -> (module with a ``_parser()``, subcommand).
+_FLAG_TABLE_PARSERS = {
+    "runner": ("repro.experiments.runner", None),
+    "repro.cli serve": ("repro.cli", "serve"),
+    "repro.cli serve-api": ("repro.cli", "serve-api"),
+}
+_FLAG_TABLE_HEADER = re.compile(r"^\| Flag \(`?(?P<label>[^`)]+)`?\) \|")
+_FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def flag_tables(text: str) -> dict[str, set[str]]:
+    """Table label -> the flags named in its rows' first column."""
+    tables: dict[str, set[str]] = {}
+    label = None
+    for line in text.splitlines():
+        line = line.strip()
+        header = _FLAG_TABLE_HEADER.match(line)
+        if header:
+            label = header["label"]
+            tables[label] = set()
+        elif label is not None and line.startswith("|"):
+            tables[label].update(_FLAG.findall(line.split("|")[1]))
+        else:
+            label = None
+    return tables
+
+
+def parser_flags(label: str) -> set[str]:
+    """The ``--long`` options of the parser a README table names."""
+    sys.path.insert(0, str(REPO / "src"))
+    import argparse as _argparse
+    import importlib
+
+    module, subcommand = _FLAG_TABLE_PARSERS[label]
+    parser = importlib.import_module(module)._parser()
+    if subcommand is not None:
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, _argparse._SubParsersAction)]
+        parser = subparsers.choices[subcommand]
+    return {flag for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"}
+
+
+def check_flag_tables(text: str | None = None) -> list[str]:
+    """README flag tables and the parsers they name must agree."""
+    if text is None:
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+    tables = flag_tables(text)
+    errors = []
+    for label in _FLAG_TABLE_PARSERS:
+        if label not in tables:
+            errors.append(f"flag tables: README has no 'Flag ({label})' "
+                          f"table")
+            continue
+        errors += [
+            f"flag tables: README's {label} table documents '{flag}', "
+            f"which that parser does not have"
+            for flag in sorted(tables[label] - parser_flags(label))
+        ]
+    for label in _FLAG_TABLE_PARSERS:
+        # A serving flag may be documented in its own table or in the
+        # shared runner table (--fast, --metrics-out, --trace-out, ...).
+        documented = tables.get(label, set()) | tables.get("runner", set())
+        errors += [
+            f"flag tables: {label} option '{flag}' has no row in its "
+            f"README table or the runner table"
+            for flag in sorted(parser_flags(label) - documented)
+        ]
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links-only", action="store_true",
@@ -371,6 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     errors += check_metric_coverage()
     errors += check_rule_coverage()
     errors += check_alert_rule_coverage()
+    errors += check_flag_tables()
     if not args.links_only:
         errors += check_snippets()
     for error in errors:

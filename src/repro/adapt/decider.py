@@ -69,8 +69,8 @@ class AdaptationController:
     The engine calls :meth:`observe` alongside every audited comparison
     and :meth:`end_epoch` at every epoch boundary (after scoring, before
     the next epoch's decisions) — so coefficient swaps land exactly on
-    epoch boundaries on every replay strategy, which is what keeps the
-    scalar and vectorized adaptive replays byte-identical.
+    epoch boundaries, which is what keeps in-process, sharded and
+    per-event reference adaptive replays byte-identical.
     """
 
     def __init__(

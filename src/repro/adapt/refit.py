@@ -219,7 +219,7 @@ class OnlineRefitter:
         """Fold one audited comparison into the refit stream.
 
         Every ``holdout_every``-th observation (a deterministic modulus
-        over the arrival order, identical across replay strategies) is
+        over the arrival order, identical in-process and sharded) is
         reserved for candidate evaluation instead of training.
         """
         if count < 1 or instances < 1:

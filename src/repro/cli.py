@@ -51,7 +51,7 @@ from repro.obs.report import (
     render_report,
     write_report,
 )
-from repro.scheduler.qos import QosTarget
+from repro.scheduler.qos import QosTarget, largest_safe_count
 from repro.scheduler.scaleout import fit_tail_model
 from repro.serve import (
     ApiServer,
@@ -146,14 +146,11 @@ def _cmd_safe_batch(args: argparse.Namespace) -> int:
     budget = target.degradation_budget()
     rows = []
     for batch in spec_even():
-        best = 0
-        predicted_best = 0.0
-        for instances in range(simulator.machine.cores, 0, -1):
-            predicted = predictor.predict_server(app.profile, batch,
-                                                 instances=instances)
-            if predicted <= budget:
-                best, predicted_best = instances, predicted
-                break
+        best, predicted_best = largest_safe_count(
+            lambda k: predictor.predict_server(app.profile, batch,
+                                               instances=k),
+            budget, simulator.machine.cores,
+        )
         rows.append((batch.name, best, predicted_best))
     rows.sort(key=lambda r: (-r[1], r[2]))
     print(format_table(
@@ -240,8 +237,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tracer = obs_trace.install() if args.trace_out else None
     series = (obs_timeseries.install(args.telemetry_interval)
               if args.telemetry_out else None)
-    outcome = engine.replay(trace, strategy=args.engine,
-                            shards=args.shards, jobs=args.jobs)
+    outcome = engine.replay(trace, shards=args.shards, jobs=args.jobs)
     if tracer is not None:
         obs_trace.uninstall()
         trace_path = obs_trace.write_chrome_trace(args.trace_out, tracer)
@@ -330,20 +326,7 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
             "--port only applies to the in-process server; sharded "
             "workers each listen on an ephemeral port (printed at start)"
         )
-    if args.adapt and args.policy != "smite":
-        raise ReproError("--adapt recalibrates the SMiTe regression; it "
-                         "requires --policy smite")
     decider = _api_decider(args)
-    registry = None
-    if args.adapt:
-        # The API path answers hypothetical placement queries and never
-        # observes measured degradations, so drift cannot trigger here:
-        # --adapt runs in standby. The registry gives the `stats` op its
-        # model-version surface (and an operator a hot-swap handle).
-        registry = ModelRegistry(decider, decider.predictor)
-        print("adaptation standby: serving static coefficients (v0); "
-              "the API path carries no measured degradations, so no "
-              "drift-triggered swaps occur here")
     options = dict(
         max_batch=args.max_batch,
         queue_bound=args.queue_bound,
@@ -404,7 +387,6 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
     if args.metrics_out:
         path = write_report(args.metrics_out, build_report(
             command=["repro.cli", "serve-api"], metrics=metrics,
-            adapt=registry.snapshot() if registry is not None else None,
         ))
         print(f"  metrics report written to {path}")
     return 0
@@ -540,10 +522,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="event-epoch width in seconds (default 300)")
     serve.add_argument("--window", type=float, default=3_600.0,
                        help="SLO window width in seconds (default 3600)")
-    serve.add_argument("--engine", default="vector",
-                       choices=("vector", "scalar"),
-                       help="replay strategy: struct-of-arrays (default)"
-                            " or the per-event reference loop")
     serve.add_argument("--shards", type=int, default=0,
                        help="fan placement out over this many worker"
                             " processes (capped at one per server pool;"
@@ -625,18 +603,6 @@ def _parser() -> argparse.ArgumentParser:
     serve_api.add_argument("--jobs", type=int, default=None,
                            help="max worker processes for --shards "
                                 "(default: one per shard)")
-    serve_api.add_argument("--adapt", action="store_true",
-                           help="standby adaptation: expose the model "
-                                "registry and version surface in the "
-                                "stats op (the API path has no measured "
-                                "degradations, so no swaps trigger; "
-                                "requires --policy smite)")
-    serve_api.add_argument("--drift-bound", type=float, default=0.05,
-                           help="reserved drift bound for --adapt "
-                                "standby mode (default 0.05)")
-    serve_api.add_argument("--refit-window", type=int, default=256,
-                           help="reserved refit window for --adapt "
-                                "standby mode (default 256)")
     serve_api.add_argument("--fast", action="store_true",
                            help="CI-sized run: smaller training set and "
                                 "tail-model fits")

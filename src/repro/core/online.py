@@ -26,7 +26,7 @@ from repro.core.predictor import SMiTe
 from repro.core.tail import TailLatencyModel
 from repro.errors import CharacterizationError, ConfigurationError
 from repro.rulers.base import Dimension, RulerSuite
-from repro.scheduler.qos import QosTarget
+from repro.scheduler.qos import QosTarget, largest_safe_count
 from repro.smt.simulator import PairMode, Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
@@ -198,16 +198,11 @@ def admission_check(
             degradation_budget=allowed,
             profiling=report,
         )
-    best_instances = 0
-    predicted_at_best = 0.0
-    for instances in range(max_instances, 0, -1):
-        predicted = predictor.predict_server(
-            latency_app.profile, newcomer, instances=instances,
-        )
-        if predicted <= allowed:
-            best_instances = instances
-            predicted_at_best = predicted
-            break
+    best_instances, predicted_at_best = largest_safe_count(
+        lambda k: predictor.predict_server(latency_app.profile, newcomer,
+                                           instances=k),
+        allowed, max_instances,
+    )
     return AdmissionDecision(
         workload=newcomer.name,
         admitted_instances=best_instances,

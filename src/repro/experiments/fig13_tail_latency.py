@@ -17,6 +17,7 @@ from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.context import smite_cloud, snb_simulator
 from repro.queueing.des import simulate_fcfs_mm1
 from repro.scheduler.scaleout import fit_tail_model
+from repro.smt.simulator import ContextPlacement
 from repro.workloads.cloudsuite import cloudsuite_apps
 from repro.workloads.spec import spec_even
 
@@ -34,6 +35,15 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     apps = [w for w in cloudsuite_apps() if w.reports_percentile_latency]
     batch_apps = spec_even()[:6] if config.fast else spec_even()
     threads = simulator.machine.cores
+    # The measurement grid below reads each batch app's solo run and
+    # every server load from unloaded to full: one batched solve.
+    simulator.prefetch([
+        *([ContextPlacement(batch, core=0)] for batch in batch_apps),
+        *(simulator.server_placements(app.profile, batch, instances=k,
+                                      mode="smt")
+          for app in apps for batch in batch_apps
+          for k in range(threads + 1)),
+    ])
 
     for app in apps:
         tail_model = fit_tail_model(

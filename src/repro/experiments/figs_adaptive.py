@@ -70,10 +70,12 @@ _DRIFT_BOUND = 0.03
 #: once recalibration pulls the violation rate back under the line.
 _ALERT_BUDGET = 0.03
 _BURN_FACTOR = 2.0
+#: Largest batch-instance count the safe-cap ranking considers.
+_MAX_INSTANCES = 6
 
 
 def _safe_cap(predictor: SMiTe, apps, profile, budget: float,
-              max_instances: int = 6) -> int:
+              max_instances: int = _MAX_INSTANCES) -> int:
     """Largest batch count every latency app tolerates within budget."""
     cap = 0
     for count in range(1, max_instances + 1):
@@ -104,9 +106,14 @@ def _study(fast: bool, seed: int) -> dict[str, object]:
 
     target = QosTarget.average(_QOS_LEVEL)
     budget = target.degradation_budget()
-    # Ranking reads every app's Ruler characterization; one batched
-    # sweep instead of a scalar solve per Ruler co-run.
+    # Ranking reads every app's Ruler characterization and every
+    # candidate's: batch-solve them up front instead of one Ruler
+    # co-run per miss.
     predictor.characterize_all([app.profile for app in apps])
+    predictor.prefetch_server(
+        [app.profile for app in apps], candidates,
+        instance_counts=range(1, _MAX_INSTANCES + 1),
+    )
     ranked = sorted(
         candidates,
         key=lambda p: (_safe_cap(predictor, apps, p, budget),

@@ -69,7 +69,7 @@ def _default_jobs() -> int:
         return 1
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smite-experiments",
         description="Reproduce the SMiTe paper's tables and figures.",
@@ -106,7 +106,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                         default=obs_trace.env_trace_path(),
                         help="write a Chrome trace-event JSON timeline "
                              "(default: $SMITE_TRACE_OUT)")
-    return parser.parse_args(argv)
+    return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def _run_one(experiment_id: str,

@@ -4,8 +4,8 @@ SMiTe's claim is *precise* degradation prediction; this module keeps the
 books on how precise a live run actually was. The serving engine feeds
 one comparison per colocated server per fleet refresh — the degradation
 the :class:`~repro.serve.service.PredictionService` predicted for that
-(latency app, batch profile, instance count) against the
-``OnlineServer.actual_degradation`` the simulator just measured — and
+(latency app, batch profile, instance count) against the degradation
+the simulator measured for that colocation state — and
 :class:`PredictionAudit` rolls the residuals up three ways:
 
 - **registry metrics** (``serve.audit.samples``,

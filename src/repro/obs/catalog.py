@@ -278,9 +278,6 @@ CATALOG: tuple[MetricSpec, ...] = (
                "one policy pass over the whole cluster"),
     MetricSpec("span", "serve.replay", "seconds",
                "one trace replayed end to end through the serving engine"),
-    MetricSpec("span", "serve.epoch", "seconds",
-               "one event epoch: micro-batched prefetch plus event loop "
-               "(scalar reference engine only)"),
     MetricSpec("span", "serve.decide", "seconds",
                "vectorized phase 1: all epochs' decisions batched "
                "through the decider's columnar interface"),

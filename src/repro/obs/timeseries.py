@@ -13,7 +13,7 @@ correctly: counter channels hold *cumulative* totals and add across
 processes, gauge channels keep the last value set, and frames from
 different workers sampled at the same tick fold into one frame. Two
 replays of the same trace therefore produce byte-identical merged
-series regardless of replay strategy or sharding — the parity tests
+series with or without sharding — the parity tests
 compare the JSON dumps directly.
 
 Like the tracer, sampling is opt-in through a module-global series
@@ -213,7 +213,7 @@ class TelemetrySeries:
         The caller ticks this at every natural boundary of its clock
         (epoch ends on the simulated clock); a frame is recorded when
         the tick reaches the next multiple of :attr:`interval_s`, so
-        every replay strategy samples at identical times.
+        in-process and sharded replays sample at identical times.
         """
         if time_s + 1e-9 < self._next_due:
             return None
@@ -334,8 +334,8 @@ _STATE_LOCK = threading.Lock()
 
 def _track_default(series: TelemetrySeries) -> None:
     """The standard serving selection: every channel here is updated at
-    the same clock points by every replay strategy, so sampled series
-    stay byte-identical across scalar/vector/sharded runs."""
+    the same clock points in-process and sharded, so sampled series
+    stay byte-identical across them."""
     series.track_counter("serve.slo.windows")
     series.track_counter("serve.alert.firings")
     series.track_counter("serve.alert.resolves")

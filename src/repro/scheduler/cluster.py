@@ -102,10 +102,11 @@ class Cluster:
         """Run the policy over every server and record actual outcomes.
 
         Decisions run strictly in server order (policies may be stateful),
-        but the solves behind them are batched: an oracle-style policy gets
-        its whole (app, candidate, instances) decision space prefetched up
-        front, and the outcome measurements are prefetched between the
-        decision and measurement passes. With 4,000 servers drawing from a
+        but the solves behind them are batched: the policy prefetches
+        what its decisions read over the fleet's distinct (app,
+        candidate) pairs up front (:meth:`ColocationPolicy.prefetch`),
+        and the outcome measurements are prefetched between the decision
+        and measurement passes. With 4,000 servers drawing from a
         small app x candidate pool, this collapses thousands of
         ``measure_server_degradation`` calls into a few batch solves, and
         the simulator's measurement memo answers every repeat of an
@@ -114,8 +115,12 @@ class Cluster:
         the number of servers.
         """
         with span("cluster.apply_policy"):
-            if policy.uses_simulator:
-                self._prefetch_decision_space()
+            policy.prefetch(
+                list(dict.fromkeys(
+                    (s.latency_app, s.batch_candidate) for s in self.servers
+                )),
+                self.threads_per_server,
+            )
             decisions: list[int] = []
             for server in self.servers:
                 tail_model = None
@@ -157,19 +162,6 @@ class Cluster:
                 sum(1 for k in decisions if k > 0))
             counter("scheduler.cluster.instances").inc(sum(decisions))
             counter("scheduler.cluster.qos_violations").inc(violations)
-
-    def _prefetch_decision_space(self) -> None:
-        """Batch-solve every placement an exhaustive policy could query."""
-        jobs = []
-        for app, batch in dict.fromkeys(
-                (s.latency_app, s.batch_candidate) for s in self.servers):
-            jobs.append([ContextPlacement(batch, core=0)])
-            jobs.extend(
-                self.simulator.server_placements(app.profile, batch,
-                                                 instances=k, mode="smt")
-                for k in range(self.threads_per_server + 1)
-            )
-        self.simulator.prefetch(jobs)
 
     def _prefetch_outcomes(self, decisions: Sequence[int]) -> None:
         """Batch-solve the placements the measurement pass will read."""

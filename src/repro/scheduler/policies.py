@@ -18,12 +18,13 @@ instances may fill the idle SMT contexts? The paper compares:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 from repro.core.predictor import SMiTe
 from repro.core.tail import TailLatencyModel
 from repro.errors import SchedulingError
-from repro.scheduler.qos import QosTarget
-from repro.smt.simulator import Simulator
+from repro.scheduler.qos import QosTarget, largest_safe_count
+from repro.smt.simulator import ContextPlacement, Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -40,9 +41,18 @@ class ColocationPolicy(ABC):
     """Decides batch-instance counts per server."""
 
     name: str = "policy"
-    #: True when ``decide`` itself queries the simulator (so a driver can
-    #: bulk-prefetch the decision space before the per-server loop).
-    uses_simulator: bool = False
+
+    def prefetch(
+        self,
+        pairs: Sequence[tuple[LatencySensitiveWorkload, WorkloadProfile]],
+        max_instances: int,
+    ) -> None:
+        """Batch-solve what :meth:`decide` reads for these pairs.
+
+        ``pairs`` are the distinct (latency app, batch candidate)
+        pairings a driver is about to decide, at most ``max_instances``
+        each. The default reads nothing and prefetches nothing.
+        """
 
     @abstractmethod
     def decide(
@@ -77,38 +87,52 @@ class SMiTePolicy(ColocationPolicy):
             raise SchedulingError("SMiTePolicy needs a fitted predictor")
         self.predictor = predictor
 
+    def prefetch(self, pairs, max_instances) -> None:
+        """Every characterization the predictions for ``pairs`` read."""
+        self.predictor.prefetch_server(
+            [app.profile for app, _batch in pairs],
+            [batch for _app, batch in pairs],
+            instance_counts=range(1, max_instances + 1),
+        )
+
     def decide(self, latency_app, batch_app, target, *, max_instances,
                tail_model=None) -> int:
-        budget = target.degradation_budget(tail_model)
-        for instances in range(max_instances, 0, -1):
-            predicted = self.predictor.predict_server(
-                latency_app.profile, batch_app, instances=instances,
-            )
-            if predicted <= budget:
-                return instances
-        return 0
+        return largest_safe_count(
+            lambda k: self.predictor.predict_server(
+                latency_app.profile, batch_app, instances=k,
+            ),
+            target.degradation_budget(tail_model), max_instances,
+        )[0]
 
 
 class OraclePolicy(ColocationPolicy):
     """Admit based on the actual measured degradation (offline exhaustive)."""
 
     name = "oracle"
-    uses_simulator = True
 
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
 
+    def prefetch(self, pairs, max_instances) -> None:
+        """Every placement an exhaustive scan over ``pairs`` could read."""
+        jobs = []
+        for app, batch in pairs:
+            jobs.append([ContextPlacement(batch, core=0)])
+            jobs.extend(
+                self.simulator.server_placements(app.profile, batch,
+                                                 instances=k, mode="smt")
+                for k in range(max_instances + 1)
+            )
+        self.simulator.prefetch(jobs)
+
     def decide(self, latency_app, batch_app, target, *, max_instances,
                tail_model=None) -> int:
-        budget = target.degradation_budget(tail_model)
-        for instances in range(max_instances, 0, -1):
-            actual = self.simulator.measure_server_degradation(
-                latency_app.profile, batch_app, instances=instances,
-                mode="smt",
-            )
-            if actual <= budget:
-                return instances
-        return 0
+        return largest_safe_count(
+            lambda k: self.simulator.measure_server_degradation(
+                latency_app.profile, batch_app, instances=k, mode="smt",
+            ),
+            target.degradation_budget(tail_model), max_instances,
+        )[0]
 
 
 class RandomPolicy(ColocationPolicy):

@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.tail import TailLatencyModel
 from repro.errors import ConfigurationError
 
-__all__ = ["QosMetric", "QosTarget", "UNSTABLE_VIOLATION"]
+__all__ = [
+    "QosMetric",
+    "QosTarget",
+    "UNSTABLE_VIOLATION",
+    "largest_safe_count",
+]
 
 #: Cap on the reported tail-latency violation when a co-location drives
 #: the queue unstable (latency unbounded in steady state).
@@ -96,3 +102,23 @@ class QosTarget:
         except Exception:
             return UNSTABLE_VIOLATION  # queue driven unstable
         return min(UNSTABLE_VIOLATION, max(0.0, (observed - budget) / budget))
+
+
+def largest_safe_count(
+    degradation_at: Callable[[int], float],
+    budget: float,
+    max_instances: int,
+) -> tuple[int, float]:
+    """The admission rule: the most batch instances within ``budget``.
+
+    Scans counts from ``max_instances`` down to 1 and stops at the first
+    whose ``degradation_at(count)`` is at most ``budget``, returning that
+    count and its degradation; ``(0, 0.0)`` when no count fits. The scan
+    order is part of the contract: callers' memos and prefetches see
+    exactly the counts asked, largest first.
+    """
+    for instances in range(max_instances, 0, -1):
+        degradation = degradation_at(instances)
+        if degradation <= budget:
+            return instances, degradation
+    return 0, 0.0

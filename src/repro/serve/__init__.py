@@ -21,15 +21,15 @@ Typical use::
     trace = diurnal_trace(spec_even(), mean_rate_per_s=0.05,
                           horizon_s=86_400.0, seed=42)
     service = PredictionService(predictor, QosTarget.average(0.9))
-    engine = ServingEngine.build(simulator, cloudsuite_apps(), service,
-                                 servers_per_app=100)
+    engine = ServingEngine(simulator, cloudsuite_apps(), service,
+                           servers_per_app=100)
     outcome = engine.replay(trace)
 """
 
 from __future__ import annotations
 
 from repro.serve.api import ApiClient, ApiError, ApiServer, run_api_shards
-from repro.serve.engine import OnlineServer, ReplayOutcome, ServingEngine
+from repro.serve.engine import ReplayOutcome, ServingEngine
 from repro.serve.events import EventRecord, EventTable
 from repro.serve.service import (
     AdmissionControl,
@@ -65,7 +65,6 @@ __all__ = [
     "DecisionBatch",
     "EventRecord",
     "EventTable",
-    "OnlineServer",
     "PoolReplay",
     "PredictionService",
     "RandomDecider",

@@ -10,32 +10,29 @@ once, and either *co-located* on a server the decision calls safe or
 shed and unsafe jobs run alone). Every departure frees its context.
 
 Time is the simulated event clock — the engine never reads a wall
-clock. Two replay strategies share one event-ordering contract
-(ascending ``(time, kind, job id)`` with departures ranked before
-arrivals, epochs assigned by one ``searchsorted`` over the epoch grid):
+clock. Events are ordered by ascending ``(time, kind, job id)`` with
+departures ranked before arrivals, and assigned to epochs by one
+``searchsorted`` over the epoch grid. The replay works in
+struct-of-arrays *runs* of epochs: it *decides* each epoch of the run
+through :meth:`~repro.serve.service.Decider.begin_epoch_batch` and
+:meth:`~repro.serve.service.Decider.decide_batch`, *places* the whole
+run in one pass through per-pool placement kernels (lazily validated
+heaps) from :mod:`repro.serve.shard` (optionally resident in worker
+processes with ``shards``/``jobs``), then *scores* each epoch
+(aggregated SLO/audit accounting, telemetry, the adaptation hook).
+Placement never feeds back into decisions, so without adaptation the
+whole trace is one run; with it every epoch is its own run, because a
+coefficient swap at an epoch's end can change the next decisions.
 
-- ``"vector"`` (default) works in struct-of-arrays *runs* of epochs:
-  it *decides* each epoch of the run through
-  :meth:`~repro.serve.service.Decider.begin_epoch_batch` and
-  :meth:`~repro.serve.service.Decider.decide_batch`, *places* the whole
-  run in one pass through per-pool placement kernels (lazily
-  validated heaps) from
-  :mod:`repro.serve.shard` (optionally resident in worker processes
-  with ``shards``/``jobs``), then *scores* each epoch (aggregated
-  SLO/audit accounting, telemetry, the adaptation hook). Placement
-  never feeds back into decisions, so without adaptation the whole
-  trace is one run; with it every epoch is its own run, because a
-  coefficient swap at an epoch's end can change the next decisions.
-- ``"scalar"`` is the per-event heapq reference loop, kept as the
-  correctness anchor: given the same trace it produces byte-identical
-  event logs, SLO series, and books as the vectorized and sharded paths.
+The per-event reference loop the replay is held to lives in the test
+suite (``tests/serve/scalar_oracle.py``): given the same trace it
+produces byte-identical event logs, SLO series, and books.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -45,10 +42,10 @@ from repro.obs import PredictionAudit, counter, gauge, span
 from repro.obs import timeseries
 from repro.obs import trace as obs_trace
 from repro.serve.events import EventRecord, EventTable
-from repro.serve.service import Candidate, CandidateStream, Decider
+from repro.serve.service import CandidateStream, Decider
 from repro.serve.shard import EpochShardPool, PoolKernel
 from repro.serve.slo import SloWindow, WindowedSlo
-from repro.serve.traffic import Trace, TraceJob
+from repro.serve.traffic import Trace
 from repro.smt.simulator import Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
@@ -58,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "EventRecord",
-    "OnlineServer",
     "ReplayOutcome",
     "ServingEngine",
 ]
@@ -71,31 +67,6 @@ _DEPART, _ARRIVE = 0, 1
 _Group = tuple[int, int, int, int]
 
 
-@dataclass
-class OnlineServer:
-    """Live state of one server: its latency service plus batch guests.
-
-    Field names mirror ``scheduler.cluster.ServerState`` so the
-    violation accounting in :mod:`repro.serve.slo` can score either.
-    """
-
-    index: int
-    latency_app: LatencySensitiveWorkload
-    batch_profile: WorkloadProfile | None = None
-    resident_jobs: dict[int, None] = field(default_factory=dict)
-    actual_degradation: float = 0.0
-
-    @property
-    def instances(self) -> int:
-        """Number of batch instances currently on this server."""
-        return len(self.resident_jobs)
-
-    @property
-    def is_colocated(self) -> bool:
-        """Whether any sibling SMT context is running batch work."""
-        return self.instances > 0
-
-
 @dataclass(frozen=True)
 class ReplayOutcome:
     """Everything one trace replay produced, reconciled.
@@ -103,9 +74,10 @@ class ReplayOutcome:
     ``arrivals == departures + still_placed`` and
     ``colocated_placed + baseline_placed == arrivals`` are checked at
     construction time (:meth:`reconcile` raises on mismatch).
-    ``events`` is either a tuple of :class:`EventRecord` (scalar engine)
-    or a columnar :class:`~repro.serve.events.EventTable` (vectorized
-    engine); both render the same byte-stable log.
+    ``events`` is a columnar :class:`~repro.serve.events.EventTable`
+    from the engine, or a tuple of :class:`EventRecord` from the test
+    suite's per-event reference loop; both render the same byte-stable
+    log.
     """
 
     policy: str
@@ -224,31 +196,8 @@ class ServingEngine:
         self._deg_idx: dict[tuple[int, int, int], float] = {}
         #: index-keyed memo of the decider's (deterministic) predictions
         self._pred_idx: dict[tuple[int, int, int], float] = {}
-        self._servers: list[OnlineServer] | None = None
-
-    @property
-    def servers(self) -> list[OnlineServer]:
-        """Materialized per-server state (scalar path; built lazily).
-
-        The vectorized path never allocates these — at 100k servers the
-        object fleet is exactly the overhead the columnar engine exists
-        to avoid.
-        """
-        if self._servers is None:
-            self._servers = [
-                OnlineServer(
-                    index=i,
-                    latency_app=self.apps[i // self.servers_per_app],
-                )
-                for i in range(self.n_servers)
-            ]
-        return self._servers
 
     # -- shared event-ordering contract --------------------------------
-
-    def _route(self, job: TraceJob) -> LatencySensitiveWorkload:
-        """Deterministic round-robin routing of jobs to service pools."""
-        return self.apps[job.job_id % len(self.apps)]
 
     def _epoch_grid(self, horizon_s: float) -> tuple[int, np.ndarray]:
         """Epoch count and closing edges; an event at time t belongs to
@@ -289,10 +238,11 @@ class ServingEngine:
         """Score one fleet sample from aggregated colocation groups.
 
         ``groups`` rows are (app idx, profile idx, instances, count) in
-        canonical ascending order — every replay strategy produces the
-        same rows in the same order, so the SLO series and audit books
-        accumulate floats identically. Unseen states are measured once
-        through a batched prefetch and cached for the rest of the run.
+        canonical ascending order — in-process, sharded and reference
+        replays produce the same rows in the same order, so the SLO
+        series and audit books accumulate floats identically. Unseen
+        states are measured once through a batched prefetch and cached
+        for the rest of the run.
         """
         deg_idx = self._deg_idx
         missing = [
@@ -357,11 +307,11 @@ class ServingEngine:
     ) -> None:
         """Offer one telemetry frame at an epoch boundary.
 
-        The cumulative tallies are computed per strategy from the same
-        event plan (not read from the registry, whose counters batch at
-        different points per strategy), so sampled frames are identical
-        across scalar/vector/sharded replays. No-op unless a sampler is
-        installed.
+        The cumulative tallies are computed from the event plan (not
+        read from the registry, whose counters batch at different points
+        on different paths), so sampled frames are identical across
+        in-process, sharded and reference replays. No-op unless a
+        sampler is installed.
         """
         series = timeseries.active()
         if series is None:
@@ -383,34 +333,23 @@ class ServingEngine:
         self,
         trace: Trace,
         *,
-        strategy: str = "vector",
         shards: int = 0,
         jobs: int | None = None,
     ) -> ReplayOutcome:
         """Run one trace to its horizon; returns the reconciled outcome.
 
-        ``strategy`` picks the replay implementation: ``"vector"``
-        (struct-of-arrays, the default) or ``"scalar"`` (the per-event
-        reference loop). ``shards > 1`` keeps the vectorized placement
-        kernels in that many worker processes (capped at one shard per
-        server pool), using at most ``jobs`` workers. All
-        combinations produce byte-identical event logs and books.
+        ``shards > 1`` keeps the placement kernels in that many worker
+        processes (capped at one shard per server pool), using at most
+        ``jobs`` workers. Sharded and in-process replays produce
+        byte-identical event logs and books.
         """
-        if strategy not in ("vector", "scalar"):
-            raise ConfigurationError(
-                f"unknown replay strategy {strategy!r}"
-            )
-        if strategy == "scalar" and shards > 1:
-            raise ConfigurationError("the scalar engine cannot shard")
         # profile indices are relative to this trace's pool
         self._deg_idx = {}
         self._pred_idx = {}
         with span("serve.replay"):
-            if strategy == "scalar":
-                return self._replay_scalar(trace)
             return self._replay_vector(trace, shards=shards, jobs=jobs)
 
-    # -- vectorized strategy -------------------------------------------
+    # -- replay --------------------------------------------------------
 
     def _replay_vector(
         self, trace: Trace, *, shards: int = 0, jobs: int | None = None,
@@ -435,11 +374,10 @@ class ServingEngine:
         # The candidate stream is decision-independent. One numpy pass
         # classifies every epoch's unique (app, profile) pairs: uid_combo
         # holds the distinct (epoch, pair) codes in order, so each
-        # epoch's uids are a contiguous slice; inv/firsts are rebased to
-        # be epoch-local.
-        epoch_starts_arr = np.searchsorted(arr_epoch,
-                                           np.arange(n_epochs + 1))
-        epoch_starts = epoch_starts_arr.tolist()
+        # epoch's uids are a contiguous slice; inv is rebased to be
+        # epoch-local.
+        epoch_starts = np.searchsorted(arr_epoch,
+                                       np.arange(n_epochs + 1)).tolist()
         app_c = app_of_job[arr_order]
         prof_c = trace.profile_idx[arr_order]
         n_pool = len(trace.pool)
@@ -450,17 +388,14 @@ class ServingEngine:
         ]
         pair_c = app_c * n_pool + prof_c
         combo = arr_epoch * n_pairs + pair_c
-        uid_combo, first_pos, inv_g = np.unique(
-            combo, return_index=True, return_inverse=True,
-        )
+        uid_combo, inv_g = np.unique(combo, return_inverse=True)
         uid_epoch = uid_combo // n_pairs
         uid_off = np.searchsorted(uid_epoch, np.arange(n_epochs + 1))
         stream = CandidateStream(
-            self.apps, trace.pool, app_c, prof_c, pair_c, threads,
+            self.apps, trace.pool, app_c, prof_c, threads,
             key_table, epoch_starts, uid_off.tolist(),
             (uid_combo % n_pairs).tolist(),
             inv_g - uid_off[arr_epoch],
-            (first_pos - epoch_starts_arr[uid_epoch]).tolist(),
         )
 
         # Merged event table: arrivals plus in-horizon departures of
@@ -594,7 +529,7 @@ class ServingEngine:
                         # point: scoring above fed this epoch's
                         # residuals, the next epoch's decisions see the
                         # (possibly) new coefficients — matching the
-                        # scalar loop event for event.
+                        # per-event reference loop event for event.
                         if (adaptation is not None
                                 and adaptation.end_epoch(end)):
                             self._pred_idx = {}
@@ -678,237 +613,5 @@ class ServingEngine:
             baseline_placed=n_arrivals - colocated_placed,
             shed=shed_running,
             events=events,
-            windows=tuple(windows),
-        )
-
-    # -- scalar reference strategy -------------------------------------
-
-    def _pick_server(
-        self, app: LatencySensitiveWorkload, profile: WorkloadProfile,
-        safe_instances: int,
-    ) -> OnlineServer | None:
-        """Best server in the pool, or None for the baseline pool.
-
-        Bin-packs: same-profile servers first (fullest, then lowest
-        index), then an idle server — never above the decision's safe
-        count or the context supply. The vectorized kernel's free lists
-        implement exactly this scan.
-        """
-        if safe_instances < 1:
-            return None
-        cap = min(safe_instances, self.threads_per_server)
-        best: OnlineServer | None = None
-        idle: OnlineServer | None = None
-        for server in self._pool_servers(app.name):
-            if server.batch_profile is None:
-                if idle is None:
-                    idle = server
-                continue
-            if server.batch_profile.name != profile.name:
-                continue
-            if server.instances + 1 > cap:
-                continue
-            if best is None or server.instances > best.instances:
-                best = server
-        return best if best is not None else idle
-
-    def _pool_servers(self, app_name: str) -> list[OnlineServer]:
-        for i, app in enumerate(self.apps):
-            if app.name == app_name:
-                lo = i * self.servers_per_app
-                return self.servers[lo:lo + self.servers_per_app]
-        raise ConfigurationError(f"unknown service pool {app_name}")
-
-    def _scalar_groups(
-        self, profile_index: dict[str, int]
-    ) -> list[_Group]:
-        """Aggregate live server state into canonical scoring groups."""
-        tally: dict[tuple[int, int, int], int] = {}
-        for server in self.servers:
-            if not server.is_colocated:
-                continue
-            assert server.batch_profile is not None
-            key = (
-                server.index // self.servers_per_app,
-                profile_index[server.batch_profile.name],
-                server.instances,
-            )
-            tally[key] = tally.get(key, 0) + 1
-        return [
-            (a, p, inst, count)
-            for (a, p, inst), count in sorted(tally.items())
-        ]
-
-    def _replay_scalar(self, trace: Trace) -> ReplayOutcome:
-        n_epochs, ends = self._epoch_grid(trace.horizon_s)
-        arr_order, arr_epoch = self._arrival_plan(trace, ends)
-        epoch_starts = np.searchsorted(arr_epoch, np.arange(n_epochs + 1))
-        jobs = trace.jobs
-        profile_index = {p.name: i for i, p in enumerate(trace.pool)}
-        heap: list[tuple[float, int, int, TraceJob]] = [
-            (jobs[i].arrival_s, _ARRIVE, jobs[i].job_id, jobs[i])
-            for i in arr_order.tolist()
-        ]
-        heapq.heapify(heap)
-
-        events_c = counter("serve.engine.events")
-        arrivals_c = counter("serve.engine.arrivals")
-        departures_c = counter("serve.engine.departures")
-        colocated_c = counter("serve.engine.colocated")
-        baseline_c = counter("serve.engine.baseline_placed")
-        epochs_c = counter("serve.engine.epochs")
-
-        events: list[EventRecord] = []
-        placed_on: dict[int, OnlineServer | None] = {}
-        arrivals = departures = colocated_placed = baseline_placed = shed = 0
-
-        for epoch in range(n_epochs):
-            epoch_end = float(ends[epoch])
-            s0, s1 = int(epoch_starts[epoch]), int(epoch_starts[epoch + 1])
-            candidates: list[Candidate] = [
-                (self._route(jobs[i]), jobs[i].profile,
-                 self.threads_per_server)
-                for i in arr_order[s0:s1].tolist()
-            ]
-            with span("serve.epoch"):
-                epochs_c.inc()
-                self.decider.begin_epoch(candidates)
-                epoch_events = 0
-                epoch_arrivals = 0
-                epoch_departures = 0
-                epoch_colocated = 0
-                epoch_baseline = 0
-                epoch_sheds = 0
-                while heap and heap[0][0] < epoch_end:
-                    time_s, kind, job_id, job = heapq.heappop(heap)
-                    epoch_events += 1
-                    if kind == _ARRIVE:
-                        arrivals += 1
-                        epoch_arrivals += 1
-                        app = self._route(job)
-                        decision = self.decider.decide(
-                            app, job.profile,
-                            max_instances=self.threads_per_server,
-                        )
-                        server = None
-                        if not decision.shed:
-                            server = self._pick_server(
-                                app, job.profile,
-                                decision.max_safe_instances,
-                            )
-                        placed_on[job.job_id] = server
-                        if server is not None:
-                            server.batch_profile = job.profile
-                            server.resident_jobs[job.job_id] = None
-                            colocated_placed += 1
-                            epoch_colocated += 1
-                            placement = "colocated"
-                        else:
-                            baseline_placed += 1
-                            epoch_baseline += 1
-                            placement = "shed" if decision.shed else "baseline"
-                            if decision.shed:
-                                shed += 1
-                                epoch_sheds += 1
-                        heapq.heappush(
-                            heap,
-                            (job.departure_s, _DEPART, job.job_id, job),
-                        )
-                        if obs_trace.is_active():
-                            obs_trace.instant(
-                                "serve.decision",
-                                {
-                                    "job": job.job_id,
-                                    "app": app.name,
-                                    "profile": job.profile.name,
-                                    "placement": placement,
-                                    "max_safe": decision.max_safe_instances,
-                                    "predicted":
-                                        self.decider.predicted_degradation(
-                                            app, job.profile,
-                                            decision.max_safe_instances,
-                                        ),
-                                },
-                                sim_time_s=time_s,
-                            )
-                        events.append(EventRecord(
-                            time_s=time_s, kind="arrive", job_id=job_id,
-                            profile=job.profile.name, app=app.name,
-                            server=server.index if server else -1,
-                            placement=placement,
-                            instances_after=(
-                                server.instances if server else 0
-                            ),
-                        ))
-                    else:
-                        departures += 1
-                        epoch_departures += 1
-                        server = placed_on.pop(job.job_id)
-                        if server is not None:
-                            del server.resident_jobs[job.job_id]
-                            if not server.resident_jobs:
-                                server.batch_profile = None
-                        events.append(EventRecord(
-                            time_s=time_s, kind="depart", job_id=job_id,
-                            profile=job.profile.name,
-                            app=self._route(job).name,
-                            server=server.index if server else -1,
-                            placement=(
-                                "colocated" if server else "baseline"
-                            ),
-                            instances_after=(
-                                server.instances if server else 0
-                            ),
-                        ))
-                events_c.inc(epoch_events)
-                arrivals_c.inc(epoch_arrivals)
-                departures_c.inc(epoch_departures)
-                colocated_c.inc(epoch_colocated)
-                baseline_c.inc(epoch_baseline)
-                gauge("serve.engine.running").set(float(len(placed_on)))
-                obs_trace.counter_value("serve.engine.running",
-                                        float(len(placed_on)),
-                                        sim_time_s=epoch_end)
-                groups = self._scalar_groups(profile_index)
-                self._score_fleet(
-                    epoch_end, groups, trace.pool,
-                    sheds=epoch_sheds, requests=epoch_arrivals,
-                )
-                for server in self.servers:
-                    if server.is_colocated:
-                        assert server.batch_profile is not None
-                        server.actual_degradation = (
-                            self.simulator.measure_server_degradation(
-                                server.latency_app.profile,
-                                server.batch_profile,
-                                instances=server.instances,
-                            )
-                        )
-                    else:
-                        server.actual_degradation = 0.0
-                self._telemetry_tick(epoch_end, arrivals, departures, shed)
-                # Adaptation steps at the epoch boundary — after this
-                # epoch's scoring, before the next epoch's decisions —
-                # so scalar and vectorized replays swap at identical
-                # points. A swap drops the prediction memo (measured
-                # degradations are coefficient-free and survive).
-                if (self.adaptation is not None
-                        and self.adaptation.end_epoch(epoch_end)):
-                    self._pred_idx = {}
-
-        still_placed = len(placed_on)
-        windows = self.slo.finish() if self.slo is not None else ()
-        return ReplayOutcome(
-            policy=self.decider.name,
-            trace_kind=trace.kind,
-            seed=trace.seed,
-            horizon_s=trace.horizon_s,
-            arrivals=arrivals,
-            departures=departures,
-            still_placed=still_placed,
-            colocated_placed=colocated_placed,
-            baseline_placed=baseline_placed,
-            shed=shed,
-            events=tuple(events),
             windows=tuple(windows),
         )

@@ -56,7 +56,7 @@ class EventRecord:
 class EventTable(Sequence):
     """A replay's event stream, stored one numpy array per field.
 
-    Rows are ordered exactly as the scalar engine would have appended
+    Rows are ordered exactly as a per-event loop would have appended
     them; indexing materializes an :class:`EventRecord` on demand, so
     existing consumers (tests, experiments) iterate it unchanged while
     the engine's hot path only ever touches the columns.

@@ -41,7 +41,7 @@ from repro.core.predictor import SMiTe
 from repro.core.tail import TailLatencyModel
 from repro.errors import ConfigurationError, SchedulingError
 from repro.obs import counter
-from repro.scheduler.qos import QosMetric, QosTarget
+from repro.scheduler.qos import QosMetric, QosTarget, largest_safe_count
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -95,7 +95,7 @@ class CandidateBatch(Sequence):
     """
 
     __slots__ = ("apps", "pool", "app_idx", "profile_idx",
-                 "max_instances", "_pair_id", "key_table", "pairs")
+                 "max_instances", "pairs")
 
     def __init__(
         self,
@@ -104,38 +104,26 @@ class CandidateBatch(Sequence):
         app_idx: np.ndarray,
         profile_idx: np.ndarray,
         max_instances: int,
-        key_table: Sequence[tuple[str, str, int]] | None = None,
-        pairs: tuple[
-            list[int], np.ndarray, list[int], list[tuple[str, str, int]]
-        ] | None = None,
+        pairs: tuple[np.ndarray, list[tuple[str, str, int]]] | None = None,
     ) -> None:
         self.apps = tuple(apps)
         self.pool = tuple(pool)
         self.app_idx = app_idx
         self.profile_idx = profile_idx
         self.max_instances = max_instances
-        self._pair_id: np.ndarray | None = None
-        #: Optional pre-built ``pair_id -> LRU key`` row-major table,
-        #: shared across the epochs of one replay so per-epoch batches
-        #: stop rebuilding identical key tuples.
-        self.key_table = key_table
         #: Optional precomputed unique-pair classification
-        #: ``(uids, inv, firsts, keys)`` — the vectorized engine derives
-        #: it for all epochs in one pass (see
-        #: :meth:`PredictionService._classify` for the contract).
+        #: ``(inv, keys)`` — the engine derives it for all epochs in one
+        #: pass (see :meth:`PredictionService._classify` for the
+        #: contract).
         self.pairs = pairs
 
     @property
     def pair_id(self) -> np.ndarray:
         """Dense code for each candidate's (app, profile) pairing — the
         unit of LRU identity within an epoch (``max_instances`` is
-        uniform across a batch). Computed lazily: batches carrying a
-        precomputed ``pairs`` classification never need it."""
-        pair_id = self._pair_id
-        if pair_id is None:
-            pair_id = self.app_idx * len(self.pool) + self.profile_idx
-            self._pair_id = pair_id
-        return pair_id
+        uniform across a batch). Batches carrying a precomputed
+        ``pairs`` classification never need it."""
+        return self.app_idx * len(self.pool) + self.profile_idx
 
     def __len__(self) -> int:
         return int(self.app_idx.size)
@@ -147,18 +135,8 @@ class CandidateBatch(Sequence):
             self.max_instances,
         )
 
-    def candidate_for_pair(self, pair_id: int) -> Candidate:
-        """The :data:`Candidate` tuple behind one dense pair code."""
-        return (
-            self.apps[pair_id // len(self.pool)],
-            self.pool[pair_id % len(self.pool)],
-            self.max_instances,
-        )
-
     def key_for_pair(self, pair_id: int) -> tuple[str, str, int]:
         """The LRU key (app name, profile name, max) for one pair code."""
-        if self.key_table is not None:
-            return self.key_table[pair_id]
         return (
             self.apps[pair_id // len(self.pool)].name,
             self.pool[pair_id % len(self.pool)].name,
@@ -174,13 +152,13 @@ class CandidateStream:
     :class:`CandidateBatch` views that :meth:`batch` slices out on
     demand. ``uid_pair`` holds each epoch's unique pair codes back to
     back (epoch ``e`` owns ``uid_pair[uid_offs[e]:uid_offs[e + 1]]``),
-    while ``inv`` and ``firsts`` are epoch-local, matching the ``pairs``
-    contract of :meth:`PredictionService._classify`.
+    while ``inv`` is epoch-local, matching the ``pairs`` contract of
+    :meth:`PredictionService._classify`.
     """
 
-    __slots__ = ("apps", "pool", "app_idx", "profile_idx", "pair_id",
+    __slots__ = ("apps", "pool", "app_idx", "profile_idx",
                  "max_instances", "key_table", "epoch_starts",
-                 "uid_offs", "uid_pair", "inv", "firsts")
+                 "uid_offs", "uid_pair", "inv")
 
     def __init__(
         self,
@@ -188,27 +166,23 @@ class CandidateStream:
         pool: Sequence[WorkloadProfile],
         app_idx: np.ndarray,
         profile_idx: np.ndarray,
-        pair_id: np.ndarray,
         max_instances: int,
         key_table: Sequence[tuple[str, str, int]],
         epoch_starts: list[int],
         uid_offs: list[int],
         uid_pair: list[int],
         inv: np.ndarray,
-        firsts: list[int],
     ) -> None:
         self.apps = tuple(apps)
         self.pool = tuple(pool)
         self.app_idx = app_idx
         self.profile_idx = profile_idx
-        self.pair_id = pair_id
         self.max_instances = max_instances
         self.key_table = key_table
         self.epoch_starts = epoch_starts
         self.uid_offs = uid_offs
         self.uid_pair = uid_pair
         self.inv = inv
-        self.firsts = firsts
 
     def __len__(self) -> int:
         return int(self.app_idx.size)
@@ -221,14 +195,13 @@ class CandidateStream:
         """The :class:`CandidateBatch` view of one epoch's arrivals."""
         s0, s1 = self.epoch_starts[epoch], self.epoch_starts[epoch + 1]
         u0, u1 = self.uid_offs[epoch], self.uid_offs[epoch + 1]
-        uids = self.uid_pair[u0:u1]
         return CandidateBatch(
             self.apps, self.pool,
             self.app_idx[s0:s1], self.profile_idx[s0:s1],
-            self.max_instances, key_table=self.key_table,
+            self.max_instances,
             pairs=(
-                uids, self.inv[s0:s1], self.firsts[u0:u1],
-                [self.key_table[u] for u in uids],
+                self.inv[s0:s1],
+                [self.key_table[u] for u in self.uid_pair[u0:u1]],
             ),
         )
 
@@ -473,14 +446,6 @@ class PredictionService(Decider):
         # been evicted.
         self._predicted: dict[tuple[str, str, int], float] = {}
         self._epoch_remaining_ms = self.admission.budget_ms_per_epoch
-        # Per-epoch unique-pair classification memo (see _classify) and
-        # the LRU-count walk begin_epoch_batch shares with decide_batch.
-        self._epoch_batch: CandidateBatch | None = None
-        self._epoch_class: tuple[
-            list[int], np.ndarray, list[int], list[tuple[str, str, int]]
-        ] | None = None
-        self._epoch_counts_batch: CandidateBatch | None = None
-        self._epoch_counts: list[int | None] = []
         # Hot-swappable coefficient override (repro.adapt): any object
         # duck-typing SMiTe.predict_server. None serves the static
         # offline-trained predictor.
@@ -530,9 +495,6 @@ class PredictionService(Decider):
         self.last_swap_epoch_s = epoch_s
         self._lru.clear()
         self._predicted.clear()
-        # Any in-flight epoch memo of LRU counts is stale now; swaps
-        # land on epoch boundaries, but drop it defensively regardless.
-        self._epoch_counts_batch = None
         counter("serve.adapt.invalidations").inc(invalidated)
         return invalidated
 
@@ -587,40 +549,26 @@ class PredictionService(Decider):
 
     def _classify(
         self, batch: CandidateBatch
-    ) -> tuple[list[int], np.ndarray, list[int], list[tuple[str, str, int]]]:
-        """Unique-pair view of one epoch's batch, shared across methods.
+    ) -> tuple[np.ndarray, list[tuple[str, str, int]]]:
+        """Unique-pair view of one epoch's batch.
 
-        Returns ``(uids, inv, firsts, keys)``: the unique pair codes,
-        the per-position index array into them, each unique pair's first
-        position, and each pair's LRU key. The order of the unique pairs
-        is an implementation detail no output depends on — decisions,
+        Returns ``(inv, keys)``: each position's index into the epoch's
+        unique pairs, and each unique pair's LRU key. The order of the
+        unique pairs is an implementation detail no output depends on —
+        decisions,
         counters, and the final LRU order are all functions of the
         per-position view. Batches carrying a precomputed ``pairs``
-        classification (the vectorized engine derives it for all epochs
-        in one numpy pass) short-circuit; otherwise the result is
-        memoized per batch object, so :meth:`begin_epoch_batch` and
-        :meth:`decide_batch` compute it once between them.
+        classification (the engine derives it for all epochs in one
+        numpy pass) short-circuit.
         """
         if batch.pairs is not None:
             return batch.pairs
-        if self._epoch_batch is batch:
-            return self._epoch_class
         index: dict[int, int] = {}
-        uids: list[int] = []
         inv: list[int] = []
-        firsts: list[int] = []
-        for i, u in enumerate(batch.pair_id.tolist()):
-            j = index.get(u)
-            if j is None:
-                j = len(uids)
-                index[u] = j
-                uids.append(u)
-                firsts.append(i)
-            inv.append(j)
-        keys = [batch.key_for_pair(u) for u in uids]
-        self._epoch_batch = batch
-        self._epoch_class = (uids, np.array(inv, dtype=np.intp), firsts, keys)
-        return self._epoch_class
+        for u in batch.pair_id.tolist():
+            inv.append(index.setdefault(u, len(index)))
+        keys = [batch.key_for_pair(u) for u in index]
+        return np.array(inv, dtype=np.intp), keys
 
     def begin_epoch_batch(self, batch: CandidateBatch) -> None:
         """Columnar :meth:`begin_epoch`: reset the budget, prefetch misses.
@@ -634,14 +582,9 @@ class PredictionService(Decider):
         self._epoch_remaining_ms = self.admission.budget_ms_per_epoch
         if len(batch) == 0:
             return
-        _uids, _inv, _firsts, keys = self._classify(batch)
+        _inv, keys = self._classify(batch)
         lru = self._lru
-        uid_counts = [lru.get(k) for k in keys]
-        # Prefetching never touches the LRU, so the walk stays valid for
-        # this batch's decide_batch call.
-        self._epoch_counts_batch = batch
-        self._epoch_counts = uid_counts
-        if None not in uid_counts:
+        if all(k in lru for k in keys):
             return
         self.begin_epoch(batch)
 
@@ -689,35 +632,22 @@ class PredictionService(Decider):
     def decide_batch(self, batch: CandidateBatch) -> DecisionBatch:
         """One epoch's decisions, equivalent to sequential :meth:`decide`.
 
-        Dispatches on the epoch's shape. The common steady-state epoch —
-        every unique pair already in the LRU and the whole batch provably
-        affordable (with a float-safety margin) — touches only per-pair
-        dictionary state. Epochs with affordable misses and no possible
-        eviction run a per-unique-pair fast path. Everything else replays
-        the per-arrival cost model exactly, including the all-shed tail
-        once the budget can no longer cover even a cache hit.
+        The steady-state epoch — every unique pair already in the LRU
+        and the whole batch provably affordable (with a float-safety
+        margin) — is decided in bulk from per-pair dictionary state.
+        Every other epoch (a miss, or a budget that may run out) takes
+        the inherited per-arrival loop over :meth:`decide`, the exact
+        cost model.
         """
         n = len(batch)
-        if n == 0:
-            return DecisionBatch(
-                max_safe_instances=np.zeros(0, dtype=np.int64),
-                shed=np.zeros(0, dtype=bool),
-                cached=np.zeros(0, dtype=bool),
-            )
-        admission = self.admission
-        uids, inv, firsts, keys = self._classify(batch)
-        lru = self._lru
-        if self._epoch_counts_batch is batch:
-            uid_counts: list[int | None] = list(self._epoch_counts)
-            self._epoch_counts_batch = None  # decisions mutate the LRU
-        else:
+        if n:
+            inv, keys = self._classify(batch)
+            lru = self._lru
             uid_counts = [lru.get(k) for k in keys]
-        # Misses are exactly the first occurrences of uncached pairs.
-        n_miss = sum(1 for c in uid_counts if c is None)
-        total_ms = (n_miss * admission.miss_cost_ms
-                    + (n - n_miss) * admission.hit_cost_ms)
-        if _provably_affordable(total_ms, self._epoch_remaining_ms):
-            if n_miss == 0:
+            total_ms = n * self.admission.hit_cost_ms
+            if (None not in uid_counts
+                    and _provably_affordable(total_ms,
+                                             self._epoch_remaining_ms)):
                 self._charge_hits(
                     n, [keys[j] for j in _last_touch_order(inv)], total_ms,
                 )
@@ -727,11 +657,7 @@ class PredictionService(Decider):
                     shed=np.zeros(n, dtype=bool),
                     cached=np.ones(n, dtype=bool),
                 )
-            if len(lru) + n_miss <= self._lru_capacity:
-                return self._decide_batch_fast(
-                    batch, uids, inv, firsts, keys, uid_counts, total_ms,
-                )
-        return self._decide_batch_sequential(batch, inv, keys)
+        return super().decide_batch(batch)
 
     def decide_cached(
         self, candidates: Sequence[Candidate]
@@ -807,119 +733,6 @@ class PredictionService(Decider):
             lru.move_to_end(key)
         self._epoch_remaining_ms -= total_ms
 
-    def _decide_batch_fast(
-        self,
-        batch: CandidateBatch,
-        uids: list[int],
-        inv: np.ndarray,
-        firsts: list[int],
-        keys: list[tuple[str, str, int]],
-        uid_counts: list[int | None],
-        total_ms: float,
-    ) -> DecisionBatch:
-        """Affordable misses, no eviction possible: per-unique-pair work."""
-        n = len(inv)
-        miss_js = [j for j, c in enumerate(uid_counts) if c is None]
-        n_miss = len(miss_js)
-        counter("serve.service.requests").inc(n)
-        counter("serve.service.decisions").inc(n)
-        if n > n_miss:
-            counter("serve.service.cache_hits").inc(n - n_miss)
-        if n_miss:
-            counter("serve.service.cache_misses").inc(n_miss)
-        for j in miss_js:
-            latency_app, batch_profile, max_instances = \
-                batch.candidate_for_pair(uids[j])
-            uid_counts[j] = self._predict_safe_count(
-                latency_app, batch_profile, max_instances,
-            )
-        # A missing pair inserts (at its would-be last touch), a cached
-        # pair moves.
-        was_miss = [False] * len(uids)
-        for j in miss_js:
-            was_miss[j] = True
-        lru = self._lru
-        for j in _last_touch_order(inv):
-            if was_miss[j]:
-                lru[keys[j]] = uid_counts[j]
-            else:
-                lru.move_to_end(keys[j])
-        self._epoch_remaining_ms -= total_ms
-        cached = np.ones(n, dtype=bool)
-        cached[[firsts[j] for j in miss_js]] = False
-        return DecisionBatch(
-            max_safe_instances=np.asarray(uid_counts, dtype=np.int64)[inv],
-            shed=np.zeros(n, dtype=bool),
-            cached=cached,
-        )
-
-    def _decide_batch_sequential(
-        self,
-        batch: CandidateBatch,
-        inv: np.ndarray,
-        keys: list[tuple[str, str, int]],
-    ) -> DecisionBatch:
-        """Exact per-arrival replay of the admission cost model.
-
-        Bit-identical to calling :meth:`_decide` in a loop — same float
-        subtraction order, same shed/charge rules — but once the budget
-        drops below even a hit's cost every later arrival must shed and
-        the LRU stops changing, so the tail is filled in bulk.
-        """
-        inv = inv.tolist()
-        n = len(inv)
-        admission = self.admission
-        hit_cost, miss_cost = admission.hit_cost_ms, admission.miss_cost_ms
-        lru = self._lru
-        counts = np.zeros(n, dtype=np.int64)
-        shed = np.zeros(n, dtype=bool)
-        cached = np.zeros(n, dtype=bool)
-        hits = misses = sheds = 0
-        remaining = self._epoch_remaining_ms
-        i = 0
-        while i < n:
-            if remaining < hit_cost:
-                break  # every remaining arrival sheds, LRU frozen
-            key = keys[inv[i]]
-            cached_count = lru.get(key)
-            if cached_count is not None:
-                remaining -= hit_cost
-                hits += 1
-                lru.move_to_end(key)
-                counts[i] = cached_count
-                cached[i] = True
-            elif remaining < miss_cost:
-                sheds += 1
-                shed[i] = True
-            else:
-                remaining -= miss_cost
-                misses += 1
-                latency_app, batch_profile, max_instances = batch[i]
-                count = self._predict_safe_count(
-                    latency_app, batch_profile, max_instances,
-                )
-                lru[key] = count
-                if len(lru) > self._lru_capacity:
-                    lru.popitem(last=False)
-                counts[i] = count
-            i += 1
-        if i < n:
-            sheds += n - i
-            shed[i:] = True
-            in_lru = [k in lru for k in keys]
-            cached[i:] = [in_lru[j] for j in inv[i:]]
-        self._epoch_remaining_ms = remaining
-        counter("serve.service.requests").inc(n)
-        counter("serve.service.decisions").inc(n - sheds)
-        if sheds:
-            counter("serve.service.sheds").inc(sheds)
-        if hits:
-            counter("serve.service.cache_hits").inc(hits)
-        if misses:
-            counter("serve.service.cache_misses").inc(misses)
-        return DecisionBatch(max_safe_instances=counts, shed=shed,
-                             cached=cached)
-
     def _predict_safe_count(
         self,
         latency_app: LatencySensitiveWorkload,
@@ -928,12 +741,11 @@ class PredictionService(Decider):
     ) -> int:
         """Largest instance count predicted inside the degradation budget."""
         budget = self.target.degradation_budget(self._tail_model(latency_app))
-        for instances in range(max_instances, 0, -1):
-            predicted = self._predict_degradation(latency_app, batch_profile,
-                                                  instances)
-            if predicted <= budget:
-                return instances
-        return 0
+        return largest_safe_count(
+            lambda k: self._predict_degradation(latency_app, batch_profile,
+                                                k),
+            budget, max_instances,
+        )[0]
 
     def _predict_degradation(
         self,

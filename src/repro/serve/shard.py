@@ -14,7 +14,7 @@ over dense list state:
   epoch into the ``(profile, instances) -> servers`` groups the
   SLO/audit scorer needs;
 - one lazily-validated min-heap per state plus an idle-server heap
-  (O(log n) per push or pop), giving the scalar engine's bin-packing
+  (O(log n) per push or pop), giving the engine's bin-packing
   rule — fullest same-profile server under the cap, lowest index on
   ties, else the lowest-index idle server — without scanning the pool.
 
@@ -76,7 +76,8 @@ class PoolKernel:
     (``min(max_safe_instances, threads)``); placement picks the fullest
     same-profile server strictly below it, lowest index on ties, else
     the lowest-index idle server, else the baseline pool — the same rule
-    as the scalar engine's ``_pick_server`` scan.
+    as the linear scan of the test suite's per-event reference loop
+    (``tests/serve/scalar_oracle.py``).
 
     ``n_states`` bounds the per-server instance count from above; state
     keys are dense ints ``profile * n_states + count``, so per-state

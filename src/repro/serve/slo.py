@@ -39,9 +39,10 @@ def window_violation_stats(
     """Score one fleet sample against the QoS target.
 
     Accepts any sequence of server-shaped objects (``is_colocated``,
-    ``latency_app``, ``actual_degradation``) — both the offline
-    ``ServerState`` and the online ``OnlineServer`` qualify — and
-    returns the same :class:`ViolationStats` the scale-out study uses.
+    ``latency_app``, ``actual_degradation``), such as the offline
+    ``ServerState``, and returns the same :class:`ViolationStats` the
+    scale-out study uses. The engine scores aggregated groups through
+    :meth:`WindowedSlo.observe_groups` instead.
     """
     colocated = [s for s in servers if s.is_colocated]
     violated = 0
@@ -160,6 +161,9 @@ class WindowedSlo:
 
         Samples must arrive in nondecreasing time order; a sample landing
         past the current window closes it (and any empty windows between).
+        The engine scores through :meth:`observe_groups` and does not
+        call this: ``benchmarks/e2e/layers.py`` wraps it by name, so it
+        stays until the benchmark drops that target.
         """
         # A sample at time t accounts to the window covering (t-w, t]:
         # epoch boundaries land on their window's closing edge.
@@ -205,12 +209,12 @@ class WindowedSlo:
         colocation state, in a canonical deterministic order; identical
         servers are scored once and weighted by ``count``. This is the
         struct-of-arrays replacement for :meth:`observe` — the engine
-        calls it on every path (scalar, vectorized, sharded) so the
-        float accumulation order, and therefore the rendered SLO series,
-        is identical across them.
+        calls it in-process and sharded alike (as does the test suite's
+        per-event reference loop), so the float accumulation order, and
+        therefore the rendered SLO series, is identical across them.
 
         ``sheds``/``requests`` carry the epoch's placement-decision
-        tallies (the engine knows them per epoch on every strategy);
+        tallies (the engine knows them per epoch);
         they accumulate into the open window and feed the alert
         engine's shed-rate signal at window close.
         """

@@ -19,10 +19,10 @@ def _report(*, counters=None, spans=None, wall=1.0, audit=None):
 
 class TestDiffReports:
     def test_orders_spans_by_absolute_movement(self):
-        a = _report(spans={"serve.replay": 1.0, "serve.epoch": 1.0})
-        b = _report(spans={"serve.replay": 1.1, "serve.epoch": 5.0})
+        a = _report(spans={"serve.replay": 1.0, "serve.place": 1.0})
+        b = _report(spans={"serve.replay": 1.1, "serve.place": 5.0})
         delta = diffs.diff_reports(a, b)
-        assert delta["spans"][0][0] == "serve.epoch"
+        assert delta["spans"][0][0] == "serve.place"
         assert delta["wall_seconds"] == (1.0, 1.0)
 
     def test_unchanged_counters_are_dropped(self):

@@ -4,13 +4,13 @@ the README Configuration reference mirrors the CLI's actual flags."""
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cli import _parser
 from repro.experiments.registry import all_experiment_ids
 from repro.obs.catalog import CATALOG
 
@@ -100,48 +100,29 @@ def test_guide_commands_invoke_the_runner_with_the_row_id():
 
 # -- README Configuration reference vs the live CLI ----------------------
 
-_FLAG = re.compile(r"--[a-z][a-z-]*")
-
-
-def _readme_flag_tables() -> dict[str, set[str]]:
-    """Header label -> the set of flags its table's first column names."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    tables: dict[str, set[str]] = {}
-    label = None
-    for line in text.splitlines():
-        line = line.strip()
-        header = re.match(r"^\| Flag \(`?(?P<label>[^`)]+)`?\) \|", line)
-        if header:
-            label = header["label"]
-            tables[label] = set()
-            continue
-        if label is None:
-            continue
-        if not line.startswith("|"):
-            label = None
-            continue
-        first_cell = line.split("|")[1]
-        tables[label].update(_FLAG.findall(first_cell))
-    return tables
-
-
-def _cli_flags(subcommand: str) -> set[str]:
-    for action in _parser()._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[subcommand]
-            return {a.option_strings[-1] for a in sub._actions
-                    if a.option_strings
-                    and a.option_strings[-1] != "--help"}
-    raise AssertionError("repro.cli lost its subparsers")  # pragma: no cover
+def _check_docs():
+    """``scripts/check_docs.py``, which owns the flag-table parsing."""
+    module = sys.modules.get("check_docs")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", REPO / "scripts" / "check_docs.py")
+        module = importlib.util.module_from_spec(spec)
+        # Registered before it runs: its dataclasses look it up.
+        sys.modules["check_docs"] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("subcommand", ["serve", "serve-api"])
 def test_every_serving_cli_flag_is_documented(subcommand):
-    tables = _readme_flag_tables()
+    check_docs = _check_docs()
+    tables = check_docs.flag_tables(
+        (REPO / "README.md").read_text(encoding="utf-8"))
+    label = f"repro.cli {subcommand}"
     # A serving flag may be documented either in its own table or in the
     # shared runner table (--fast, --metrics-out, --trace-out, ...).
-    documented = tables[f"repro.cli {subcommand}"] | tables["runner"]
-    missing = _cli_flags(subcommand) - documented
+    documented = tables[label] | tables["runner"]
+    missing = check_docs.parser_flags(label) - documented
     assert not missing, (
         f"README documents no row for repro.cli {subcommand} "
         f"flags: {sorted(missing)}"
@@ -150,8 +131,11 @@ def test_every_serving_cli_flag_is_documented(subcommand):
 
 @pytest.mark.parametrize("subcommand", ["serve", "serve-api"])
 def test_every_documented_serving_flag_exists(subcommand):
-    stale = _readme_flag_tables()[f"repro.cli {subcommand}"] \
-        - _cli_flags(subcommand)
+    check_docs = _check_docs()
+    label = f"repro.cli {subcommand}"
+    stale = check_docs.flag_tables(
+        (REPO / "README.md").read_text(encoding="utf-8"))[label] \
+        - check_docs.parser_flags(label)
     assert not stale, (
         f"README's repro.cli {subcommand} table documents flags the CLI "
         f"no longer has: {sorted(stale)}"

@@ -26,11 +26,14 @@ IDS = ("fig2", "fig3", "table1")
 def report(tmp_path_factory) -> dict:
     tmp = tmp_path_factory.mktemp("runner_report")
     out = tmp / "report.json"
-    env = dict(os.environ)
+    # The child is configured by its flags alone: an inherited SMITE_*
+    # variable (SMITE_NO_CACHE, SMITE_METRICS_OUT, ...) would change
+    # what the report records.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("SMITE_")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    env.pop("SMITE_METRICS_OUT", None)
     completed = subprocess.run(
         [sys.executable, "-m", "repro.experiments.runner", *IDS,
          "--fast", "--jobs", "2", "--cache-dir", str(tmp / "cache"),

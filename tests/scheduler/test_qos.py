@@ -5,7 +5,12 @@ import pytest
 from repro.core.tail import TailLatencyModel
 from repro.errors import ConfigurationError
 from repro.queueing.mm1 import Mm1Queue
-from repro.scheduler.qos import UNSTABLE_VIOLATION, QosMetric, QosTarget
+from repro.scheduler.qos import (
+    UNSTABLE_VIOLATION,
+    QosMetric,
+    QosTarget,
+    largest_safe_count,
+)
 
 
 @pytest.fixture
@@ -77,3 +82,51 @@ class TestTailTargets:
     def test_metric_enum(self):
         assert QosTarget.tail(0.9).metric is QosMetric.TAIL_LATENCY
         assert QosTarget.average(0.9).metric is QosMetric.AVERAGE_PERFORMANCE
+
+
+class TestLargestSafeCount:
+    """The admission scan every policy and the serving path share."""
+
+    @staticmethod
+    def _scan(degradations, budget):
+        """Scan a hand-written degradation list (index 0 = 1 instance)."""
+        asked = []
+
+        def degradation_at(k):
+            asked.append(k)
+            return degradations[k - 1]
+
+        found = largest_safe_count(degradation_at, budget,
+                                   len(degradations))
+        return found, asked
+
+    def test_largest_fitting_count_and_its_degradation(self):
+        found, asked = self._scan([0.01, 0.03, 0.06, 0.12], 0.05)
+        assert found == (2, 0.03)
+        assert asked == [4, 3, 2]
+
+    def test_everything_fits_asks_only_the_maximum(self):
+        found, asked = self._scan([0.0, 0.01, 0.02], 0.05)
+        assert found == (3, 0.02)
+        assert asked == [3]
+
+    def test_nothing_fits_scans_every_count(self):
+        found, asked = self._scan([0.2, 0.3, 0.4], 0.05)
+        assert found == (0, 0.0)
+        assert asked == [3, 2, 1]
+
+    def test_budget_is_inclusive(self):
+        found, _asked = self._scan([0.01, 0.05, 0.07], 0.05)
+        assert found == (2, 0.05)
+
+    def test_non_monotone_curve_stops_at_the_first_fit_from_the_top(self):
+        # Count 3 dips under the budget although 2 does not: the scan
+        # descends from the top, so it admits 3 and never asks 2 or 1.
+        found, asked = self._scan([0.01, 0.09, 0.04, 0.08], 0.05)
+        assert found == (3, 0.04)
+        assert asked == [4, 3]
+
+    def test_zero_max_asks_nothing(self):
+        asked = []
+        assert largest_safe_count(asked.append, 0.05, 0) == (0, 0.0)
+        assert asked == []

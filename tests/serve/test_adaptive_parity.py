@@ -3,8 +3,9 @@
 With adaptation enabled, decisions feed back on scoring through
 coefficient hot-swaps, so the vectorized engine interleaves its phases
 per epoch (and keeps sharded placement workers resident across epochs).
-The byte-stable contract survives: scalar, vectorized, and sharded
-adaptive replays must produce identical event logs, SLO series, books,
+The byte-stable contract survives: the per-event reference loop
+(``scalar_oracle``), in-process, and sharded adaptive replays must
+produce identical event logs, SLO series, books,
 audit residuals, and registry histories — including *which* epochs
 swapped which coefficient sets.
 """
@@ -24,6 +25,7 @@ from repro.serve.slo import WindowedSlo
 from repro.serve.traffic import poisson_trace
 from repro.workloads.cloudsuite import cloudsuite_apps
 from repro.workloads.spec import spec_even, spec_odd
+from tests.serve.scalar_oracle import ScalarServingEngine
 
 TARGET = QosTarget.average(0.90)
 EPOCH_S = 300.0
@@ -59,7 +61,7 @@ def _stale_predictor(snb_sim, pool):
 
 
 def _adaptive_replay(snb_sim, apps, pool, trace, *, policy=None,
-                     **replay_kwargs):
+                     scalar=False, **replay_kwargs):
     predictor = _stale_predictor(snb_sim, pool)
     audit = PredictionAudit()
     slo = WindowedSlo(WINDOW_S, TARGET, audit=audit)
@@ -73,7 +75,7 @@ def _adaptive_replay(snb_sim, apps, pool, trace, *, policy=None,
             drift_bound=1e-3, hysteresis=1, cooldown=0,
         ),
     )
-    engine = ServingEngine(
+    engine = (ScalarServingEngine if scalar else ServingEngine)(
         snb_sim, apps, service,
         servers_per_app=3, epoch_s=EPOCH_S, window_s=WINDOW_S,
         slo=slo, audit=audit, adaptation=controller,
@@ -104,18 +106,17 @@ class TestAdaptiveParity:
         trace = poisson_trace(pool, rate_per_s=0.02, horizon_s=7_200.0,
                               seed=seed)
         scalar = _adaptive_replay(
-            snb_sim, apps, pool, trace, strategy="scalar",
+            snb_sim, apps, pool, trace, scalar=True,
         )
         # The scenario must actually exercise the swap path, not just
         # tolerate it: the stale profile database drifts immediately.
         assert scalar[2].version >= 1
         reference = _fingerprint(*scalar)
         vector = _fingerprint(*_adaptive_replay(
-            snb_sim, apps, pool, trace, strategy="vector",
+            snb_sim, apps, pool, trace,
         ))
         sharded = _fingerprint(*_adaptive_replay(
-            snb_sim, apps, pool, trace, strategy="vector",
-            shards=2, jobs=2,
+            snb_sim, apps, pool, trace, shards=2, jobs=2,
         ))
         assert vector == reference
         assert sharded == reference
@@ -129,10 +130,10 @@ class TestAdaptiveParity:
                               seed=3)
         quiet = DriftPolicy(drift_bound=1e9, hysteresis=1, cooldown=0)
         scalar = _adaptive_replay(
-            snb_sim, apps, pool, trace, policy=quiet, strategy="scalar",
+            snb_sim, apps, pool, trace, policy=quiet, scalar=True,
         )
         vector = _adaptive_replay(
-            snb_sim, apps, pool, trace, policy=quiet, strategy="vector",
+            snb_sim, apps, pool, trace, policy=quiet,
         )
         assert scalar[2].version == 0
         assert vector[2].version == 0

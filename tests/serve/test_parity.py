@@ -1,10 +1,10 @@
-"""Cross-engine parity: scalar, vectorized, and sharded replays.
+"""Engine parity: in-process and sharded replays against the oracle.
 
 The struct-of-arrays engine and its multi-process sharding are pure
 performance work — the byte-stable event log is the correctness anchor,
 so every (seed, policy, epoch size) combination must reproduce the
-scalar reference loop's log, SLO series, books, and audit residuals
-exactly.
+per-event reference loop's (``scalar_oracle``) log, SLO series, books,
+and audit residuals exactly.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.serve.slo import WindowedSlo
 from repro.serve.traffic import diurnal_trace, poisson_trace
 from repro.workloads.cloudsuite import cloudsuite_apps
 from repro.workloads.spec import spec_even, spec_odd
+from tests.serve.scalar_oracle import ScalarServingEngine
 
 TARGET = QosTarget.average(0.90)
 
@@ -50,9 +51,9 @@ def _decider(policy, predictor, seed):
 
 
 def _replay(snb_sim, apps, predictor, trace, policy, seed, epoch_s,
-            **replay_kwargs):
+            scalar=False, **replay_kwargs):
     audit = PredictionAudit()
-    engine = ServingEngine(
+    engine = (ScalarServingEngine if scalar else ServingEngine)(
         snb_sim, apps, _decider(policy, predictor, seed),
         servers_per_app=3, epoch_s=epoch_s, window_s=4 * epoch_s,
         slo=WindowedSlo(4 * epoch_s, TARGET, audit=audit),
@@ -87,15 +88,14 @@ class TestEngineParity:
                               seed=seed)
         reference = _fingerprint(*_replay(
             snb_sim, apps, predictor, trace, policy, seed, epoch_s,
-            strategy="scalar",
+            scalar=True,
         ))
         vector = _fingerprint(*_replay(
             snb_sim, apps, predictor, trace, policy, seed, epoch_s,
-            strategy="vector",
         ))
         sharded = _fingerprint(*_replay(
             snb_sim, apps, predictor, trace, policy, seed, epoch_s,
-            strategy="vector", shards=2,
+            shards=2,
         ))
         assert vector == reference
         assert sharded == reference
@@ -105,22 +105,9 @@ class TestEngineParity:
                               horizon_s=43_200.0)
         reference = _fingerprint(*_replay(
             snb_sim, apps, predictor, trace, "smite", 42, 300.0,
-            strategy="scalar",
+            scalar=True,
         ))
         vector = _fingerprint(*_replay(
             snb_sim, apps, predictor, trace, "smite", 42, 300.0,
-            strategy="vector",
         ))
         assert vector == reference
-
-    def test_scalar_cannot_shard(self, snb_sim, apps, pool, predictor):
-        from repro.errors import ConfigurationError
-
-        trace = poisson_trace(pool, rate_per_s=0.01, horizon_s=1_200.0,
-                              seed=0)
-        engine = ServingEngine(
-            snb_sim, apps, BaselineDecider(),
-            servers_per_app=3, epoch_s=300.0, window_s=1_200.0,
-        )
-        with pytest.raises(ConfigurationError):
-            engine.replay(trace, strategy="scalar", shards=2)

@@ -218,9 +218,9 @@ class TestBatchEquivalence:
     ]
 
     @pytest.mark.parametrize("lru_capacity,budget,plan", [
-        # hits + fast-miss paths
+        # all-hit bulk epochs and epochs with misses
         pytest.param(512, 50.0, MIXED_PLAN, id="512-50.0"),
-        # evictions force the sequential path
+        # misses that evict
         pytest.param(3, 50.0, MIXED_PLAN, id="3-50.0"),
         # budget exhaustion sheds mid-epoch
         pytest.param(512, 0.3, MIXED_PLAN, id="512-0.3"),

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scheduler.qos import QosTarget
-from repro.serve.engine import OnlineServer
 from repro.serve.slo import WindowedSlo, window_violation_stats
 from repro.workloads.cloudsuite import cloudsuite_apps
+from tests.serve.scalar_oracle import OnlineServer
 
 
 def _server(index, app, degradation, instances):

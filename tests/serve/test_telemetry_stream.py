@@ -1,10 +1,10 @@
 """Telemetry-on parity and incremental shard-frame streaming.
 
 Sampling must be a pure observer: with a telemetry series installed,
-every replay strategy still produces byte-identical event logs, and the
-merged series itself is byte-identical across scalar, vectorized, and
-sharded replays (frames carry per-strategy cumulative tallies sampled
-at identical simulated times). The streaming shard path additionally
+in-process, sharded and reference (``scalar_oracle``) replays still
+produce byte-identical event logs, and the merged series itself is
+byte-identical across them (frames carry cumulative tallies sampled at
+identical simulated times). The streaming shard path additionally
 guarantees that merging frames incrementally reaches exactly the same
 registry state as the one-shot end-of-run fold-back — checked at every
 frame boundary, not just at the end.
@@ -31,6 +31,7 @@ from repro.serve.slo import WindowedSlo
 from repro.serve.traffic import poisson_trace
 from repro.workloads.cloudsuite import cloudsuite_apps
 from repro.workloads.spec import spec_even, spec_odd
+from tests.serve.scalar_oracle import ScalarServingEngine
 
 TARGET = QosTarget.average(0.90)
 EPOCH_S = 300.0
@@ -54,7 +55,8 @@ def pool():
     return spec_even()[:3]
 
 
-def _sampled_replay(snb_sim, apps, pool, trace, *, adapt, **replay_kwargs):
+def _sampled_replay(snb_sim, apps, pool, trace, *, adapt, scalar=False,
+                    **replay_kwargs):
     """One replay with a fresh sampler installed; returns the evidence.
 
     The registry is reset per replay: tracked channels (windows closed,
@@ -74,7 +76,7 @@ def _sampled_replay(snb_sim, apps, pool, trace, *, adapt, **replay_kwargs):
             ModelRegistry(service, predictor), slo,
             policy=DriftPolicy(drift_bound=1e-3, hysteresis=1, cooldown=0),
         )
-    engine = ServingEngine(
+    engine = (ScalarServingEngine if scalar else ServingEngine)(
         snb_sim, apps, service,
         servers_per_app=3, epoch_s=EPOCH_S, window_s=WINDOW_S,
         slo=slo, audit=audit, adaptation=controller,
@@ -99,12 +101,11 @@ class TestTelemetryParity:
         trace = poisson_trace(pool, rate_per_s=0.02, horizon_s=7_200.0,
                               seed=7)
         scalar = _sampled_replay(snb_sim, apps, pool, trace,
-                                 adapt=adapt, strategy="scalar")
+                                 adapt=adapt, scalar=True)
         vector = _sampled_replay(snb_sim, apps, pool, trace,
-                                 adapt=adapt, strategy="vector")
+                                 adapt=adapt)
         sharded = _sampled_replay(snb_sim, apps, pool, trace,
-                                  adapt=adapt, strategy="vector",
-                                  shards=2, jobs=2)
+                                  adapt=adapt, shards=2, jobs=2)
         assert vector == scalar
         assert sharded == scalar
         # The sampler actually sampled: one frame per 2-epoch grid point.
@@ -130,8 +131,7 @@ class TestTelemetryParity:
             if sampled:
                 timeseries.install(EPOCH_S)
             try:
-                outcome = engine.replay(trace, strategy="vector",
-                                        shards=2)
+                outcome = engine.replay(trace, shards=2)
             finally:
                 timeseries.uninstall()
             return outcome.event_log(), outcome.slo_series()
@@ -244,7 +244,7 @@ class TestIncrementalShardStream:
                               seed=7)
         for adapt, frames in ((False, 2), (True, 24)):
             _sampled_replay(snb_sim, apps, pool, trace, adapt=adapt,
-                            strategy="vector", shards=2, jobs=2)
+                            shards=2, jobs=2)
             counters = obs.snapshot()["counters"]
             assert counters["serve.telemetry.frames"] == frames
             assert counters["serve.shard.workers"] == 2

@@ -197,6 +197,60 @@ def test_repo_alert_reference_is_two_way_complete():
 
 
 # ----------------------------------------------------------------------
+# README flag tables vs the parsers they name
+
+_FLAG_TABLES = """\
+| Flag (runner) | Environment variable | Default | Meaning |
+|---|---|---|---|
+| `--fast` | — | off | CI-sized. |
+| — | `SMITE_NO_CACHE=1` | off | No flag in this row. |
+
+| Flag (`repro.cli serve`) | Default | Meaning |
+|---|---|---|
+| `--policy {smite,random,baseline}` | `smite` | Policy. |
+| `--engine {vector,scalar}` | `vector` | A removed flag. |
+
+| Flag (`repro.cli serve-api`) | Default | Meaning |
+|---|---|---|
+| `--host ADDR` | `127.0.0.1` | Interface. |
+"""
+
+
+def test_flag_tables_read_first_columns_only():
+    tables = check_docs.flag_tables(_FLAG_TABLES)
+    assert tables == {
+        "runner": {"--fast"},
+        "repro.cli serve": {"--policy", "--engine"},
+        "repro.cli serve-api": {"--host"},
+    }
+
+
+def test_stale_and_missing_flag_rows_are_reported():
+    errors = check_docs.check_flag_tables(_FLAG_TABLES)
+    assert ("flag tables: README's repro.cli serve table documents "
+            "'--engine', which that parser does not have") in errors
+    # The shared runner row covers --fast; --seed has no row anywhere.
+    assert ("flag tables: repro.cli serve option '--seed' has no row in "
+            "its README table or the runner table") in errors
+    assert ("flag tables: runner option '--list' has no row in its "
+            "README table or the runner table") in errors
+    documented = ("'--fast'", "repro.cli serve option '--policy'",
+                  "repro.cli serve-api option '--host'")
+    assert not any(row in error for error in errors for row in documented)
+
+
+def test_a_missing_flag_table_is_reported():
+    errors = check_docs.check_flag_tables(
+        _FLAG_TABLES.split("\n\n")[0] + "\n")
+    assert ("flag tables: README has no 'Flag (repro.cli serve)' table"
+            in errors)
+
+
+def test_repo_flag_tables_match_the_parsers():
+    assert check_docs.check_flag_tables() == []
+
+
+# ----------------------------------------------------------------------
 # The repository's real documentation
 
 def test_repo_docs_have_no_dead_links():

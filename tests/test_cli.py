@@ -118,6 +118,12 @@ class TestServe:
         assert main(["serve", "--policy", "baseline", "--adapt"]) == 1
         assert "requires --policy smite" in capsys.readouterr().err
 
+    def test_parser_rejects_engine(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--engine", "vector"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def _report_with(tmp_path, name, *, counters=None, audit=None,
                  wall_seconds=1.0):
@@ -138,9 +144,15 @@ class TestServeApi:
                      "--shards", "2", "--port", "7000"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_adapt_requires_smite_policy(self, capsys):
-        assert main(["serve-api", "--policy", "baseline", "--adapt"]) == 1
-        assert "requires --policy smite" in capsys.readouterr().err
+    def test_parser_rejects_adapt(self, capsys):
+        # The API path observes no measured degradations, so it has no
+        # adaptation flags: each is an unknown option.
+        for flag in (["--adapt"], ["--drift-bound", "0.05"],
+                     ["--refit-window", "256"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve-api", "--policy", "smite", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serves_over_a_real_socket(self, tmp_path):
         import os
