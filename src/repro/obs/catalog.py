@@ -83,13 +83,15 @@ CATALOG: tuple[MetricSpec, ...] = (
                "segment bytes written"),
     # -- simulator facade (smt/simulator.py) ----------------------------
     MetricSpec("counter", "smt.simulator.requests", "placements",
-               "placement solve requests (run / run_many / prefetch)"),
+               "placement reads of the solve memo (run / run_many / "
+               "prefetch; a memoized reading makes none)"),
     MetricSpec("counter", "smt.simulator.memo_hits", "placements",
                "requests served from the in-memory memo cache"),
     MetricSpec("counter", "smt.simulator.canonicalizations", "placements",
                "symmetry canonicalizations performed"),
     MetricSpec("counter", "smt.simulator.run_solves", "placements",
-               "run misses nothing prefetched, solved as a batch of one"),
+               "run or measurement misses nothing prefetched, solved as "
+               "a batch of one"),
     # -- fixed-point solvers (smt/solver.py, smt/batch.py) --------------
     MetricSpec("counter", "smt.solver.solves", "solves",
                "scalar fixed-point solves executed"),

@@ -25,6 +25,7 @@ import gc
 import hashlib
 import os
 import pickle
+import struct
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -53,26 +54,29 @@ def _model_code_hash() -> str:
     return digest.hexdigest()
 
 
-def _payload(frozen: object, render: Callable[[Any], object]) -> str:
-    """``repr(render(frozen))``, cached on the frozen instance."""
+def _digest(frozen: object, render: Callable[[Any], object]) -> bytes:
+    """sha256 of ``repr(render(frozen))``, cached on the frozen instance."""
     try:
-        return frozen.__dict__["_cache_payload"]
+        return frozen.__dict__["_cache_digest"]
     except KeyError:
-        payload = repr(render(frozen))
-        object.__setattr__(frozen, "_cache_payload", payload)
-        return payload
+        digest = hashlib.sha256(repr(render(frozen)).encode()).digest()
+        object.__setattr__(frozen, "_cache_digest", digest)
+        return digest
 
 
 def solve_key(machine: MachineSpec,
               placements: Sequence[ContextPlacement]) -> str:
-    """Deterministic content hash identifying one solve."""
-    payload = repr((
-        _payload(machine, dataclasses.astuple),
-        [(_payload(pl.profile, WorkloadProfile.key), pl.core)
-         for pl in placements],
-    ))
+    """Deterministic content hash identifying one solve.
+
+    It hashes the model code, then a digest of the machine's full value
+    tuple, then a digest of each profile's full value tuple with its
+    core: fixed-size parts, each rendered once per instance.
+    """
     digest = hashlib.sha256(_model_code_hash().encode())
-    digest.update(payload.encode())
+    digest.update(_digest(machine, dataclasses.astuple))
+    for pl in placements:
+        digest.update(_digest(pl.profile, WorkloadProfile.key))
+        digest.update(struct.pack("<q", pl.core))
     return digest.hexdigest()
 
 
@@ -150,9 +154,21 @@ class PersistentSolveCache:
                 self._where.update(dict.fromkeys(read[0], (path, read[1])))
 
     def _load(self, path: Path, offset: int) -> None:
-        """Add a segment's results and freeze them out of the GC's walks."""
+        """Add a segment's results and freeze them out of the GC's walks.
+
+        The GC is paused while the results unpickle: they are thousands
+        of fresh objects and none is garbage, so a collection mid-load
+        only walks them.
+        """
         gc.collect()  # so that no pending garbage is frozen with them
-        if (read := _read(path, offset)) is None:  # its keys become misses
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            read = _read(path, offset)
+        finally:
+            if enabled:
+                gc.enable()
+        if read is None:  # its keys become misses
             self._where = {k: v for k, v in self._where.items()
                            if v[0] != path}
         else:

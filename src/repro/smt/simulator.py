@@ -1,7 +1,7 @@
 """The user-facing simulator facade.
 
 :class:`Simulator` wraps the fixed-point solver with the co-location
-topologies the paper uses, memoizes solves and server measurements
+topologies the paper uses, memoizes solves and measurement readings
 (profiles are immutable), and applies deterministic *measurement jitter*
 to everything it reports as a measurement — real IPC readings vary run
 to run, and the paper's 2-3% prediction-error floor partly reflects
@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -45,6 +46,9 @@ from repro.workloads.profile import WorkloadProfile
 __all__ = ["Simulator", "ContextPlacement", "PairMeasurement", "PairMode"]
 
 PairMode = Literal["smt", "cmp"]
+
+#: Solves to batch: memo key -> (canonical placement, disk-cache key).
+_Todo = dict[tuple, tuple[list[ContextPlacement], str | None]]
 
 
 def _profile_sort_key(profile: WorkloadProfile) -> tuple[str, str]:
@@ -72,7 +76,8 @@ def _canonical_placements(
     core relabeling — describe one physical co-location. Members of each
     core are sorted, cores are sorted by their member multisets and
     relabeled densely from zero. Returns the canonical placement plus
-    the original indices in canonical order (to map results back).
+    the original indices in canonical order (to map results back). A
+    context whose core keeps its label is reused, not copied.
     """
     n = len(placements)
     if n == 1:
@@ -90,25 +95,43 @@ def _canonical_placements(
             return list(pair), order
         return [ContextPlacement(pair[0].profile, core=0),
                 ContextPlacement(pair[1].profile, core=0)], order
+    keys = [_profile_sort_key(pl.profile) for pl in placements]
     by_core: dict[int, list[int]] = {}
     for i, pl in enumerate(placements):
         by_core.setdefault(pl.core, []).append(i)
     groups = []
     for members in by_core.values():
-        ordered = sorted(members,
-                         key=lambda i: _profile_sort_key(placements[i].profile))
-        group_key = tuple(_profile_sort_key(placements[i].profile)
-                          for i in ordered)
-        groups.append((group_key, ordered))
-    groups.sort(key=lambda g: g[0])
+        members.sort(key=keys.__getitem__)
+        groups.append((tuple([keys[i] for i in members]), members))
+    groups.sort(key=itemgetter(0))
     canonical: list[ContextPlacement] = []
     order: list[int] = []
-    for new_core, (_key, ordered) in enumerate(groups):
-        for i in ordered:
-            canonical.append(ContextPlacement(placements[i].profile,
-                                              core=new_core))
-            order.append(i)
+    for new_core, (_key, members) in enumerate(groups):
+        for i in members:
+            pl = placements[i]
+            canonical.append(pl if pl.core == new_core
+                             else ContextPlacement(pl.profile, core=new_core))
+        order += members
     return canonical, order
+
+
+def _caller_order(result: RunResult,
+                  order: list[int]) -> list[ContextResult]:
+    """A canonical solve's contexts in the caller's order (cores as solved)."""
+    contexts: list = [None] * len(order)
+    for ctx, i in zip(result.contexts, order):
+        contexts[i] = ctx
+    return contexts
+
+
+def _mean_ipc(contexts: Sequence[ContextResult], name: str) -> float:
+    """Mean IPC of the named contexts, summed in the given order.
+
+    The order is the caller's, as ``RunResult.all_named`` on a
+    reindexed result would give it, so the float is bitwise the same.
+    """
+    ipcs = [ctx.ipc for ctx in contexts if ctx.profile.name == name]
+    return sum(ipcs) / len(ipcs)  # smite: noqa[SMT302]: callers only ask for names they placed
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,15 @@ class Simulator:
     noise (0 disables it); it is derived deterministically from the
     workload names and topology so repeated measurements agree, as they
     would for a pinned, steady-state real measurement.
+
+    Every read goes through one resolve step: canonical placement, then
+    the solve memo, then the disk cache, then a batch-of-one solve.
+    Readings that are pure functions of their arguments plus the
+    construction-time machine/seed/jitter are memoized on top (profiles
+    are frozen, jitter is a crc32): solo IPCs and solo PMU readings per
+    profile, the unloaded-server latency IPC per (latency profile, mode,
+    latency threads), and server measurements per ``measure_server``
+    arguments. Assigning ``pmu_defects`` drops the PMU readings.
     """
 
     def __init__(
@@ -144,6 +176,7 @@ class Simulator:
         self.machine = machine
         self.jitter = jitter
         self.seed = seed
+        self._solo_pmu: dict[WorkloadProfile, dict[str, float]] = {}
         self.pmu_defects = pmu_defects if pmu_defects is not None else PmuDefectModel()
         if isinstance(disk_cache, (str, Path)):
             disk_cache = PersistentSolveCache(disk_cache)
@@ -154,11 +187,20 @@ class Simulator:
         # the same job list (every serving replay warms the same Ruler
         # grid) then skip canonicalization entirely.
         self._prefetched: set[tuple] = set()
-        # Server measurements keyed on measure_server's arguments: the
-        # result is a pure function of them plus the construction-time
-        # machine/seed/jitter (profiles are frozen, jitter is a crc32).
+        self._solo_ipc: dict[WorkloadProfile, float] = {}
+        self._unloaded_ipc: dict[tuple, float] = {}
         self._measurements: dict[tuple, PairMeasurement] = {}
         self._solve_count = 0
+
+    @property
+    def pmu_defects(self) -> PmuDefectModel:
+        """The counter defect model ``read_solo_pmu`` applies."""
+        return self._pmu_defects
+
+    @pmu_defects.setter
+    def pmu_defects(self, defects: PmuDefectModel) -> None:
+        self._pmu_defects = defects
+        self._solo_pmu.clear()
 
     # ------------------------------------------------------------------
     # Raw solves (no measurement jitter)
@@ -171,23 +213,7 @@ class Simulator:
         halves of a pair grid cost one fixed point each.
         """
         placements = list(placements)
-        counter("smt.simulator.requests").inc()
-        counter("smt.simulator.canonicalizations").inc()
-        canonical, order = _canonical_placements(placements)
-        key = self._memo_key(canonical)
-        result = self._cache.get(key)
-        if result is not None:
-            counter("smt.simulator.memo_hits").inc()
-        else:
-            disk_key = self._disk_key(canonical)
-            result = self._load_from_disk(disk_key, key)
-            if result is None:
-                # A batch of one: the fixed point a prefetch would have
-                # stored, so no result depends on which path solved first.
-                counter("smt.simulator.run_solves").inc()
-                self._solve_todo({key: (canonical, disk_key)})
-                result = self._cache[key]
-        return self._reindex(result, order, placements)
+        return self._reindex(*self._resolve(placements), placements)
 
     def run_many(
         self, placements_list: Sequence[Sequence[ContextPlacement]],
@@ -200,22 +226,15 @@ class Simulator:
         input.
         """
         requests = []
-        todo: dict[tuple, tuple[list[ContextPlacement], str | None]] = {}
+        todo: _Todo = {}
         memo_hits = 0
         for placements in placements_list:
             placements = list(placements)
             canonical, order = _canonical_placements(placements)
-            key = self._memo_key(canonical)
+            key, memoized = self._lookup(canonical, todo)
+            memo_hits += memoized is not None
             requests.append((key, order, placements))
-            if key in self._cache:
-                memo_hits += 1
-            elif key not in todo:
-                disk_key = self._disk_key(canonical)
-                if self._load_from_disk(disk_key, key) is None:
-                    todo[key] = (canonical, disk_key)
-        counter("smt.simulator.requests").inc(len(requests))
-        counter("smt.simulator.canonicalizations").inc(len(requests))
-        counter("smt.simulator.memo_hits").inc(memo_hits)
+        self._count(len(requests), memo_hits)
         self._solve_todo(todo)
         return [self._reindex(self._cache[key], order, placements)
                 for key, order, placements in requests]
@@ -224,7 +243,7 @@ class Simulator:
         self, placements_list: Sequence[Sequence[ContextPlacement]],
     ) -> None:
         """Fill the solve caches in bulk without materializing results."""
-        todo: dict[tuple, tuple[list[ContextPlacement], str | None]] = {}
+        todo: _Todo = {}
         raw_keys: list[tuple] = []
         n_requests = 0
         memo_hits = 0
@@ -235,40 +254,62 @@ class Simulator:
                 memo_hits += 1
                 continue
             raw_keys.append(raw_key)
-            canonical, _order = _canonical_placements(list(placements))
-            key = self._memo_key(canonical)
-            if key in self._cache:
-                memo_hits += 1
-            elif key not in todo:
-                disk_key = self._disk_key(canonical)
-                if self._load_from_disk(disk_key, key) is None:
-                    todo[key] = (canonical, disk_key)
-        counter("smt.simulator.requests").inc(n_requests)
-        counter("smt.simulator.canonicalizations").inc(n_requests)
-        counter("smt.simulator.memo_hits").inc(memo_hits)
+            canonical, _order = _canonical_placements(placements)
+            memo_hits += self._lookup(canonical, todo)[1] is not None
+        self._count(n_requests, memo_hits)
         self._solve_todo(todo)
         self._prefetched.update(raw_keys)
 
-    # -- cache plumbing -------------------------------------------------
+    # -- the resolve step -----------------------------------------------
+
+    def _resolve(self, placements: Sequence[ContextPlacement],
+                 ) -> tuple[RunResult, list[int]]:
+        """One placement's canonical solve and its contexts' caller indices.
+
+        ``run`` and every measurement read through here. A miss in both
+        caches is solved as a batch of one: the fixed point a prefetch
+        would have stored, so no result depends on which path solved
+        first.
+        """
+        canonical, order = _canonical_placements(placements)
+        todo: _Todo = {}
+        key, result = self._lookup(canonical, todo)
+        self._count(1, result is not None)
+        if result is None:
+            if todo:
+                counter("smt.simulator.run_solves").inc()
+                self._solve_todo(todo)
+            result = self._cache[key]
+        return result, order
+
+    def _lookup(
+        self, canonical: list[ContextPlacement],
+        todo: _Todo,
+    ) -> tuple[tuple, RunResult | None]:
+        """A canonical placement's memo key and memoized solve, if any.
+
+        A memo miss reads the disk cache (once per key: a key already in
+        ``todo`` is not looked up again); a disk hit lands in the memo
+        and a disk miss joins ``todo`` for :meth:`_solve_todo`.
+        """
+        key = tuple([(pl.profile, pl.core) for pl in canonical])
+        memoized = self._cache.get(key)
+        if memoized is None and key not in todo:
+            disk_key = found = None
+            if self.disk_cache is not None:
+                disk_key = solve_key(self.machine, canonical)
+                found = self.disk_cache.get(disk_key)
+            if found is None:
+                todo[key] = (canonical, disk_key)
+            else:
+                self._cache[key] = found
+        return key, memoized
 
     @staticmethod
-    def _memo_key(canonical: Sequence[ContextPlacement]) -> tuple:
-        return tuple((pl.profile, pl.core) for pl in canonical)
-
-    def _disk_key(self, canonical: Sequence[ContextPlacement]) -> str | None:
-        """A canonical placement's disk-cache key (hashed once per miss)."""
-        if self.disk_cache is None:
-            return None
-        return solve_key(self.machine, canonical)
-
-    def _load_from_disk(self, disk_key: str | None,
-                        key: tuple) -> RunResult | None:
-        if disk_key is None:
-            return None
-        result = self.disk_cache.get(disk_key)
-        if result is not None:
-            self._cache[key] = result
-        return result
+    def _count(requests: int, memo_hits: int) -> None:
+        counter("smt.simulator.requests").inc(requests)
+        counter("smt.simulator.canonicalizations").inc(requests)
+        counter("smt.simulator.memo_hits").inc(memo_hits)
 
     def _store(self, solved: list[tuple[tuple, str | None, RunResult]],
                ) -> None:
@@ -283,7 +324,7 @@ class Simulator:
             self.disk_cache.put(fresh)
 
     def _solve_todo(
-        self, todo: dict[tuple, tuple[list[ContextPlacement], str | None]],
+        self, todo: _Todo,
     ) -> None:
         """Batch-solve memo/disk misses and store them in both caches."""
         if not todo:
@@ -296,19 +337,21 @@ class Simulator:
     @staticmethod
     def _reindex(canonical_result: RunResult, order: list[int],
                  placements: list[ContextPlacement]) -> RunResult:
-        """Map a canonical solve back to the caller's context order."""
-        if order == list(range(len(order))) and all(
-            ctx.core == pl.core
-            for ctx, pl in zip(canonical_result.contexts, placements)
-        ):
+        """Map a canonical solve back to the caller's context order.
+
+        Contexts are permuted; one is rebuilt only when its core label
+        differs from the caller's.
+        """
+        contexts = _caller_order(canonical_result, order)
+        moved = False
+        for i, pl in enumerate(placements):
+            ctx = contexts[i]
+            if ctx.core != pl.core:
+                contexts[i] = dataclasses.replace(ctx, core=pl.core)
+                moved = True
+        if not moved and order == list(range(len(order))):
             return canonical_result
-        inverse = {orig: pos for pos, orig in enumerate(order)}
-        contexts = tuple(
-            dataclasses.replace(canonical_result.contexts[inverse[i]],
-                                core=pl.core)
-            for i, pl in enumerate(placements)
-        )
-        return dataclasses.replace(canonical_result, contexts=contexts)
+        return dataclasses.replace(canonical_result, contexts=tuple(contexts))
 
     def run_solo(self, profile: WorkloadProfile) -> ContextResult:
         """One context alone on the machine."""
@@ -317,10 +360,13 @@ class Simulator:
     def run_pair(self, a: WorkloadProfile, b: WorkloadProfile,
                  mode: PairMode = "smt") -> RunResult:
         """Two contexts: SMT siblings on core 0, or CMP on cores 0 and 1."""
+        return self.run(self._pair_placements(a, b, mode))
+
+    def _pair_placements(self, a: WorkloadProfile, b: WorkloadProfile,
+                         mode: PairMode) -> list[ContextPlacement]:
         self._check_mode(mode)
         core_b = 0 if mode == "smt" else 1
-        return self.run([ContextPlacement(a, core=0),
-                         ContextPlacement(b, core=core_b)])
+        return [ContextPlacement(a, core=0), ContextPlacement(b, core=core_b)]
 
     def server_placements(
         self,
@@ -391,16 +437,21 @@ class Simulator:
     # Measurements (with jitter) and Eq. 7 degradations
 
     def measure_solo_ipc(self, profile: WorkloadProfile) -> float:
-        """Solo IPC as a measurement (jittered)."""
-        ipc = self.run_solo(profile).ipc
-        return ipc * self._jitter_factor("solo", profile.name)
+        """Solo IPC as a measurement (jittered), memoized per profile."""
+        ipc = self._solo_ipc.get(profile)
+        if ipc is None:
+            ipc = (self._solo_context(profile).ipc
+                   * self._jitter_factor("solo", profile.name))
+            self._solo_ipc[profile] = ipc
+        return ipc
 
     def measure_pair(self, a: WorkloadProfile, b: WorkloadProfile,
                      mode: PairMode = "smt") -> PairMeasurement:
         """Co-run IPCs and Eq. 7 degradations, as measurements."""
-        result = self.run_pair(a, b, mode)
-        ipc_a = result[0].ipc * self._jitter_factor(mode, a.name, b.name, "a")
-        ipc_b = result[1].ipc * self._jitter_factor(mode, a.name, b.name, "b")
+        ctx_a, ctx_b = _caller_order(
+            *self._resolve(self._pair_placements(a, b, mode)))
+        ipc_a = ctx_a.ipc * self._jitter_factor(mode, a.name, b.name, "a")
+        ipc_b = ctx_b.ipc * self._jitter_factor(mode, a.name, b.name, "b")
         solo_a = self.measure_solo_ipc(a)
         solo_b = self.measure_solo_ipc(b)
         return PairMeasurement(
@@ -451,20 +502,17 @@ class Simulator:
             raise ConfigurationError(
                 "measure_server needs at least one batch instance"
             )
-        solo = self.run_server(latency_profile, batch_profile, instances=0,
-                               mode=mode, latency_threads=latency_threads)
-        loaded = self.run_server(latency_profile, batch_profile,
-                                 instances=instances, mode=mode,
-                                 latency_threads=latency_threads)
-        solo_threads = solo.all_named(latency_profile.name)
-        loaded_threads = loaded.all_named(latency_profile.name)
-        solo_ipc = sum(t.ipc for t in solo_threads) / len(solo_threads)  # smite: noqa[SMT302]: run_server always places at least one latency thread
-        loaded_ipc = sum(t.ipc for t in loaded_threads) / len(loaded_threads)  # smite: noqa[SMT302]: run_server always places at least one latency thread
+        solo_ipc = self._unloaded_server_ipc(latency_profile, mode,
+                                             latency_threads)
+        loaded = _caller_order(*self._resolve(self.server_placements(
+            latency_profile, batch_profile, instances=instances, mode=mode,
+            latency_threads=latency_threads,
+        )))
+        loaded_ipc = _mean_ipc(loaded, latency_profile.name)
         loaded_ipc *= self._jitter_factor(
             mode, latency_profile.name, batch_profile.name, f"server{instances}"
         )
-        batch_threads = loaded.all_named(batch_profile.name)
-        batch_ipc = sum(t.ipc for t in batch_threads) / len(batch_threads)  # smite: noqa[SMT302]: instances > 0 is validated above, so batch threads exist
+        batch_ipc = _mean_ipc(loaded, batch_profile.name)
         batch_ipc *= self._jitter_factor(
             mode, latency_profile.name, batch_profile.name,
             f"server-batch{instances}"
@@ -476,6 +524,26 @@ class Simulator:
             degradation_a=(solo_ipc - loaded_ipc) / solo_ipc,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
             degradation_b=(batch_solo - batch_ipc) / batch_solo,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
         )
+
+    def _unloaded_server_ipc(self, latency_profile: WorkloadProfile,
+                             mode: PairMode,
+                             latency_threads: int | None) -> float:
+        """Mean latency-thread IPC of the server with no batch instance.
+
+        Memoized on its arguments: the placement holds no batch context,
+        so every batch app of a sweep shares it.
+        """
+        key = (latency_profile, mode, latency_threads)
+        ipc = self._unloaded_ipc.get(key)
+        if ipc is None:
+            placements = self.server_placements(
+                latency_profile, latency_profile, instances=0, mode=mode,
+                latency_threads=latency_threads,
+            )
+            ipc = _mean_ipc(_caller_order(*self._resolve(placements)),
+                            latency_profile.name)
+            self._unloaded_ipc[key] = ipc
+        return ipc
 
     def measure_server_degradation(
         self,
@@ -495,8 +563,18 @@ class Simulator:
         ).degradation_a
 
     def read_solo_pmu(self, profile: WorkloadProfile) -> dict[str, float]:
-        """Solo-run PMU counters with the configured defect model."""
-        return read_pmu(self.run_solo(profile), self.pmu_defects)
+        """Solo-run PMU counters with the configured defect model.
+
+        Memoized per profile; each call returns a fresh copy.
+        """
+        counters = self._solo_pmu.get(profile)
+        if counters is None:
+            counters = read_pmu(self._solo_context(profile), self.pmu_defects)
+            self._solo_pmu[profile] = counters
+        return dict(counters)
+
+    def _solo_context(self, profile: WorkloadProfile) -> ContextResult:
+        return self._resolve([ContextPlacement(profile, core=0)])[0][0]
 
     # ------------------------------------------------------------------
 
@@ -506,9 +584,16 @@ class Simulator:
         return self._solve_count
 
     def clear_cache(self) -> None:
-        """Forget every solve, prefetch mark and server measurement."""
+        """Forget every solve and prefetch mark, and every memoized reading.
+
+        The readings are the solo IPCs, the solo PMU readings, the
+        unloaded-server IPCs and the server measurements.
+        """
         self._cache.clear()
         self._prefetched.clear()
+        self._solo_ipc.clear()
+        self._solo_pmu.clear()
+        self._unloaded_ipc.clear()
         self._measurements.clear()
 
     @staticmethod

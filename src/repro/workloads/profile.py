@@ -216,7 +216,7 @@ class WorkloadProfile:
 
     def __getstate__(self) -> dict[str, object]:
         # Only the fields: memo stashes (``_key`` and the solver-side
-        # ``_sort_key``/``_cache_payload``) recompute on demand, and
+        # ``_sort_key``/``_cache_digest``) recompute on demand, and
         # pickling them would double every cached result's profiles.
         return {name: value for name, value in self.__dict__.items()
                 if not name.startswith("_")}

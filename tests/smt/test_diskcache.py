@@ -151,6 +151,17 @@ class TestPersistentCache:
         cmp_ = [ContextPlacement(mcf, core=0), ContextPlacement(namd, core=1)]
         assert solve_key(IVY_BRIDGE, smt) != solve_key(IVY_BRIDGE, cmp_)
 
+    def test_key_is_a_content_hash(self, mcf):
+        def key(profile, core=0):
+            return solve_key(IVY_BRIDGE, [ContextPlacement(profile, core)])
+
+        twin = mcf.replace()
+        assert twin is not mcf
+        assert key(twin) == key(mcf)
+        # Same name, other value: a different solve.
+        assert key(mcf.replace(itlb_mpki=mcf.itlb_mpki + 0.5)) != key(mcf)
+        assert key(mcf, core=1) != key(mcf)
+
     # Corrupt bytes take different routes out of the pickle machinery:
     # b"not a pickle" raises UnpicklingError, but b"garbage\n" parses as
     # a LONG opcode and raises ValueError. Both must fall back to a miss.
@@ -241,7 +252,9 @@ class TestPersistentCache:
         cache = PersistentSolveCache(tmp_path)
         invalidations = _invalidations()
         keys = [solve_key(IVY_BRIDGE, problem) for problem in problems]
+        assert gc.isenabled()
         assert [cache.get(key) for key in keys] == [None] * len(keys)
+        assert gc.isenabled()  # paused only around the failed unpickle
         assert not segment.exists()
         assert _invalidations() == invalidations + 1
         assert len(collections) == 1  # later keys do not retry the load
@@ -310,10 +323,29 @@ class TestPersistentCache:
             assert cache.get(key) is not None
             assert pending() is None  # collected, not frozen
             assert gc.get_freeze_count() > frozen
+            assert not gc.isenabled()  # the load leaves it as it was
         finally:
             gc.unfreeze()
             if was:
                 gc.enable()
+
+    def test_results_unpickle_with_the_gc_paused(self, tmp_path,
+                                                 monkeypatch, mcf):
+        import repro.smt.diskcache as diskcache
+
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        cache = PersistentSolveCache(tmp_path)
+        enabled = []
+        load = pickle.load
+        monkeypatch.setattr(diskcache.pickle, "load",
+                            lambda stream: enabled.append(gc.isenabled())
+                            or load(stream))
+        assert gc.isenabled()
+        assert cache.get(key) is not None
+        # The key list is read with the GC running, the results without.
+        assert enabled == [True, False]
+        assert gc.isenabled()
 
     def test_roundtrip(self, tmp_path, mcf):
         cache = PersistentSolveCache(tmp_path)

@@ -1,12 +1,15 @@
 """Tests for the Simulator facade: topologies, measurements, jitter."""
 
+import random
+
 import pytest
 
 import repro.smt.simulator as simulator_module
 from repro.errors import ConfigurationError
 from repro.obs import snapshot
 from repro.smt.params import SANDY_BRIDGE_EN
-from repro.smt.simulator import Simulator
+from repro.smt.pmu import PERFECT_PMU, read_pmu
+from repro.smt.simulator import PairMeasurement, Simulator
 from repro.smt.solver import ContextPlacement
 from repro.workloads.spec import SPEC_CPU2006
 
@@ -136,15 +139,26 @@ class TestCaching:
             sim.run(placements)
         assert solves == []
 
-    def test_clear_cache_forgets_measurements(self, mcf, cloud_apps):
+    def test_clear_cache_forgets_measurements(self, mcf, lbm, cloud_apps):
         sim = Simulator(SANDY_BRIDGE_EN)
         web = cloud_apps[0].profile
-        first = sim.measure_server(web, mcf, instances=2)
+
+        def readings():
+            return (sim.measure_solo_ipc(mcf), sim.read_solo_pmu(lbm),
+                    sim.measure_server(web, mcf, instances=2),
+                    sim.measure_server(web, lbm, instances=3))
+
+        before = _requests()
+        first = readings()
+        cold_requests = _requests() - before
+        before = _requests()
+        assert readings() == first
+        assert _requests() == before  # all four are memoized
         sim.clear_cache()
         before = _requests()
-        again = sim.measure_server(web, mcf, instances=2)
-        assert _requests() > before
-        assert again == first
+        assert readings() == first
+        # As many reads reach the solve cache as on a fresh simulator.
+        assert _requests() - before == cold_requests
 
 
 class TestSolvePathIndependence:
@@ -218,3 +232,172 @@ class TestMeasurementMemo:
         for _attempt in range(2):
             with pytest.raises(ConfigurationError):
                 sim.measure_server(web, mcf, instances=0)
+
+
+# -- reference readings ------------------------------------------------
+#
+# The measurement formulas as they read before the measurement path
+# went around ``run``: every reading is a reindexed ``run_*`` result,
+# averaged with ``RunResult.all_named``. The memoized, reindex-free
+# readings must equal them bit for bit.
+
+
+def _bits(measurement: PairMeasurement) -> tuple[str, ...]:
+    return (measurement.ipc_a.hex(), measurement.ipc_b.hex(),
+            measurement.degradation_a.hex(), measurement.degradation_b.hex())
+
+
+def _oracle_solo_ipc(sim, profile):
+    return sim.run_solo(profile).ipc * sim._jitter_factor("solo", profile.name)
+
+
+def _oracle_pair(sim, a, b, mode):
+    result = sim.run_pair(a, b, mode)
+    ipc_a = result[0].ipc * sim._jitter_factor(mode, a.name, b.name, "a")
+    ipc_b = result[1].ipc * sim._jitter_factor(mode, a.name, b.name, "b")
+    solo_a = _oracle_solo_ipc(sim, a)
+    solo_b = _oracle_solo_ipc(sim, b)
+    return PairMeasurement(ipc_a, ipc_b, (solo_a - ipc_a) / solo_a,
+                           (solo_b - ipc_b) / solo_b)
+
+
+def _oracle_server(sim, latency, batch, *, instances, mode,
+                   latency_threads):
+    def mean(threads):
+        return sum(t.ipc for t in threads) / len(threads)
+
+    solo = sim.run_server(latency, batch, instances=0, mode=mode,
+                          latency_threads=latency_threads)
+    loaded = sim.run_server(latency, batch, instances=instances, mode=mode,
+                            latency_threads=latency_threads)
+    solo_ipc = mean(solo.all_named(latency.name))
+    loaded_ipc = mean(loaded.all_named(latency.name))
+    loaded_ipc *= sim._jitter_factor(mode, latency.name, batch.name,
+                                     f"server{instances}")
+    batch_ipc = mean(loaded.all_named(batch.name))
+    batch_ipc *= sim._jitter_factor(mode, latency.name, batch.name,
+                                    f"server-batch{instances}")
+    batch_solo = _oracle_solo_ipc(sim, batch)
+    return PairMeasurement(loaded_ipc, batch_ipc,
+                           (solo_ipc - loaded_ipc) / solo_ipc,
+                           (batch_solo - batch_ipc) / batch_solo)
+
+
+def _server_grid(cores):
+    """(mode, latency_threads, max instances) for SMT and CMP servers."""
+    return [("smt", None, cores), ("smt", cores - 2, cores - 2),
+            ("cmp", None, cores - cores // 2), ("cmp", 2, cores - 2)]
+
+
+class TestReadingParity:
+    """Memoized, reindex-free readings equal the ``run_*`` formulas."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["AxB", "BxA"])
+    def test_server_readings(self, swap, mcf, cloud_apps):
+        latency, batch = cloud_apps[0].profile, mcf
+        if swap:
+            latency, batch = batch, latency
+        measured = Simulator(SANDY_BRIDGE_EN)
+        oracle = Simulator(SANDY_BRIDGE_EN)
+        for mode, threads, top in _server_grid(SANDY_BRIDGE_EN.cores):
+            for k in range(1, top + 1):
+                args = dict(instances=k, mode=mode, latency_threads=threads)
+                want = _oracle_server(oracle, latency, batch, **args)
+                got = measured.measure_server(latency, batch, **args)
+                assert _bits(got) == _bits(want), (mode, threads, k)
+                assert measured.measure_server_degradation(
+                    latency, batch, **args).hex() == \
+                    want.degradation_a.hex()
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["AxB", "BxA"])
+    def test_server_whose_canonical_cores_differ(self, swap, mcf,
+                                                 cloud_apps):
+        # mcf sorts before every CloudSuite app: as the latency app its
+        # lone cores become canonical cores 0.., the shared cores move up.
+        latency, batch = mcf, cloud_apps[1].profile
+        if swap:
+            latency, batch = batch, latency
+        sim = Simulator(SANDY_BRIDGE_EN)
+        placements = sim.server_placements(latency, batch, instances=2)
+        canonical, order = simulator_module._canonical_placements(placements)
+        assert order != sorted(order)
+        relabeled = [pl.core for pl in canonical] != \
+            [placements[i].core for i in order]
+        assert relabeled != swap
+        want = _oracle_server(Simulator(SANDY_BRIDGE_EN), latency, batch,
+                              instances=2, mode="smt", latency_threads=None)
+        got = sim.measure_server(latency, batch, instances=2)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("mode", ["smt", "cmp"])
+    def test_pair_and_solo_readings(self, mode, mcf, lbm, namd):
+        measured = Simulator(SANDY_BRIDGE_EN)
+        oracle = Simulator(SANDY_BRIDGE_EN)
+        for a, b in [(mcf, lbm), (lbm, mcf), (namd, namd)]:
+            assert _bits(measured.measure_pair(a, b, mode)) == \
+                _bits(_oracle_pair(oracle, a, b, mode))
+        for profile in (mcf, lbm, namd):
+            assert measured.measure_solo_ipc(profile).hex() == \
+                _oracle_solo_ipc(oracle, profile).hex()
+            assert measured.read_solo_pmu(profile) == read_pmu(
+                oracle.run_solo(profile), oracle.pmu_defects)
+
+    def test_canonical_order_matches_the_sorting_reference(self):
+        def reference(placements):
+            def key(i):
+                return simulator_module._profile_sort_key(
+                    placements[i].profile)
+
+            by_core = {}
+            for i, pl in enumerate(placements):
+                by_core.setdefault(pl.core, []).append(i)
+            groups = sorted(((tuple(key(i) for i in sorted(m, key=key)),
+                              sorted(m, key=key))
+                             for m in by_core.values()),
+                            key=lambda g: g[0])
+            order = [i for _key, members in groups for i in members]
+            cores = [c for c, (_key, members) in enumerate(groups)
+                     for _i in members]
+            return [(placements[i].profile, c)
+                    for i, c in zip(order, cores)], order
+
+        profiles = list(dict(SPEC_CPU2006).values())[:4]
+        rng = random.Random(7)
+        for _trial in range(300):
+            placements = [ContextPlacement(rng.choice(profiles),
+                                           core=rng.randrange(5))
+                          for _ in range(rng.randrange(1, 9))]
+            canonical, order = simulator_module._canonical_placements(
+                placements)
+            want_pairs, want_order = reference(placements)
+            assert order == want_order
+            assert [(pl.profile, pl.core) for pl in canonical] == want_pairs
+
+
+class TestReadingMemos:
+    def test_unloaded_server_shared_across_batch_apps(self, mcf, lbm,
+                                                      cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        sim.measure_solo_ipc(lbm)
+        sim.measure_server(web, mcf, instances=2)
+        before = _requests()
+        sim.measure_server(web, lbm, instances=2)
+        assert _requests() == before + 1  # the loaded server only
+
+    def test_returned_pmu_reading_is_a_copy(self, mcf):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        first = sim.read_solo_pmu(mcf)
+        want = dict(first)
+        first["instructions_per_cycle"] = -1.0
+        first.clear()
+        assert sim.read_solo_pmu(mcf) == want
+
+    def test_replaced_pmu_defects_are_read(self, mcf):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        default = sim.read_solo_pmu(mcf)
+        sim.pmu_defects = PERFECT_PMU
+        perfect = sim.read_solo_pmu(mcf)
+        assert perfect != default
+        assert perfect == Simulator(
+            SANDY_BRIDGE_EN, pmu_defects=PERFECT_PMU).read_solo_pmu(mcf)

@@ -146,7 +146,7 @@ class TestPickle:
         key = profile.key()
         _profile_sort_key(profile)
         solve_key(IVY_BRIDGE, [ContextPlacement(profile, core=0)])
-        assert {"_key", "_sort_key", "_cache_payload"} <= set(profile.__dict__)
+        assert {"_key", "_sort_key", "_cache_digest"} <= set(profile.__dict__)
 
         loaded = pickle.loads(pickle.dumps(profile))
         assert loaded == profile
