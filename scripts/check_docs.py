@@ -27,7 +27,10 @@ docs/*.md) and
    exist on that parser (the runner, ``repro.cli serve``, ``repro.cli
    serve-api``), and every option of those parsers needs a row in its
    own table or in the shared runner table. Removing a flag without
-   its row, or adding one without a row, fails CI.
+   its row, or adding one without a row, fails CI;
+5. **checks lint invocations**: every ``--flag`` written after
+   ``python -m repro.lint`` or ``scripts/lint.py`` in a user-facing doc
+   must be an option of ``repro.lint.cli``'s parser.
 
 Snippet policy, controlled by an HTML comment on the line above the
 fence:
@@ -82,6 +85,13 @@ _ROOT_JSON = re.compile(r"[\w.-]+\.json")
 _GLOB_CHARS = frozenset("*?[]{}<>")
 
 
+def _doc_name(path: Path) -> str:
+    try:
+        return str(path.relative_to(REPO))
+    except ValueError:  # a doc outside the repo (tests use tmp dirs)
+        return str(path)
+
+
 @dataclass
 class Snippet:
     path: Path
@@ -92,11 +102,7 @@ class Snippet:
 
     @property
     def where(self) -> str:
-        try:
-            rel = self.path.relative_to(REPO)
-        except ValueError:  # a doc outside the repo (tests use tmp dirs)
-            rel = self.path
-        return f"{rel}:{self.line}"
+        return f"{_doc_name(self.path)}:{self.line}"
 
     @property
     def should_run(self) -> bool:
@@ -404,6 +410,10 @@ def parser_flags(label: str) -> set[str]:
         (subparsers,) = [a for a in parser._actions
                          if isinstance(a, _argparse._SubParsersAction)]
         parser = subparsers.choices[subcommand]
+    return _long_flags(parser)
+
+
+def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
     return {flag for action in parser._actions
             for flag in action.option_strings
             if flag.startswith("--") and flag != "--help"}
@@ -437,6 +447,32 @@ def check_flag_tables(text: str | None = None) -> list[str]:
     return errors
 
 
+#: A lint invocation in prose or a code block; ``args`` runs to the end
+#: of its code span, a shell comment, or the end of the line.
+_LINT_CALL = re.compile(
+    r"(?:-m repro\.lint|scripts/lint\.py)(?![\w.])(?P<args>[^`#\n]*)")
+
+
+def check_lint_flags(paths: list[Path] | None = None) -> list[str]:
+    """Every flag a doc passes to the lint CLI must exist on its parser."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.lint.cli import _parser
+
+    known = _long_flags(_parser())
+    errors = []
+    for path in doc_paths() if paths is None else paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for call in _LINT_CALL.finditer(line):
+                errors += [
+                    f"{_doc_name(path)}:{lineno}: lint flag '{flag}' is "
+                    f"not an option of python -m repro.lint"
+                    for flag in _FLAG.findall(call["args"])
+                    if flag not in known
+                ]
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links-only", action="store_true",
@@ -450,6 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     errors += check_rule_coverage()
     errors += check_alert_rule_coverage()
     errors += check_flag_tables()
+    errors += check_lint_flags()
     if not args.links_only:
         errors += check_snippets()
     for error in errors:

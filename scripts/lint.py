@@ -7,12 +7,13 @@ working directory without an installed package or PYTHONPATH: it pins
 
 Usage::
 
-    python scripts/lint.py                     # gate: exit 1 on new violations
-    python scripts/lint.py --update-baseline   # record legacy violations
-    python scripts/lint.py --list-rules        # rule reference
+    python scripts/lint.py                # gate: exit 1 on new violations
+    python scripts/lint.py --stats        # per-rule counts + phase timings
+    python scripts/lint.py --list-rules   # rule reference
 
-Configuration lives in the ``[tool.smite-lint]`` block of
-``pyproject.toml``; the full rule reference is ``docs/STATIC_ANALYSIS.md``.
+The linted paths and per-family scopes are constants in
+``src/repro/lint/config.py``; the full rule reference is
+``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations

@@ -33,10 +33,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         for dimension in suite if not dimension.is_functional_unit
     }
     # Every (victim, swept Ruler) co-run the linearity check measures,
-    # with both sides' solo runs, in one batched solve.
+    # with both sides' solo runs, and the functional-unit Rulers' solo
+    # runs the purity check reads from the PMU, in one batched solve.
     swept = [r.profile for sweep in sweeps.values() for r in sweep]
+    functional = [suite[d].profile for d in suite if d.is_functional_unit]
     simulator.prefetch([
-        *([ContextPlacement(p, core=0)] for p in [*victims, *swept]),
+        *([ContextPlacement(p, core=0)]
+          for p in [*victims, *swept, *functional]),
         *([ContextPlacement(victim, core=0), ContextPlacement(r, core=0)]
           for victim in victims for r in swept),
     ])

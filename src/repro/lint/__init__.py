@@ -1,11 +1,11 @@
 """``repro.lint``: domain-aware static analysis for the SMiTe tree.
 
-A dependency-free, AST-based lint framework. The engine runs in two
-phases: phase 1 parses every file once and links a project-wide symbol
-and call graph (:mod:`repro.lint.graph` — imports, class hierarchies,
-async/worker taint sets, blocking reachability); phase 2 executes the
-rule families per module, the single-walk ones against the AST and the
-cross-module ones against the graph. Seven built-in families tie to
+A dependency-free, AST-based lint framework. One run parses every file
+once and links a project-wide symbol and call graph
+(:mod:`repro.lint.graph` — imports, class hierarchies, worker taint,
+blocking reachability), then runs every rule family in process, the
+single-walk ones against the AST and the cross-module ones against the
+graph, and applies inline suppressions. Seven built-in families tie to
 the paper's correctness invariants and the serving runtime's
 concurrency contracts:
 
@@ -30,40 +30,31 @@ concurrency contracts:
   (obs snapshot/merge), unpicklable executor submit targets, and
   process/socket resources without a close guarantee.
 
-Run it as ``python -m repro.lint src``; configure via the
-``[tool.smite-lint]`` block in ``pyproject.toml``; silence one finding
-with ``# smite: noqa[SMT301]: reason``; track legacy findings in the
-checked-in baseline (``--update-baseline``). Full reference:
+Run it as ``python -m repro.lint``; the linted paths and per-family
+scopes are constants in :mod:`repro.lint.config`; silence one finding
+with ``# smite: noqa[SMT301]: reason``. Full reference:
 ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig, Scope, load_config
+from repro.lint.config import Scope
 from repro.lint.engine import (
     LintResult,
     ModuleContext,
-    ProjectContext,
     collect_files,
-    lint_file,
-    lint_paths,
-    lint_source,
     lint_sources,
     run,
 )
 from repro.lint.graph import ProjectGraph, build_graph, scan_module
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule, all_rules, find_rule, register
+from repro.lint.registry import Rule, all_rules, register
 from repro.lint.suppress import Suppression, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "Finding",
-    "LintConfig",
     "LintResult",
     "ModuleContext",
-    "ProjectContext",
     "ProjectGraph",
     "Rule",
     "Scope",
@@ -72,12 +63,7 @@ __all__ = [
     "all_rules",
     "build_graph",
     "collect_files",
-    "find_rule",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "lint_sources",
-    "load_config",
     "scan_module",
     "parse_suppressions",
     "register",

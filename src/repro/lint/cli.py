@@ -1,13 +1,18 @@
 """Command-line interface: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 = clean (only suppressed/baselined/advisory findings),
-1 = new violations or stale baseline entries, 2 = usage error.
+One way to run: parse every file, build the project graph, run every
+rule in process, apply inline suppressions, report. With no paths it
+lints ``src``, ``benchmarks`` and ``scripts`` under ``--root``
+(:data:`repro.lint.config.PATHS`).
+
+Exit codes: 0 = clean (only suppressed/advisory findings),
+1 = unsuppressed violations, 2 = usage error.
 
 Examples::
 
-    python -m repro.lint src                 # lint the tree
+    python -m repro.lint                     # lint the tree
     python -m repro.lint --format json src   # machine-readable findings
-    python -m repro.lint --update-baseline   # record today's violations
+    python -m repro.lint --stats             # per-rule counts + timings
     python -m repro.lint --list-rules        # rule reference
 """
 
@@ -19,8 +24,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import load_config
 from repro.lint.engine import LintResult, run
 from repro.lint.findings import Severity
 from repro.lint.registry import all_rules
@@ -28,7 +31,7 @@ from repro.lint.registry import all_rules
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="SMiTe domain-aware static analysis "
@@ -36,28 +39,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint "
-                             "(default: [tool.smite-lint] paths)")
+                             "(default: src, benchmarks, scripts)")
     parser.add_argument("--root", default=".",
-                        help="repository root holding pyproject.toml "
-                             "and the baseline (default: cwd)")
+                        help="repository root that paths, scopes and "
+                             "reported locations are relative to "
+                             "(default: cwd)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the checked-in baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current violations")
     parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print suppressed/baselined findings")
+                        help="also print suppressed findings")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule reference and exit")
     parser.add_argument("--stats", action="store_true",
                         help="print per-rule finding/suppression counts "
                              "and phase timings")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="phase-2 worker processes (default: "
-                             "$SMITE_LINT_JOBS or 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the result cache")
     return parser
 
 
@@ -72,51 +67,40 @@ def _list_rules() -> int:
 def _render_text(result: LintResult, *, show_suppressed: bool) -> None:
     failing = result.failing
     for finding in result.findings:
-        is_failing = (not finding.suppressed and not finding.baselined
+        is_failing = (not finding.suppressed
                       and finding.severity is not Severity.INFO)
         if is_failing or show_suppressed:
             tag = ""
             if finding.suppressed:
                 reason = finding.suppress_reason or "no reason given"
                 tag = f"  (suppressed: {reason})"
-            elif finding.baselined:
-                tag = "  (baselined)"
             print(finding.render() + tag)
-    for fingerprint in result.stale_baseline:
-        print(f"stale baseline entry (fixed? delete it): {fingerprint}")
     suppressed = sum(1 for f in result.findings if f.suppressed)
-    baselined = sum(1 for f in result.findings if f.baselined)
     advisory = sum(1 for f in result.findings
-                   if f.severity is Severity.INFO
-                   and not f.suppressed and not f.baselined)
+                   if f.severity is Severity.INFO and not f.suppressed)
     status = "FAIL" if result.exit_code else "OK"
     print(f"{status}: {len(failing)} new violation(s), "
-          f"{baselined} baselined, {suppressed} suppressed, "
-          f"{advisory} advisory, {len(result.stale_baseline)} stale "
-          f"baseline entr(ies) across {result.files_checked} file(s)")
+          f"{suppressed} suppressed, {advisory} advisory "
+          f"across {result.files_checked} file(s)")
 
 
 def _render_stats(result: LintResult) -> None:
     stats = result.rule_stats()
     print()
-    print(f"{'rule':<8} {'failing':>8} {'baselined':>10} "
-          f"{'suppressed':>11} {'advisory':>9}")
+    print(f"{'rule':<8} {'failing':>8} {'suppressed':>11} {'advisory':>9}")
     for rule_id in sorted(stats):
         row = stats[rule_id]
-        print(f"{rule_id:<8} {row['failing']:>8} {row['baselined']:>10} "
+        print(f"{rule_id:<8} {row['failing']:>8} "
               f"{row['suppressed']:>11} {row['advisory']:>9}")
     timings = result.timings
-    if timings:
-        print(f"phase1 {timings.get('phase1_s', 0.0):.3f}s "
-              f"(parse+graph)  phase2 {timings.get('phase2_s', 0.0):.3f}s "
-              f"(rules)  total {timings.get('total_s', 0.0):.3f}s  "
-              f"jobs={result.jobs}  cache {result.cache_hits} hit(s) / "
-              f"{result.cache_misses} miss(es)")
+    print(f"phase1 {timings['phase1_s']:.3f}s (parse+graph)  "
+          f"phase2 {timings['phase2_s']:.3f}s (rules)  "
+          f"total {timings['total_s']:.3f}s")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.lint``."""
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -125,7 +109,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     root = Path(args.root)
     if not root.is_dir():
         parser.error(f"--root {args.root!r} is not a directory")
-    config = load_config(root)
     paths = [Path(p) for p in args.paths] or None
     if paths:
         missing = [p for p in paths if not p.exists()]
@@ -133,30 +116,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"no such path(s): "
                          f"{', '.join(str(p) for p in missing)}")
 
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    result = run(config, paths,
-                 use_baseline=not (args.no_baseline or args.update_baseline),
-                 jobs=args.jobs, use_cache=not args.no_cache)
-
-    if args.update_baseline:
-        baseline = Baseline.from_findings(result.failing)
-        config.baseline_file.parent.mkdir(parents=True, exist_ok=True)
-        baseline.save(config.baseline_file)
-        print(f"baseline written: {len(baseline)} entr(ies) -> "
-              f"{config.baseline_file}")
-        return 0
-
+    result = run(root, paths)
     if args.format == "json":
         print(json.dumps({
             "findings": [f.to_dict() for f in result.findings],
-            "stale_baseline": result.stale_baseline,
             "files_checked": result.files_checked,
             "exit_code": result.exit_code,
             "timings": result.timings,
-            "cache": {"hits": result.cache_hits,
-                      "misses": result.cache_misses},
-            "jobs": result.jobs,
             "rule_stats": result.rule_stats(),
         }, indent=2))
     else:

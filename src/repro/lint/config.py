@@ -1,35 +1,20 @@
-"""Lint configuration: defaults plus the ``[tool.smite-lint]`` block.
+"""What the lint checks: the linted paths and each rule family's scope.
 
-Configuration lives in ``pyproject.toml`` so the lint CLI and the test
-suite agree on what is checked::
-
-    [tool.smite-lint]
-    paths = ["src"]
-    baseline = ".smite-lint-baseline.json"
-    disable = []
-
-    [tool.smite-lint.scopes.determinism]
-    include = ["src/repro/core", "src/repro/smt"]
-
-Per-family *scopes* restrict where a rule family fires: ``include`` is a
-list of path prefixes the family applies to (empty = everywhere under
-the linted paths) and ``exclude`` is a list of prefixes it skips.
-``tomllib`` ships with Python 3.11; on older interpreters the loader
-degrades to the in-code defaults rather than failing.
+Both are module constants, so every interpreter, the CLI and the test
+suite check the same thing. Paths are relative to the repository root
+(``--root``). A family's :class:`Scope` restricts where it fires:
+``include`` is a list of path prefixes the family applies to (empty =
+everywhere) and ``exclude`` a list of prefixes it skips. Phase 1 still
+parses every linted file whatever the scopes say, so a scoped-out
+module contributes call edges to the project graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
-try:
-    import tomllib
-except ImportError:  # Python 3.10: run with in-code defaults
-    tomllib = None  # type: ignore[assignment]
-
-__all__ = ["LintConfig", "Scope", "load_config", "DEFAULT_SCOPES"]
+__all__ = ["PATHS", "SCOPES", "Scope"]
 
 
 @dataclass(frozen=True)
@@ -53,83 +38,29 @@ def _has_prefix(path: str, prefix: str) -> bool:
     return path == prefix or path.startswith(prefix + "/")
 
 
-#: Where each rule family fires when the config does not say otherwise.
-#: Determinism and numeric rules target the model code implementing the
-#: paper's equations; the metrics rule skips the registry internals whose
-#: helper methods legitimately take dynamic names.
-DEFAULT_SCOPES: Mapping[str, Scope] = {
+#: What a run with no explicit paths lints.
+PATHS: tuple[str, ...] = ("src", "benchmarks", "scripts")
+
+#: Where each rule family fires. Determinism and numeric rules target
+#: the model code implementing the paper's equations; harness/CLI layers
+#: may look at the clock or divide by values their own argument parsing
+#: already rejects. The metrics rules skip the registry internals, whose
+#: helpers take dynamic names. Library-facing hygiene stays on ``src``:
+#: benchmarks and scripts are entrypoint code without a public API. The
+#: concurrency and process-safety families cover every linted path:
+#: bench drivers fork the same shard workers production does.
+SCOPES: Mapping[str, Scope] = {
     "determinism": Scope(include=(
-        "src/repro/core", "src/repro/smt",
-        "src/repro/queueing", "src/repro/scheduler",
-        "src/repro/serve",
+        "src/repro/core", "src/repro/smt", "src/repro/queueing",
+        "src/repro/scheduler", "src/repro/serve", "src/repro/adapt",
     )),
     "metrics": Scope(exclude=("src/repro/obs",)),
     "numeric": Scope(include=(
         "src/repro/core", "src/repro/smt", "src/repro/queueing",
         "src/repro/isa", "src/repro/rulers", "src/repro/analysis",
     )),
-    "api": Scope(),
+    "api": Scope(include=("src",)),
     "ports": Scope(),
-    "concurrency": Scope(),
-    "procsafety": Scope(),
+    "concurrency": Scope(include=PATHS),
+    "procsafety": Scope(include=PATHS),
 }
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Everything the engine needs to know about one lint run."""
-
-    root: Path = Path(".")
-    paths: tuple[str, ...] = ("src",)
-    baseline_path: str = ".smite-lint-baseline.json"
-    cache_path: str = ".smite-lint-cache.json"
-    disable: tuple[str, ...] = ()
-    scopes: Mapping[str, Scope] = field(
-        default_factory=lambda: dict(DEFAULT_SCOPES))
-
-    def scope_for(self, family: str) -> Scope:
-        return self.scopes.get(family, Scope())
-
-    def rule_enabled(self, rule_id: str, family: str) -> bool:
-        """Disable entries may name a rule id or a whole family."""
-        return rule_id not in self.disable and family not in self.disable
-
-    @property
-    def baseline_file(self) -> Path:
-        return self.root / self.baseline_path
-
-    @property
-    def cache_file(self) -> Path:
-        return self.root / self.cache_path
-
-
-def _parse_scope(raw: Mapping[str, Any], fallback: Scope) -> Scope:
-    return Scope(
-        include=tuple(raw.get("include", fallback.include)),
-        exclude=tuple(raw.get("exclude", fallback.exclude)),
-    )
-
-
-def load_config(root: Path | str = ".") -> LintConfig:
-    """The config for ``root``, honoring its ``[tool.smite-lint]`` block."""
-    root = Path(root).resolve()
-    config = LintConfig(root=root)
-    pyproject = root / "pyproject.toml"
-    if tomllib is None or not pyproject.is_file():
-        return config
-    with pyproject.open("rb") as fh:
-        data = tomllib.load(fh)
-    raw = data.get("tool", {}).get("smite-lint", {})
-    if not raw:
-        return config
-    scopes = dict(DEFAULT_SCOPES)
-    for family, entry in raw.get("scopes", {}).items():
-        scopes[family] = _parse_scope(entry, scopes.get(family, Scope()))
-    return replace(
-        config,
-        paths=tuple(raw.get("paths", config.paths)),
-        baseline_path=str(raw.get("baseline", config.baseline_path)),
-        cache_path=str(raw.get("cache", config.cache_path)),
-        disable=tuple(raw.get("disable", ())),
-        scopes=scopes,
-    )

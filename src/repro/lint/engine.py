@@ -1,73 +1,55 @@
-"""The two-phase lint engine.
+"""The lint engine: parse, link the project graph, run every rule.
 
-**Phase 1** parses every file once and scans it into the plain-data
+A run first parses every file once and scans it into the plain-data
 module summaries of :mod:`repro.lint.graph`, then links them into one
 :class:`~repro.lint.graph.ProjectGraph` — the project-wide symbol table,
-import/call graph, and taint sets ("reachable from an ``async def``",
-"executed inside a shard worker") the cross-module rule families need.
+import/call graph, and the worker-taint and blocking-reachability sets
+the cross-module rule families need (phase 1).
 
-**Phase 2** lints each module: the single-walk families (SMT1xx-5xx)
-dispatch their ``visit_<NodeType>`` hooks during one shared
-:func:`ast.walk` exactly as before, and the graph families (SMT6xx/7xx)
-read ``ctx.project`` in their ``check_module`` hooks. Rules never do
-their own tree walks or file IO, which keeps a whole-tree run linear in
-the source size regardless of how many rules are enabled.
+It then lints each module in process (phase 2): the single-walk
+families (SMT1xx-5xx) dispatch their ``visit_<NodeType>`` hooks during
+one shared :func:`ast.walk`, and the graph families (SMT6xx/7xx) read
+``ctx.graph`` in their ``check_module`` hooks. Rules never do their own
+tree walks or file IO, which keeps a whole-tree run linear in the
+source size regardless of how many rules are enabled. Inline
+suppressions are applied last.
 
-Phase 2 is the expensive half, so it is memoized per file in a
-content-hash :class:`~repro.lint.cache.ResultCache` (keyed by file
-bytes, the lint framework's own sources, the config, and the module's
-graph slice) and can fan out across worker processes (``jobs``); both
-are transparent — cached, parallel, and cold in-process runs produce
-identical findings.
+:func:`lint_sources` is the one project-building path: :func:`run`
+reads the tree into it, and test fixtures hand it in-memory modules.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Type
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import ResultCache
-from repro.lint.config import LintConfig
+from repro.lint.config import PATHS, SCOPES, Scope
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph import ProjectGraph, build_graph, scan_module
 from repro.lint.registry import Rule, all_rules
 from repro.lint.suppress import Suppression, parse_suppressions
 
-__all__ = ["ModuleContext", "ProjectContext", "LintResult", "lint_source",
-           "lint_sources", "lint_file", "lint_paths", "collect_files",
+__all__ = ["ModuleContext", "LintResult", "lint_sources", "collect_files",
            "run", "SYNTAX_ERROR_RULE"]
 
 #: Pseudo-rule id for files the parser rejects; not suppressible.
 SYNTAX_ERROR_RULE = "SMT000"
 
 
-class ProjectContext:
-    """Phase-1 output shared by every module's phase-2 run."""
-
-    def __init__(self, graph: ProjectGraph, config: LintConfig) -> None:
-        self.graph = graph
-        self.config = config
-
-
 class ModuleContext:
     """Everything a rule may inspect about the module being linted."""
 
     def __init__(self, *, path: Path, relpath: str, source: str,
-                 tree: ast.Module, config: LintConfig,
-                 project: ProjectContext | None = None) -> None:
+                 tree: ast.Module, graph: ProjectGraph) -> None:
         self.path = path
         self.relpath = relpath
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.config = config
-        self.project = project
+        self.graph = graph
         self.findings: list[Finding] = []
         self._parent_map: dict[ast.AST, ast.AST] | None = None
 
@@ -120,41 +102,33 @@ class ModuleContext:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, after suppression and baseline filtering."""
+    """Outcome of one lint run, after suppression filtering."""
 
     findings: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
     files_checked: int = 0
     #: Wall-clock attribution: ``phase1_s`` (parse + graph build),
-    #: ``phase2_s`` (rule execution incl. cache lookups), ``total_s``.
+    #: ``phase2_s`` (rule execution), ``total_s`` (including file reads).
     timings: dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    jobs: int = 1
 
     @property
     def failing(self) -> list[Finding]:
-        """Findings that should fail the run (new, unsuppressed, not INFO)."""
+        """Findings that should fail the run (unsuppressed, not INFO)."""
         return [f for f in self.findings
-                if not f.suppressed and not f.baselined
-                and f.severity is not Severity.INFO]
+                if not f.suppressed and f.severity is not Severity.INFO]
 
     @property
     def exit_code(self) -> int:
-        return 1 if (self.failing or self.stale_baseline) else 0
+        return 1 if self.failing else 0
 
     def rule_stats(self) -> dict[str, dict[str, int]]:
-        """Per-rule ``{failing, suppressed, baselined, advisory}`` counts."""
+        """Per-rule ``{failing, suppressed, advisory}`` counts."""
         stats: dict[str, dict[str, int]] = {}
         for finding in self.findings:
             row = stats.setdefault(finding.rule, {
-                "failing": 0, "suppressed": 0, "baselined": 0,
-                "advisory": 0,
+                "failing": 0, "suppressed": 0, "advisory": 0,
             })
             if finding.suppressed:
                 row["suppressed"] += 1
-            elif finding.baselined:
-                row["baselined"] += 1
             elif finding.severity is Severity.INFO:
                 row["advisory"] += 1
             else:
@@ -162,16 +136,10 @@ class LintResult:
         return stats
 
 
-def _active_rules(config: LintConfig, relpath: str,
+def _active_rules(relpath: str,
                   rule_classes: Sequence[Type[Rule]]) -> list[Rule]:
-    active = []
-    for rule_class in rule_classes:
-        if not config.rule_enabled(rule_class.id, rule_class.family):
-            continue
-        if not config.scope_for(rule_class.family).applies_to(relpath):
-            continue
-        active.append(rule_class())
-    return active
+    return [rule_class() for rule_class in rule_classes
+            if SCOPES.get(rule_class.family, Scope()).applies_to(relpath)]
 
 
 def _apply_suppressions(findings: list[Finding],
@@ -182,8 +150,7 @@ def _apply_suppressions(findings: list[Finding],
     for finding in findings:
         # Whole-module findings (line 0) may be silenced from line 1.
         mark = suppressions.get(finding.line or 1)
-        if (mark is not None and finding.rule != SYNTAX_ERROR_RULE
-                and mark.covers(finding.rule)):
+        if mark is not None and mark.covers(finding.rule):
             finding = Finding(
                 rule=finding.rule, severity=finding.severity,
                 path=finding.path, line=finding.line, col=finding.col,
@@ -202,26 +169,10 @@ def _syntax_finding(relpath: str, exc: SyntaxError) -> Finding:
     )
 
 
-def _lint_module(source: str, relpath: str, config: LintConfig,
-                 *, tree: ast.Module | None = None,
-                 path: Path | None = None,
-                 project: ProjectContext | None = None,
-                 rule_classes: Sequence[Type[Rule]] | None = None,
-                 ) -> list[Finding]:
+def _lint_module(ctx: ModuleContext,
+                 rule_classes: Sequence[Type[Rule]]) -> list[Finding]:
     """Phase 2 for one module: the shared walk plus module hooks."""
-    if rule_classes is None:
-        rule_classes = all_rules()
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=relpath)
-        except SyntaxError as exc:
-            return [_syntax_finding(relpath, exc)]
-    ctx = ModuleContext(
-        path=path if path is not None else Path(relpath),
-        relpath=relpath, source=source, tree=tree, config=config,
-        project=project,
-    )
-    rules = _active_rules(config, relpath, rule_classes)
+    rules = _active_rules(ctx.relpath, rule_classes)
     if not rules:
         return []
 
@@ -231,57 +182,35 @@ def _lint_module(source: str, relpath: str, config: LintConfig,
         for node_type, method_name in type(rule).ast_hooks().items():
             hooks.setdefault(node_type, []).append(getattr(rule, method_name))
     if hooks:
-        for node in ast.walk(tree):
+        for node in ast.walk(ctx.tree):
             for hook in hooks.get(type(node).__name__, ()):
                 hook(node, ctx)
     for rule in rules:
         rule.check_module(ctx)
 
     ctx.findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return _apply_suppressions(ctx.findings, parse_suppressions(source))
+    return _apply_suppressions(ctx.findings, parse_suppressions(ctx.source))
 
 
-def _single_module_project(relpath: str, tree: ast.Module,
-                           config: LintConfig) -> ProjectContext:
-    graph = build_graph({relpath: scan_module(relpath, tree)})
-    return ProjectContext(graph, config)
-
-
-def lint_source(source: str, relpath: str, config: LintConfig,
-                *, path: Path | None = None,
-                rule_classes: Sequence[Type[Rule]] | None = None,
-                ) -> list[Finding]:
-    """Lint one module given as text; the unit every test fixture uses.
-
-    The module gets a one-file project graph, so the cross-module rule
-    families still run (with only intra-module edges to work with).
-    """
-    relpath = relpath.replace("\\", "/")
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        return [_syntax_finding(relpath, exc)]
-    project = _single_module_project(relpath, tree, config)
-    return _lint_module(source, relpath, config, tree=tree, path=path,
-                        project=project, rule_classes=rule_classes)
-
-
-def lint_sources(sources: Mapping[str, str],
-                 config: LintConfig | None = None,
-                 *, rule_classes: Sequence[Type[Rule]] | None = None,
+def lint_sources(sources: Mapping[str, str], *, root: Path = Path("."),
+                 rule_classes: Sequence[Type[Rule]] | None = None,
+                 timings: dict[str, float] | None = None,
                  ) -> list[Finding]:
-    """Lint several in-memory modules as one project.
+    """Lint several modules as one project; findings sorted by location.
 
-    ``sources`` maps repo-relative paths to source text. This is the
-    cross-module fixture entry point: a coroutine in one file and the
-    blocking helper it reaches two files away are linked through the
-    same project graph a real tree run would build.
+    ``sources`` maps root-relative paths to source text; scopes match
+    on those paths and findings report them. A rule that loads the
+    module itself (SMT5xx) reads ``root / relpath``. A coroutine in one
+    file and the blocking helper it reaches two files away are linked
+    through one project graph, whether the text came from a tree run
+    or from a test fixture. ``timings``, when given, receives
+    ``phase1_s`` and ``phase2_s``.
     """
-    if config is None:
-        config = LintConfig()
-    modules = {}
-    parsed: dict[str, tuple[str, ast.Module]] = {}
+    t0 = time.perf_counter()
+    if rule_classes is None:
+        rule_classes = all_rules()
     findings: list[Finding] = []
+    parsed: dict[str, tuple[str, ast.Module]] = {}
     for relpath, source in sources.items():
         relpath = relpath.replace("\\", "/")
         try:
@@ -290,33 +219,26 @@ def lint_sources(sources: Mapping[str, str],
             findings.append(_syntax_finding(relpath, exc))
             continue
         parsed[relpath] = (source, tree)
-        modules[relpath] = scan_module(relpath, tree)
-    project = ProjectContext(build_graph(modules), config)
+    graph = build_graph({relpath: scan_module(relpath, tree)
+                         for relpath, (_source, tree) in parsed.items()})
+    t1 = time.perf_counter()
     for relpath, (source, tree) in parsed.items():
-        findings.extend(_lint_module(
-            source, relpath, config, tree=tree, project=project,
-            rule_classes=rule_classes,
-        ))
+        ctx = ModuleContext(path=root / relpath, relpath=relpath,
+                            source=source, tree=tree, graph=graph)
+        findings.extend(_lint_module(ctx, rule_classes))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    if timings is not None:
+        timings["phase1_s"] = t1 - t0
+        timings["phase2_s"] = time.perf_counter() - t1
     return findings
 
 
-def lint_file(path: Path, config: LintConfig,
-              *, rule_classes: Sequence[Type[Rule]] | None = None,
-              ) -> list[Finding]:
-    """Lint one file on disk, reporting paths relative to the config root."""
-    relpath = _relpath_for(path, config)
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, relpath, config, path=path,
-                       rule_classes=rule_classes)
-
-
-def _relpath_for(path: Path, config: LintConfig) -> str:
+def _relpath_for(path: Path, root: Path) -> str:
+    resolved = path.resolve()
     try:
-        return str(path.resolve().relative_to(config.root)).replace(
-            "\\", "/")
+        return str(resolved.relative_to(root)).replace("\\", "/")
     except ValueError:
-        return str(path).replace("\\", "/")
+        return str(resolved).replace("\\", "/")
 
 
 def collect_files(paths: Sequence[Path]) -> list[Path]:
@@ -337,138 +259,22 @@ def collect_files(paths: Sequence[Path]) -> list[Path]:
     return unique
 
 
-def _config_signature(config: LintConfig) -> str:
-    scopes = sorted(
-        (family, tuple(scope.include), tuple(scope.exclude))
-        for family, scope in config.scopes.items()
-    )
-    return repr((tuple(config.paths), tuple(sorted(config.disable)), scopes))
+def run(root: Path | str = ".",
+        paths: Sequence[Path] | None = None) -> LintResult:
+    """Lint every ``.py`` file under ``paths`` (default: :data:`PATHS`).
 
-
-def _phase2_worker(items: list[tuple[str, str]], config: LintConfig,
-                   graph: ProjectGraph) -> list[tuple[str, list[Finding]]]:
-    """Lint a chunk of modules in a worker process (re-parses sources)."""
-    project = ProjectContext(graph, config)
-    return [
-        (relpath, _lint_module(source, relpath, config, project=project))
-        for relpath, source in items
-    ]
-
-
-def default_jobs() -> int:
-    """``SMITE_LINT_JOBS`` env override, else 1 (in-process)."""
-    raw = os.environ.get("SMITE_LINT_JOBS", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 1
-
-
-def lint_paths(paths: Sequence[Path], config: LintConfig,
-               *, rule_classes: Sequence[Type[Rule]] | None = None,
-               jobs: int = 1, cache: ResultCache | None = None,
-               timings: dict[str, float] | None = None,
-               ) -> tuple[list[Finding], int]:
-    """Lint every ``.py`` file under ``paths``; (findings, files checked).
-
-    Phase 1 always covers every file (the graph must be whole no matter
-    which modules' phase-2 results are cached); phase 2 consults
-    ``cache`` when given and fans out over ``jobs`` processes when > 1.
-    The cache is only used with the default rule set — a custom
-    ``rule_classes`` selection bypasses it.
+    Findings report paths relative to ``root``; a file outside it
+    reports its absolute path.
     """
     t0 = time.perf_counter()
-    files = collect_files(paths)
-    findings: list[Finding] = []
-    parsed: list[tuple[Path, str, str, ast.Module]] = []
-    modules = {}
-    for file in files:
-        relpath = _relpath_for(file, config)
-        source = file.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=relpath)
-        except SyntaxError as exc:
-            findings.append(_syntax_finding(relpath, exc))
-            continue
-        parsed.append((file, relpath, source, tree))
-        modules[relpath] = scan_module(relpath, tree)
-    graph = build_graph(modules)
-    project = ProjectContext(graph, config)
-    t1 = time.perf_counter()
-
-    use_cache = cache is not None and rule_classes is None
-    config_sig = _config_signature(config) if use_cache else ""
-    pending: list[tuple[Path, str, str, ast.Module, str]] = []
-    for file, relpath, source, tree in parsed:
-        key = ""
-        if use_cache:
-            key = ResultCache.key_for(
-                source, config_sig, graph.module_signature(relpath))
-            hit = cache.get(relpath, key)
-            if hit is not None:
-                findings.extend(hit)
-                continue
-        pending.append((file, relpath, source, tree, key))
-
-    if jobs > 1 and len(pending) > 1:
-        workers = min(jobs, len(pending))
-        chunks: list[list[tuple[str, str]]] = [[] for _ in range(workers)]
-        by_relpath = {relpath: key for _f, relpath, _s, _t, key in pending}
-        for index, (_file, relpath, source, _tree, _key) in \
-                enumerate(pending):
-            chunks[index % workers].append((relpath, source))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                executor.submit(_phase2_worker, chunk, config, graph)
-                for chunk in chunks if chunk
-            ]
-            for future in futures:
-                for relpath, file_findings in future.result():
-                    findings.extend(file_findings)
-                    if use_cache:
-                        cache.put(relpath, by_relpath[relpath],
-                                  file_findings)
-    else:
-        for file, relpath, source, tree, key in pending:
-            file_findings = _lint_module(
-                source, relpath, config, tree=tree, path=file,
-                project=project, rule_classes=rule_classes,
-            )
-            findings.extend(file_findings)
-            if use_cache:
-                cache.put(relpath, key, file_findings)
-
-    if use_cache:
-        cache.prune({relpath for _f, relpath, _s, _t in parsed})
-        cache.save()
-    t2 = time.perf_counter()
-    if timings is not None:
-        timings["phase1_s"] = t1 - t0
-        timings["phase2_s"] = t2 - t1
-        timings["total_s"] = t2 - t0
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, len(files)
-
-
-def run(config: LintConfig, paths: Sequence[Path] | None = None,
-        *, use_baseline: bool = True, jobs: int | None = None,
-        use_cache: bool = True) -> LintResult:
-    """A full lint run: collect, suppress, subtract the baseline."""
+    root = Path(root).resolve()
     if paths is None:
-        paths = [config.root / p for p in config.paths]
-    if jobs is None:
-        jobs = default_jobs()
-    cache = ResultCache(config.cache_file) if use_cache else None
+        paths = [root / p for p in PATHS]
+    files = collect_files(paths)
+    sources = {_relpath_for(file, root): file.read_text(encoding="utf-8")
+               for file in files}
     timings: dict[str, float] = {}
-    findings, files_checked = lint_paths(
-        paths, config, jobs=jobs, cache=cache, timings=timings)
-    stale: list[str] = []
-    if use_baseline:
-        baseline = Baseline.load(config.baseline_file)
-        findings, stale = baseline.apply(findings)
-    return LintResult(
-        findings=findings, stale_baseline=stale,
-        files_checked=files_checked, timings=timings,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        jobs=jobs,
-    )
+    findings = lint_sources(sources, root=root, timings=timings)
+    timings["total_s"] = time.perf_counter() - t0
+    return LintResult(findings=findings, files_checked=len(files),
+                      timings=timings)

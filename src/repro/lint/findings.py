@@ -1,35 +1,27 @@
 """Finding and severity model for the ``repro.lint`` framework.
 
 A :class:`Finding` is one rule violation at one source location. Findings
-are plain values: the engine produces them, suppressions and baselines
-filter them, and the CLI renders them (human text or JSON). The
-``fingerprint`` intentionally excludes the line *number* — it hashes the
-rule, the file, and the stripped source text of the flagged line — so a
-baseline entry survives unrelated edits that shift code up or down.
+are plain values: the engine produces them, inline suppressions mark
+them, and the CLI renders them (human text or JSON).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["Severity", "Finding"]
 
 
 class Severity(enum.Enum):
-    """How bad a violation is; orders from advisory to blocking."""
+    """How bad a violation is: advisory (info) or blocking (error)."""
 
     INFO = "info"
-    WARNING = "warning"
     ERROR = "error"
 
     def __repr__(self) -> str:
         return f"Severity.{self.name}"
-
-    @property
-    def rank(self) -> int:
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
 
 
 @dataclass(frozen=True)
@@ -45,12 +37,6 @@ class Finding:
     source: str = ""     # stripped text of the flagged line ('' if n/a)
     suppressed: bool = field(default=False, compare=False)
     suppress_reason: str = field(default="", compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file."""
-        return f"{self.rule}::{self.path}::{self.source}"
 
     @property
     def location(self) -> str:
@@ -73,20 +59,4 @@ class Finding:
             "source": self.source,
             "suppressed": self.suppressed,
             "suppress_reason": self.suppress_reason,
-            "baselined": self.baselined,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity(data.get("severity", "error")),
-            path=str(data["path"]),
-            line=int(data.get("line", 0)),
-            col=int(data.get("col", 0)),
-            message=str(data.get("message", "")),
-            source=str(data.get("source", "")),
-            suppressed=bool(data.get("suppressed", False)),
-            suppress_reason=str(data.get("suppress_reason", "")),
-            baselined=bool(data.get("baselined", False)),
-        )

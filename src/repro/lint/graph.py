@@ -13,18 +13,16 @@ coroutine body. This module builds that view:
 - :class:`ProjectGraph`: resolves call sites to project symbols
   (module functions, class methods through base classes *and* project
   subclass overrides, ``self.<attr>`` fields typed by constructor
-  annotations or local construction), then computes three closures:
-  the **async taint** (functions reachable from a coroutine body by
-  plain calls — an executor hop passes the function as a value, so it
-  breaks the chain naturally), the **worker taint** (functions reachable
-  from a ``ProcessPoolExecutor.submit`` / ``multiprocessing.Process``
+  annotations or local construction), then computes two closures: the
+  **worker taint** (functions reachable from a
+  ``ProcessPoolExecutor.submit`` / ``multiprocessing.Process``
   entrypoint, tracked per entrypoint so snapshot/merge foldback can be
-  checked per worker), and **blocking reachability** with the call chain
-  kept for diagnostics.
+  checked per worker) and **blocking reachability** with the call chain
+  kept for diagnostics. SMT601 walks a coroutine's own call edges into
+  the blocking set; an executor hop passes the function as a value, so
+  there is no edge and the chain breaks where the fix goes.
 
-Everything stored here is plain data (no AST nodes), so the graph
-pickles cleanly to phase-2 worker processes and hashes stably into the
-result cache's per-module signature.
+Everything stored here is plain data (no AST nodes).
 """
 
 from __future__ import annotations
@@ -577,7 +575,6 @@ class ProjectGraph:
                 self.classes[cls.qualname] = cls
         self._subclasses: dict[str, set[str]] = {}
         self._link()
-        self.async_taint: dict[str, tuple[str, ...]] = {}
         self.worker_taint: dict[str, frozenset[str]] = {}
         self.worker_roots: dict[str, frozenset[str]] = {}
         self.blocking_next: dict[str, tuple[str, int, str]] = {}
@@ -771,7 +768,7 @@ class ProjectGraph:
     # -- closures -------------------------------------------------------
 
     def _close(self) -> None:
-        """Compute async taint, worker taints, blocking reachability."""
+        """Compute blocking reachability and the worker taints."""
         # Blocking reachability, backwards: seed with functions that
         # contain a primitive, then pull callers in until fixpoint.
         nxt: dict[str, tuple[str, int, str]] = {}
@@ -792,26 +789,6 @@ class ProjectGraph:
                         changed = True
                         break
         self.blocking_next = nxt
-
-        # Async taint, forwards from coroutine bodies. Edges into async
-        # callees are not followed: an awaited coroutine is its own root
-        # and an un-awaited one never runs (SMT602's problem).
-        taint: dict[str, tuple[str, ...]] = {
-            fn.qualname: () for fn in self.functions.values() if fn.is_async
-        }
-        queue = list(taint)
-        while queue:
-            current = queue.pop()
-            chain = taint[current]
-            for site in self.functions[current].calls:
-                for callee in site.callees:
-                    target = self.functions.get(callee)
-                    if target is None or target.is_async:
-                        continue
-                    if callee not in taint:
-                        taint[callee] = chain + (current,)
-                        queue.append(callee)
-        self.async_taint = taint
 
         # Worker taint, forwards from submit targets, tracked per root.
         roots: dict[str, set[str]] = {}
@@ -871,38 +848,6 @@ class ProjectGraph:
             if fn is not None and fn.obs_foldback:
                 return True
         return False
-
-    def module_signature(self, relpath: str) -> str:
-        """A stable digest of everything phase 2 reads for one module.
-
-        The result cache keys on this: if an edit two modules away
-        changes this module's taints, resolution targets, or blocking
-        chains, the signature changes and the cached findings are
-        invalidated even though the file's own bytes did not move.
-        """
-        mod = self.module_for(relpath)
-        if mod is None:
-            return ""
-        parts: list[str] = []
-        for local in sorted(mod.functions):
-            fn = mod.functions[local]
-            q = fn.qualname
-            parts.append(
-                f"{local}|{fn.is_async}|{q in self.async_taint}"
-                f"|{sorted(self.worker_taint.get(q, ()))}"
-                f"|{self.blocking_next.get(q)}"
-            )
-            for site in fn.calls:
-                callee_bits = ",".join(
-                    f"{c}:{self.functions[c].is_async}"
-                    f":{self.blocking_next.get(c) is not None}"
-                    f":{self.blocking_chain(c)}"
-                    for c in site.callees if c in self.functions
-                )
-                parts.append(f"  {site.lineno}:{site.raw}|{callee_bits}")
-            for root in sorted(self.worker_taint.get(q, ())):
-                parts.append(f"  root {root}|{self.root_folds_back(root)}")
-        return "\n".join(parts)
 
 
 def build_graph(modules: dict[str, ModuleInfo]) -> ProjectGraph:

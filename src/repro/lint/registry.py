@@ -1,11 +1,11 @@
 """Rule base class and the global rule registry.
 
-A rule is a class with an ``id`` (``SMT###``), a ``family`` (the scope
-unit the config keys on), a default ``severity``, and either AST hooks
-(methods named ``visit_<NodeType>``, dispatched during one shared walk
-of the module) or a ``check_module`` hook (for whole-module analyses
-like ``__all__`` drift or the Ruler port-purity check). Registration is
-by decorator::
+A rule is a class with an ``id`` (``SMT###``), a ``family`` (the unit
+:data:`repro.lint.config.SCOPES` keys on), a default ``severity``, and
+either AST hooks (methods named ``visit_<NodeType>``, dispatched during
+one shared walk of the module) or a ``check_module`` hook (for
+whole-module analyses like ``__all__`` drift or the Ruler port-purity
+check). Registration is by decorator::
 
     @register
     class UnseededRandom(Rule):
@@ -13,8 +13,7 @@ by decorator::
         family = "determinism"
         ...
 
-Rule ids are stable API: docs, suppression comments, and baseline
-entries all refer to them.
+Rule ids are stable API: docs and suppression comments refer to them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.lint.findings import Severity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleContext
 
-__all__ = ["Rule", "register", "all_rules", "rules_by_family", "find_rule"]
+__all__ = ["Rule", "register", "all_rules"]
 
 
 class Rule:
@@ -71,20 +70,6 @@ def all_rules() -> tuple[Type[Rule], ...]:
     """Every registered rule, in rule-id order."""
     _load_builtin_rules()
     return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
-
-
-def rules_by_family() -> dict[str, tuple[Type[Rule], ...]]:
-    """All registered rule classes grouped by family name."""
-    families: dict[str, list[Type[Rule]]] = {}
-    for rule in all_rules():
-        families.setdefault(rule.family, []).append(rule)
-    return {family: tuple(rules) for family, rules in families.items()}
-
-
-def find_rule(rule_id: str) -> Type[Rule] | None:
-    """The registered rule class with the given id, if any."""
-    _load_builtin_rules()
-    return _REGISTRY.get(rule_id)
 
 
 def _load_builtin_rules() -> None:

@@ -15,7 +15,7 @@ procsafety   SMT701-703  worker-state foldback, picklable submit targets,
 ===========  ==========  ===================================================
 
 The concurrency and procsafety families are *cross-module*: they read
-the phase-1 project graph (``ctx.project``) instead of walking the AST
+the phase-1 project graph (``ctx.graph``) instead of walking the AST
 themselves.
 """
 

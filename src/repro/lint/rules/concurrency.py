@@ -5,7 +5,7 @@ loop: a single blocking call anywhere in a coroutine's *transitive*
 call tree stalls every in-flight request, which surfaces as a tail-
 latency cliff rather than a crash. Per-file linting cannot see a
 ``time.sleep`` three helpers away, so these rules read the phase-1
-project graph (``ctx.project``):
+project graph (``ctx.graph``):
 
 - **SMT601** walks every coroutine's resolved call edges and flags both
   direct blocking primitives in its body and call sites whose (sync)
@@ -61,9 +61,7 @@ class BlockingInCoroutine(Rule):
                "reachable from a coroutine without an executor hop")
 
     def check_module(self, ctx) -> None:
-        if ctx.project is None:
-            return
-        graph = ctx.project.graph
+        graph = ctx.graph
         mod = graph.module_for(ctx.relpath)
         if mod is None:
             return
@@ -110,9 +108,7 @@ class UnawaitedCoroutine(Rule):
                "never runs; or a create_task handle is discarded")
 
     def check_module(self, ctx) -> None:
-        if ctx.project is None:
-            return
-        graph = ctx.project.graph
+        graph = ctx.graph
         mod = graph.module_for(ctx.relpath)
         if mod is None:
             return

@@ -61,9 +61,7 @@ class WorkerStateLoss(Rule):
                "worker without snapshot/merge foldback to the parent")
 
     def check_module(self, ctx) -> None:
-        if ctx.project is None:
-            return
-        graph = ctx.project.graph
+        graph = ctx.graph
         mod = graph.module_for(ctx.relpath)
         if mod is None:
             return
@@ -106,9 +104,7 @@ class UnpicklableSubmit(Rule):
                "executor submit/map — it cannot pickle")
 
     def check_module(self, ctx) -> None:
-        if ctx.project is None:
-            return
-        graph = ctx.project.graph
+        graph = ctx.graph
         mod = graph.module_for(ctx.relpath)
         if mod is None:
             return
@@ -165,9 +161,7 @@ class ResourceLifecycle(Rule):
                "`finally`, or a self-attribute on a class with a closer")
 
     def check_module(self, ctx) -> None:
-        mod = None
-        if ctx.project is not None:
-            mod = ctx.project.graph.module_for(ctx.relpath)
+        mod = ctx.graph.module_for(ctx.relpath)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -1,4 +1,4 @@
-"""fig13 and figs_adaptive batch-solve the grids they read.
+"""fig9, fig13 and figs_adaptive batch-solve the grids they read.
 
 Each experiment is shrunk to a fresh, cache-less simulator and small
 workload sets; the loops under test — fig13's measured-degradation grid
@@ -8,11 +8,12 @@ and figs_adaptive's safe-cap ranking — are the real ones.
 import pytest
 
 from repro.core.predictor import SMiTe
+from repro.experiments import fig09_rulers as fig9
 from repro.experiments import fig13_tail_latency as fig13
 from repro.experiments import figs_adaptive
 from repro.experiments.base import ExperimentConfig
 from repro.obs import snapshot
-from repro.smt.params import SANDY_BRIDGE_EN
+from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.simulator import Simulator
 from repro.workloads.spec import spec_even, spec_odd
 
@@ -88,3 +89,19 @@ def test_figs_adaptive_ranking_makes_no_unprefetched_solves(monkeypatch):
         figs_adaptive._study.__wrapped__(True, 42)
     assert len(caps) == 6
     assert sum(caps) == 0
+
+
+def test_fig9_alone_makes_no_unprefetched_solves(monkeypatch):
+    # Reference: every read a batch-of-one solve, nothing prefetched.
+    unbatched = Simulator(IVY_BRIDGE)
+    monkeypatch.setattr(unbatched, "prefetch", lambda placements: None)
+    monkeypatch.setattr(fig9, "ivy_simulator", lambda: unbatched)
+    expected = fig9.run(ExperimentConfig(fast=True))
+
+    monkeypatch.setattr(fig9, "ivy_simulator",
+                        lambda: Simulator(IVY_BRIDGE))
+    before = _solves()
+    result = fig9.run(ExperimentConfig(fast=True))
+    # The purity check's four functional-unit solo PMU reads included.
+    assert _solves() == before
+    assert result == expected

@@ -1,6 +1,6 @@
 """Shared helpers for the lint-framework tests.
 
-``lint()`` runs :func:`repro.lint.lint_source` over a source snippet at
+``lint()`` runs :func:`repro.lint.lint_sources` over a source snippet at
 a chosen (virtual) repo-relative path — the path matters because rule
 families are scoped to path prefixes. Tests select the rules they
 exercise so fixture snippets do not need to satisfy every family at
@@ -13,18 +13,18 @@ import textwrap
 
 import pytest
 
-from repro.lint import Finding, LintConfig, lint_source
+from repro.lint import Finding, lint_sources
 
-#: A path inside both the determinism and numeric default scopes.
+#: A path inside both the determinism and numeric scopes.
 MODEL_PATH = "src/repro/smt/fixture.py"
 
 
 @pytest.fixture
 def lint():
     def _lint(source: str, *, relpath: str = MODEL_PATH,
-              rules=None, path=None) -> list[Finding]:
-        return lint_source(textwrap.dedent(source), relpath, LintConfig(),
-                          path=path, rule_classes=rules)
+              rules=None) -> list[Finding]:
+        return lint_sources({relpath: textwrap.dedent(source)},
+                            rule_classes=rules)
     return _lint
 
 

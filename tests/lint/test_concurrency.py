@@ -1,7 +1,7 @@
 """Fixtures for the SMT6xx async-hygiene family.
 
 Single-file fixtures use the ``lint`` fixture (one-module project);
-the cross-module cases — the ones the two-phase engine exists for —
+the cross-module cases — the ones the project graph exists for —
 use :func:`repro.lint.lint_sources` to lint a small fixture package as
 one project.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import LintConfig, lint_sources
+from repro.lint import lint_sources
 from repro.lint.rules.concurrency import (BlockingInCoroutine,
                                           EventLoopMisuse,
                                           UnawaitedCoroutine)
@@ -21,7 +21,7 @@ from .conftest import rule_ids
 def _lint_pkg(sources: dict[str, str], rules=None):
     return lint_sources(
         {path: textwrap.dedent(body) for path, body in sources.items()},
-        LintConfig(), rule_classes=rules,
+        rule_classes=rules,
     )
 
 

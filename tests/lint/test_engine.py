@@ -1,20 +1,17 @@
-"""Engine behavior: suppressions, baseline round-trips, scopes, config."""
+"""Engine behavior: the registry, suppressions, scopes, file collection."""
 
 from __future__ import annotations
 
 import textwrap
-from pathlib import Path
 
 from repro.lint import (
-    Baseline,
-    LintConfig,
     LintResult,
     Scope,
     all_rules,
     collect_files,
-    lint_source,
-    load_config,
+    lint_sources,
     parse_suppressions,
+    run,
 )
 from repro.lint.engine import SYNTAX_ERROR_RULE
 from repro.lint.rules.numeric import UnguardedDivision
@@ -23,8 +20,8 @@ from .conftest import MODEL_PATH
 
 
 def _lint(source: str, **kwargs):
-    return lint_source(textwrap.dedent(source), MODEL_PATH, LintConfig(),
-                       rule_classes=[UnguardedDivision], **kwargs)
+    return lint_sources({MODEL_PATH: textwrap.dedent(source)},
+                        rule_classes=[UnguardedDivision], **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -79,56 +76,15 @@ def test_multi_rule_suppression_list():
 
 
 def test_syntax_errors_are_not_suppressible():
-    findings = lint_source(
-        "def broken(  # smite: noqa[*]: nice try\n",
-        MODEL_PATH, LintConfig())
+    findings = lint_sources(
+        {MODEL_PATH: "def broken(  # smite: noqa[*]: nice try\n"})
     (finding,) = findings
     assert finding.rule == SYNTAX_ERROR_RULE
     assert not finding.suppressed
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
-
-def test_baseline_round_trip_marks_legacy_and_reports_stale(tmp_path):
-    findings = _lint("""\
-        def f(a, b):
-            return a / b
-    """)
-    baseline = Baseline.from_findings(findings)
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    reloaded = Baseline.load(path)
-    assert reloaded.counts == baseline.counts
-
-    annotated, stale = reloaded.apply(findings)
-    assert stale == []
-    assert all(f.baselined for f in annotated)
-
-    # After the violation is fixed the entry must surface as stale.
-    _, stale = reloaded.apply([])
-    assert stale == [findings[0].fingerprint]
-
-
-def test_baseline_fingerprint_survives_line_shifts():
-    before = _lint("""\
-        def f(a, b):
-            return a / b
-    """)
-    after = _lint("""\
-        import math
-
-
-        def f(a, b):
-            return a / b
-    """)
-    assert before[0].line != after[0].line
-    assert before[0].fingerprint == after[0].fingerprint
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
+# Exit code and scopes
 
 def test_exit_code_semantics():
     failing = _lint("""\
@@ -137,11 +93,7 @@ def test_exit_code_semantics():
     """)
     assert LintResult(findings=failing).exit_code == 1
     assert LintResult(findings=[]).exit_code == 0
-    assert LintResult(stale_baseline=["SMT302::x.py::y"]).exit_code == 1
 
-
-# ----------------------------------------------------------------------
-# Scopes and config
 
 def test_scope_prefix_matching():
     scope = Scope(include=("src/repro/smt",), exclude=("src/repro/smt/pmu",))
@@ -149,38 +101,6 @@ def test_scope_prefix_matching():
     assert not scope.applies_to("src/repro/smtx/solver.py")
     assert not scope.applies_to("src/repro/smt/pmu/defects.py")
     assert not scope.applies_to("tests/test_solver.py")
-
-
-def test_config_disable_by_rule_id_and_family():
-    config = LintConfig(disable=("SMT302", "api"))
-    assert not config.rule_enabled("SMT302", "numeric")
-    assert config.rule_enabled("SMT301", "numeric")
-    assert not config.rule_enabled("SMT401", "api")
-
-
-def test_load_config_reads_smite_lint_block(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-        [tool.smite-lint]
-        paths = ["lib"]
-        baseline = "lint-baseline.json"
-        disable = ["SMT403"]
-
-        [tool.smite-lint.scopes.numeric]
-        include = ["lib/core"]
-    """), encoding="utf-8")
-    config = load_config(tmp_path)
-    assert config.paths == ("lib",)
-    assert config.baseline_file == tmp_path / "lint-baseline.json"
-    assert config.disable == ("SMT403",)
-    assert config.scope_for("numeric").include == ("lib/core",)
-    # Unmentioned families keep their defaults.
-    assert config.scope_for("determinism").include
-
-
-def test_load_config_without_block_uses_defaults(tmp_path):
-    config = load_config(tmp_path)
-    assert config.paths == ("src",)
-    assert config.root == tmp_path.resolve()
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +118,50 @@ def test_collect_files_expands_dedupes_and_sorts(tmp_path):
 
 
 def test_syntax_error_reports_smt000(tmp_path):
-    findings = lint_source("def broken(:\n", MODEL_PATH, LintConfig())
+    findings = lint_sources({MODEL_PATH: "def broken(:\n"})
     (finding,) = findings
     assert finding.rule == SYNTAX_ERROR_RULE
     assert "does not parse" in finding.message
+
+
+# ----------------------------------------------------------------------
+# One project-building path for the CLI and the fixtures
+
+_PKG = {
+    "src/fix/io.py": """\
+        import time
+
+        def slow():
+            time.sleep(1)
+
+        async def tick():
+            time.sleep(1)  # smite: noqa[SMT601]: fixture keeps it on purpose
+    """,
+    "src/fix/api.py": """\
+        from fix.io import slow
+
+        async def handler():
+            slow()
+    """,
+}
+
+
+def test_run_over_files_equals_lint_sources_over_their_text(tmp_path):
+    sources = {relpath: textwrap.dedent(body)
+               for relpath, body in _PKG.items()}
+    for relpath, text in sources.items():
+        (tmp_path / relpath).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / relpath).write_text(text, encoding="utf-8")
+
+    result = run(tmp_path)
+    expected = lint_sources(sources, root=tmp_path)
+    # to_dict carries the suppression fields Finding equality ignores.
+    assert [f.to_dict() for f in result.findings] \
+        == [f.to_dict() for f in expected]
+    assert result.files_checked == 2
+    assert [(f.path, f.suppressed) for f in expected
+            if f.rule == "SMT601"] == [("src/fix/api.py", False),
+                                       ("src/fix/io.py", True)]
+    (chain,) = [f for f in expected
+                if f.rule == "SMT601" and not f.suppressed]
+    assert "via `slow` (`time.sleep`)" in chain.message

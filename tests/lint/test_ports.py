@@ -11,7 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintConfig, lint_file
+from repro.lint import lint_sources
 from repro.lint.rules.ports import BranchPurityBudget, PortPurity
 
 from .conftest import rule_ids
@@ -40,7 +40,8 @@ def _fixture(tmp_path: Path, body: str, *, unroll: int = 10000,
 
 
 def _lint_ports(path: Path):
-    return lint_file(path, LintConfig(), rule_classes=PORT_RULES)
+    return lint_sources({str(path): path.read_text(encoding="utf-8")},
+                        rule_classes=PORT_RULES)
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +135,7 @@ def test_modules_without_fu_listings_are_ignored(tmp_path):
 
 
 def test_every_shipped_ruler_passes_port_purity():
-    shipped = REPO / "src" / "repro" / "rulers" / "functional_unit.py"
-    assert lint_file(shipped, LintConfig(root=REPO),
-                     rule_classes=PORT_RULES) == []
+    relpath = "src/repro/rulers/functional_unit.py"
+    source = (REPO / relpath).read_text(encoding="utf-8")
+    assert lint_sources({relpath: source}, root=REPO,
+                        rule_classes=PORT_RULES) == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import LintConfig, lint_sources
+from repro.lint import lint_sources
 from repro.lint.rules.procsafety import (ResourceLifecycle,
                                          UnpicklableSubmit,
                                          WorkerStateLoss)
@@ -15,7 +15,7 @@ from .conftest import rule_ids
 def _lint_pkg(sources: dict[str, str], rules=None):
     return lint_sources(
         {path: textwrap.dedent(body) for path, body in sources.items()},
-        LintConfig(), rule_classes=rules,
+        rule_classes=rules,
     )
 
 

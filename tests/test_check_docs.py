@@ -264,3 +264,28 @@ def test_repo_docs_name_no_dead_paths():
 @pytest.mark.slow
 def test_repo_doc_snippets_execute():
     assert check_docs.check_snippets() == []
+
+
+# ----------------------------------------------------------------------
+# Lint invocations vs the lint CLI's parser
+
+def test_a_removed_lint_flag_in_a_doc_is_reported(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```bash\n"
+        "python -m repro.lint --format json src   # --jobs in a comment\n"
+        "python -m repro.lint --jobs 4\n"
+        "```\n"
+        "Run `python scripts/lint.py --stats` or "
+        "`python scripts/lint.py --no-cache`, then `--jobs` alone.\n",
+        encoding="utf-8")
+    assert check_docs.check_lint_flags([doc]) == [
+        f"{doc}:3: lint flag '--jobs' is not an option of "
+        "python -m repro.lint",
+        f"{doc}:5: lint flag '--no-cache' is not an option of "
+        "python -m repro.lint",
+    ]
+
+
+def test_repo_docs_pass_only_real_lint_flags():
+    assert check_docs.check_lint_flags() == []
