@@ -28,6 +28,10 @@ docs/*.md) and
    serve-api``), and every option of those parsers needs a row in its
    own table or in the shared runner table. Removing a flag without
    its row, or adding one without a row, fails CI;
+   likewise every ``SMITE_*`` variable in the runner table's
+   environment column must be read under ``src/``, ``scripts/`` or
+   ``examples/`` (a string constant spelling its name), and every
+   variable read there needs a row;
 5. **checks lint invocations**: every ``--flag`` written after
    ``python -m repro.lint`` or ``scripts/lint.py`` in a user-facing doc
    must be an option of ``repro.lint.cli``'s parser.
@@ -53,6 +57,7 @@ The same checks run inside the test suite (``tests/test_check_docs.py``).
 from __future__ import annotations
 
 import argparse
+import ast
 import fnmatch
 import os
 import re
@@ -381,20 +386,28 @@ _FLAG_TABLE_HEADER = re.compile(r"^\| Flag \(`?(?P<label>[^`)]+)`?\) \|")
 _FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
-def flag_tables(text: str) -> dict[str, set[str]]:
-    """Table label -> the flags named in its rows' first column."""
-    tables: dict[str, set[str]] = {}
+def _table_rows(text: str):
+    """(label, cells) of every row of the ``Flag (label)`` tables; the
+    header row itself comes with no cells."""
     label = None
     for line in text.splitlines():
         line = line.strip()
         header = _FLAG_TABLE_HEADER.match(line)
         if header:
             label = header["label"]
-            tables[label] = set()
+            yield label, []
         elif label is not None and line.startswith("|"):
-            tables[label].update(_FLAG.findall(line.split("|")[1]))
+            yield label, line.split("|")
         else:
             label = None
+
+
+def flag_tables(text: str) -> dict[str, set[str]]:
+    """Table label -> the flags named in its rows' first column."""
+    tables: dict[str, set[str]] = {}
+    for label, cells in _table_rows(text):
+        tables.setdefault(label, set()).update(
+            _FLAG.findall(cells[1]) if cells else ())
     return tables
 
 
@@ -447,6 +460,52 @@ def check_flag_tables(text: str | None = None) -> list[str]:
     return errors
 
 
+#: Directories whose Python files count as reading a ``SMITE_*`` variable.
+_ENV_READERS = ("src", "scripts", "examples")
+_ENV_NAME = re.compile(r"SMITE_[A-Z][A-Z0-9_]*")
+
+
+def env_table(text: str) -> set[str]:
+    """The ``SMITE_*`` names in the runner table's environment column."""
+    return {name for label, cells in _table_rows(text)
+            if label == "runner" and cells
+            for name in _ENV_NAME.findall(cells[2])}
+
+
+def env_reads(roots: list[Path] | None = None) -> set[str]:
+    """``SMITE_*`` names spelled exactly by a string constant in a Python
+    file under ``roots`` (default: src/, scripts/ and examples/)."""
+    names: set[str] = set()
+    for root in roots or [REPO / name for name in _ENV_READERS]:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _ENV_NAME.fullmatch(node.value)
+            )
+    return names
+
+
+def check_env_table(text: str | None = None,
+                    roots: list[Path] | None = None) -> list[str]:
+    """README's environment rows and the variables the code reads agree."""
+    if text is None:
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+    documented = env_table(text)
+    read = env_reads(roots)
+    return [
+        f"env table: README documents '{name}', which nothing under "
+        f"src/, scripts/ or examples/ reads"
+        for name in sorted(documented - read)
+    ] + [
+        f"env table: '{name}' is read but has no row in README's "
+        f"configuration reference"
+        for name in sorted(read - documented)
+    ]
+
+
 #: A lint invocation in prose or a code block; ``args`` runs to the end
 #: of its code span, a shell comment, or the end of the line.
 _LINT_CALL = re.compile(
@@ -486,6 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     errors += check_rule_coverage()
     errors += check_alert_rule_coverage()
     errors += check_flag_tables()
+    errors += check_env_table()
     errors += check_lint_flags()
     if not args.links_only:
         errors += check_snippets()

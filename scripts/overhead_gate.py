@@ -46,7 +46,7 @@ _CHILD = ("import sys; sys.path[:0] = [{src!r}, {scripts!r}]; "
 def measure() -> None:
     """Child process: print the replay's event count and best seconds."""
     from repro.core.predictor import SMiTe
-    from repro.obs import timeseries, trace
+    from repro.obs.report import recording
     from repro.scheduler.qos import QosTarget
     from repro.serve.engine import ServingEngine
     from repro.serve.service import PredictionService
@@ -57,30 +57,28 @@ def measure() -> None:
     from repro.workloads.cloudsuite import cloudsuite_apps
     from repro.workloads.spec import spec_even, spec_odd
 
-    trace.maybe_install_env_tracer()
-    timeseries.maybe_install_env_sampler()
-    predictor = SMiTe(Simulator(SANDY_BRIDGE_EN)).fit(
-        spec_odd()[:6], mode="smt")
-    predictor.fit_server(spec_odd()[:6], instance_counts=(1, 3, 6))
-    arrivals = diurnal_trace(spec_even()[:4], mean_rate_per_s=0.05, seed=42)
-    apps = cloudsuite_apps()[:2]
-    target = QosTarget.average(0.95)
+    with recording():
+        predictor = SMiTe(Simulator(SANDY_BRIDGE_EN)).fit(
+            spec_odd()[:6], mode="smt")
+        predictor.fit_server(spec_odd()[:6], instance_counts=(1, 3, 6))
+        arrivals = diurnal_trace(spec_even()[:4], mean_rate_per_s=0.05,
+                                 seed=42)
+        apps = cloudsuite_apps()[:2]
+        target = QosTarget.average(0.95)
 
-    def timed_replay() -> tuple[float, int]:
-        engine = ServingEngine(
-            predictor.simulator, apps,
-            PredictionService(predictor, target),
-            servers_per_app=4, epoch_s=300.0, window_s=3_600.0,
-            slo=WindowedSlo(3_600.0, target),
-        )
-        started = time.perf_counter()
-        outcome = engine.replay(arrivals)
-        return time.perf_counter() - started, len(outcome.events)
+        def timed_replay() -> tuple[float, int]:
+            engine = ServingEngine(
+                predictor.simulator, apps,
+                PredictionService(predictor, target),
+                servers_per_app=4, epoch_s=300.0, window_s=3_600.0,
+                slo=WindowedSlo(3_600.0, target),
+            )
+            started = time.perf_counter()
+            outcome = engine.replay(arrivals)
+            return time.perf_counter() - started, len(outcome.events)
 
-    timed_replay()  # warm-up: first-touch solves and memos
-    seconds, events = min(timed_replay() for _ in range(ROUNDS))
-    trace.maybe_write_env_trace()
-    timeseries.maybe_write_env_telemetry()
+        timed_replay()  # warm-up: first-touch solves and memos
+        seconds, events = min(timed_replay() for _ in range(ROUNDS))
     print(json.dumps({"events": events, "seconds": seconds}))
 
 

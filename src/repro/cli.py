@@ -46,6 +46,7 @@ from repro.obs.report import (
     build_report,
     load_report,
     maybe_write_env_report,
+    recording,
     render_adapt,
     render_audit,
     render_report,
@@ -179,19 +180,20 @@ def _parse_qos(spec: str) -> QosTarget:
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.adapt and args.policy != "smite":
-        raise ReproError("--adapt recalibrates the SMiTe regression; it "
-                         "requires --policy smite")
+def _fit_smite(args: argparse.Namespace):
+    """The fitted model both serving commands decide with.
+
+    Trains SMiTe on the odd SPEC half (a subset under ``--fast``), parses
+    ``--qos``, and for a tail target fits one latency model per served
+    CloudSuite app. Returns ``(predictor, target, apps, tail_models)``.
+    """
     simulator = Simulator(SANDY_BRIDGE_EN, disk_cache=default_cache())
     training = spec_odd()[:8] if args.fast else spec_odd()
     counts = (1, 3, 6) if args.fast else (1, 2, 4, 6)
     predictor = SMiTe(simulator).fit(training, mode="smt")
     predictor.fit_server(training, instance_counts=counts)
-
     target = _parse_qos(args.qos)
     apps = cloudsuite_apps()[:2] if args.fast else cloudsuite_apps()
-    pool = spec_even()[:6] if args.fast else spec_even()
     tail_models = None
     if target.metric.value == "tail_latency":
         tail_models = {
@@ -200,20 +202,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                      else 60_000)
             for app in apps
         }
+    return predictor, target, apps, tail_models
+
+
+def _decider(args: argparse.Namespace, fitted=None):
+    """The ``--policy`` decider; only ``smite`` needs the :func:`_fit_smite`
+    model, which is fitted here unless the caller passes it."""
+    if args.policy == "random":
+        return RandomDecider(seed=args.seed + 1)
+    if args.policy == "baseline":
+        return BaselineDecider()
+    predictor, target, _apps, tail_models = fitted or _fit_smite(args)
+    return PredictionService(predictor, target, tail_models=tail_models)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.adapt and args.policy != "smite":
+        raise ReproError("--adapt recalibrates the SMiTe regression; it "
+                         "requires --policy smite")
+    fitted = _fit_smite(args)
+    predictor, target, apps, tail_models = fitted
+    pool = spec_even()[:6] if args.fast else spec_even()
 
     generate = diurnal_trace if args.trace == "diurnal" else poisson_trace
     rate_kw = ("mean_rate_per_s" if args.trace == "diurnal"
                else "rate_per_s")
     trace = generate(pool, horizon_s=args.duration, seed=args.seed,
                      **{rate_kw: args.rate})
-
-    if args.policy == "smite":
-        decider = PredictionService(predictor, target,
-                                    tail_models=tail_models)
-    elif args.policy == "random":
-        decider = RandomDecider(seed=args.seed + 1)
-    else:
-        decider = BaselineDecider()
+    decider = _decider(args, fitted)
 
     audit = PredictionAudit()
     alerts = AlertEngine(default_rules(drift_bound=args.drift_bound))
@@ -229,27 +245,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=DriftPolicy(drift_bound=args.drift_bound),
         )
     engine = ServingEngine(
-        simulator, apps, decider,
+        predictor.simulator, apps, decider,
         servers_per_app=args.servers, epoch_s=args.epoch,
         window_s=args.window, slo=slo, audit=audit,
         adaptation=controller,
     )
-    tracer = obs_trace.install() if args.trace_out else None
-    series = (obs_timeseries.install(args.telemetry_interval)
-              if args.telemetry_out else None)
     outcome = engine.replay(trace, shards=args.shards, jobs=args.jobs)
-    if tracer is not None:
-        obs_trace.uninstall()
-        trace_path = obs_trace.write_chrome_trace(args.trace_out, tracer)
-        print(f"trace written to {trace_path} "
-              f"(load in Perfetto or chrome://tracing)")
-    if series is not None:
-        obs_timeseries.uninstall()
-        telemetry_path = obs_timeseries.write_telemetry(
-            args.telemetry_out, series)
-        print(f"telemetry written to {telemetry_path} "
-              f"({len(series.frames)} frames; tail with "
-              f"`repro.cli obs top`)")
 
     print(f"{args.trace} trace, {outcome.arrivals} arrivals over "
           f"{trace.horizon_s / 3600:.1f} h, policy {outcome.policy}, "
@@ -296,37 +297,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _api_decider(args: argparse.Namespace):
-    """Build the serve-api decider; only ``smite`` needs a fitted model."""
-    if args.policy == "random":
-        return RandomDecider(seed=args.seed + 1)
-    if args.policy == "baseline":
-        return BaselineDecider()
-    simulator = Simulator(SANDY_BRIDGE_EN, disk_cache=default_cache())
-    training = spec_odd()[:8] if args.fast else spec_odd()
-    counts = (1, 3, 6) if args.fast else (1, 2, 4, 6)
-    predictor = SMiTe(simulator).fit(training, mode="smt")
-    predictor.fit_server(training, instance_counts=counts)
-    target = _parse_qos(args.qos)
-    tail_models = None
-    if target.metric.value == "tail_latency":
-        apps = cloudsuite_apps()[:2] if args.fast else cloudsuite_apps()
-        tail_models = {
-            app.name: fit_tail_model(simulator, predictor, app,
-                                     des_jobs=10_000 if args.fast
-                                     else 60_000)
-            for app in apps
-        }
-    return PredictionService(predictor, target, tail_models=tail_models)
-
-
 def _cmd_serve_api(args: argparse.Namespace) -> int:
     if args.shards > 1 and args.port != 0:
         raise ReproError(
             "--port only applies to the in-process server; sharded "
             "workers each listen on an ephemeral port (printed at start)"
         )
-    decider = _api_decider(args)
+    decider = _decider(args)
     options = dict(
         max_batch=args.max_batch,
         queue_bound=args.queue_bound,
@@ -334,8 +311,6 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
         retry_after_ms=args.retry_after,
         max_requests=args.max_requests,
     )
-    series = (obs_timeseries.install(args.telemetry_interval)
-              if args.telemetry_out else None)
     drained = True
     if args.shards > 1:
         def _announce(addresses: list[tuple[str, int]]) -> None:
@@ -378,12 +353,6 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
     if batches:
         print(f"  {requests} requests answered in {batches} "
               f"micro-batches, {sheds} shed to the baseline")
-    if series is not None:
-        obs_timeseries.uninstall()
-        telemetry_path = obs_timeseries.write_telemetry(
-            args.telemetry_out, series)
-        print(f"  telemetry written to {telemetry_path} "
-              f"({len(series.frames)} frames)")
     if args.metrics_out:
         path = write_report(args.metrics_out, build_report(
             command=["repro.cli", "serve-api"], metrics=metrics,
@@ -666,22 +635,24 @@ def main(argv: list[str] | None = None) -> int:
         "serve-api": _cmd_serve_api,
         "obs": _cmd_obs,
     }
-    obs_trace.maybe_install_env_tracer()
-    obs_timeseries.maybe_install_env_sampler()
-    try:
-        return handlers[args.command](args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # Output was piped into something like `head`; not an error.
-        return 0
-    finally:
-        # One-off commands honor SMITE_METRICS_OUT, SMITE_TRACE_OUT,
-        # and SMITE_TELEMETRY_OUT like the runner does.
-        maybe_write_env_report()
-        obs_trace.maybe_write_env_trace()
-        obs_timeseries.maybe_write_env_telemetry()
+    # Every command honors SMITE_TRACE_OUT and SMITE_TELEMETRY_OUT like
+    # the runner does; serve and serve-api also take the flags.
+    with recording(
+        getattr(args, "trace_out", None),
+        getattr(args, "telemetry_out", None),
+        getattr(args, "telemetry_interval",
+                obs_timeseries.DEFAULT_INTERVAL_S),
+    ):
+        try:
+            return handlers[args.command](args)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # Output was piped into something like `head`; not an error.
+            return 0
+        finally:
+            maybe_write_env_report()
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ the human summary (top spans, cache ratios) with ``--metrics``.
 ``--trace-out PATH`` (or ``SMITE_TRACE_OUT``) additionally records a
 Chrome trace-event timeline of the run's spans — wall-clock only, and
 only for work done in the runner process (``--jobs 1``); worker
-processes do not forward trace events.
+processes do not forward trace events. ``SMITE_TELEMETRY_OUT`` arms the
+telemetry sampler the same way (see :func:`repro.obs.report.recording`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.obs import report as obs_report
-from repro.obs import timeseries as obs_timeseries
-from repro.obs import trace as obs_trace
 
 __all__ = ["main"]
 
@@ -103,7 +102,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="write the machine-readable run report as JSON "
                              "(default: $SMITE_METRICS_OUT)")
     parser.add_argument("--trace-out", metavar="PATH",
-                        default=obs_trace.env_trace_path(),
                         help="write a Chrome trace-event JSON timeline "
                              "(default: $SMITE_TRACE_OUT)")
     return parser
@@ -157,10 +155,14 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     _apply_cache_env(args)
+    with obs_report.recording(trace_out=args.trace_out):
+        _run(ids, args)
+    return 0
 
+
+def _run(ids: list[str], args: argparse.Namespace) -> None:
+    """Run the experiments, print them, and write the requested files."""
     config = ExperimentConfig(fast=args.fast, seed=args.seed)
-    tracer = obs_trace.install() if args.trace_out else None
-    obs_timeseries.maybe_install_env_sampler()
     jobs = max(1, args.jobs)
     groups = group_by_family(ids)
     obs.get_registry().gauge("runner.jobs").set(jobs)
@@ -215,14 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         obs_report.write_report(args.metrics_out, report)
         print(f"wrote {args.metrics_out}")
-    if tracer is not None:
-        obs_trace.uninstall()
-        trace_path = obs_trace.write_chrome_trace(args.trace_out, tracer)
-        print(f"wrote {trace_path}")
-    telemetry_path = obs_timeseries.maybe_write_env_telemetry()
-    if telemetry_path is not None:
-        print(f"wrote {telemetry_path}")
-    return 0
 
 
 def _snapshot_delta(baseline: dict[str, Any],

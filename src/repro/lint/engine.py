@@ -9,7 +9,8 @@ the cross-module rule families need (phase 1).
 It then lints each module in process (phase 2): the single-walk
 families (SMT1xx-5xx) dispatch their ``visit_<NodeType>`` hooks during
 one shared :func:`ast.walk`, and the graph families (SMT6xx/7xx) read
-``ctx.graph`` in their ``check_module`` hooks. Rules never do their own
+``ctx.graph`` in their ``check_module`` hooks (SMT703 from its
+``visit_Call`` hook on the shared walk). Rules never do their own
 tree walks or file IO, which keeps a whole-tree run linear in the
 source size regardless of how many rules are enabled. Inline
 suppressions are applied last.

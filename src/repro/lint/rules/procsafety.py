@@ -160,18 +160,14 @@ class ResourceLifecycle(Rule):
     summary = ("executor/socket/pipe created without `with`, a closing "
                "`finally`, or a self-attribute on a class with a closer")
 
-    def check_module(self, ctx) -> None:
+    def visit_Call(self, node: ast.Call, ctx) -> None:
+        raw = _dotted(node.func)
+        if not raw:
+            return
         mod = ctx.graph.module_for(ctx.relpath)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            raw = _dotted(node.func)
-            if not raw:
-                continue
-            expanded = mod.expand(raw) if mod is not None else raw
-            if expanded not in _RESOURCE_CTORS \
-                    and expanded.rpartition(".")[2] not in _RESOURCE_TAILS:
-                continue
+        expanded = mod.expand(raw) if mod is not None else raw
+        if expanded in _RESOURCE_CTORS \
+                or expanded.rpartition(".")[2] in _RESOURCE_TAILS:
             self._check_site(ctx, node, expanded)
 
     def _check_site(self, ctx, node: ast.Call, ctor: str) -> None:

@@ -16,16 +16,19 @@ pipeline reports through. It provides
 - a :mod:`~repro.obs.catalog` naming every metric the codebase emits, so
   ``docs/OBSERVABILITY.md`` can be verified against the live registry;
 - opt-in structured tracing (:mod:`repro.obs.trace`): a bounded event
-  ring buffer exported as Chrome trace-event JSON (``--trace-out`` /
-  ``SMITE_TRACE_OUT``), fed by spans and the serving engine;
+  ring buffer exported as Chrome trace-event JSON, fed by spans and the
+  serving engine;
 - a prediction-accuracy audit (:mod:`repro.obs.audit`): per-decision
   predicted-vs-realized degradation residuals with per-pool/per-pair
   attribution, exported in the run report's ``audit`` section;
 - streaming telemetry (:mod:`repro.obs.timeseries`): a bounded,
   mergeable time-series sampler over registry channels, exported as
-  JSONL or OpenMetrics text (``--telemetry-out`` /
-  ``SMITE_TELEMETRY_OUT``), plus declarative SLO burn-rate alerting
+  JSONL or OpenMetrics text, plus declarative SLO burn-rate alerting
   (:mod:`repro.obs.alerts`);
+- one lifecycle for both recorders, :func:`repro.obs.report.recording`:
+  it arms the tracer and the sampler from ``--trace-out`` /
+  ``--telemetry-out`` or ``SMITE_TRACE_OUT`` / ``SMITE_TELEMETRY_OUT``
+  (a flag wins) and writes both when the block exits;
 - report tooling on the CLI: ``repro.cli obs view|diff|trace|top``.
 
 Instrumentation must be cheap enough to leave on: everything here is

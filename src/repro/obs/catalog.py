@@ -239,8 +239,9 @@ CATALOG: tuple[MetricSpec, ...] = (
                "sampler (epoch cadence for replays, wall cadence for "
                "the API server)"),
     MetricSpec("counter", "serve.telemetry.frames", "frames",
-               "in-flight snapshot frames streamed from shard/API "
-               "workers and merged incrementally into the parent"),
+               "in-flight snapshot frames streamed from sharded API "
+               "workers (serve-api --shards N) and merged incrementally "
+               "into the parent"),
     # -- alert engine (obs/alerts.py, fed at SLO window close) -----------
     MetricSpec("counter", "serve.alert.firings", "alerts",
                "alert rules that transitioned into the firing state"),

@@ -8,6 +8,12 @@ times, and the command line. The experiment runner writes one with
 ``repro.cli`` writes one through :func:`maybe_write_env_report` when
 the variable is set.
 
+:func:`recording` is the one lifecycle of the two opt-in recorders, the
+trace (:mod:`repro.obs.trace`) and the telemetry series
+(:mod:`repro.obs.timeseries`): every entry point arms both from their
+``--trace-out``/``--telemetry-out`` flags or ``SMITE_TRACE_OUT``/
+``SMITE_TELEMETRY_OUT`` with one ``with recording(...)`` block.
+
 ``repro.cli obs diff`` compares two reports to attribute a slowdown to
 a phase: the top spans and the cache ratios say *where* the time went,
 not just that it grew.
@@ -16,13 +22,15 @@ not just that it grew.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
-import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.analysis.tables import format_table
+from repro.obs import timeseries, trace
 from repro.obs.alerts import render_alerts
 from repro.obs.registry import snapshot
 
@@ -36,6 +44,7 @@ __all__ = [
     "load_report",
     "maybe_write_env_report",
     "provenance",
+    "recording",
     "render_adapt",
     "render_audit",
     "render_report",
@@ -157,6 +166,40 @@ def maybe_write_env_report(**kwargs: Any) -> Path | None:
     if path is None:
         return None
     return write_report(path, build_report(**kwargs))
+
+
+@contextmanager
+def recording(
+    trace_out: str | Path | None = None,
+    telemetry_out: str | Path | None = None,
+    telemetry_interval: float = timeseries.DEFAULT_INTERVAL_S,
+) -> Iterator[None]:
+    """Arm the trace and telemetry recorders for one block.
+
+    Each output path comes from its argument (the ``--trace-out`` /
+    ``--telemetry-out`` flag) or else from ``SMITE_TRACE_OUT`` /
+    ``SMITE_TELEMETRY_OUT``; a flag wins. A recorder with no path is
+    not installed, so its emission sites stay one ``None`` check. Both
+    are uninstalled and written in ``finally``: a block that fails
+    still leaves the files it armed.
+    """
+    trace_out = trace_out or os.environ.get(trace.ENV_TRACE_OUT)
+    telemetry_out = (telemetry_out
+                     or os.environ.get(timeseries.ENV_TELEMETRY_OUT))
+    tracer = trace.install() if trace_out else None
+    series = timeseries.install(telemetry_interval) if telemetry_out \
+        else None
+    try:
+        yield
+    finally:
+        if tracer is not None:
+            trace.uninstall()
+            print(f"wrote {trace.write_chrome_trace(trace_out, tracer)}",
+                  file=sys.stderr)
+        if series is not None:
+            timeseries.uninstall()
+            print(f"wrote {timeseries.write_telemetry(telemetry_out, series)}",
+                  file=sys.stderr)
 
 
 # ----------------------------------------------------------------------

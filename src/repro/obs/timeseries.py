@@ -17,8 +17,9 @@ series with or without sharding — the parity tests
 compare the JSON dumps directly.
 
 Like the tracer, sampling is opt-in through a module-global series
-(:func:`install` / ``--telemetry-out`` / ``SMITE_TELEMETRY_OUT``); when
-no series is installed the per-epoch hook is a single ``None`` check.
+(``--telemetry-out`` or ``SMITE_TELEMETRY_OUT``, both armed through
+:func:`repro.obs.report.recording`); when no series is installed the
+per-epoch hook is a single ``None`` check.
 
 Exports: :func:`write_jsonl` (one frame per line, tailed by
 ``repro.cli obs top``) and :func:`write_openmetrics`
@@ -29,31 +30,21 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs.registry import MetricsRegistry, counter, get_registry
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_INTERVAL_S",
-    "ENV_TELEMETRY_INTERVAL",
-    "ENV_TELEMETRY_LIMIT",
     "ENV_TELEMETRY_OUT",
     "TelemetrySeries",
     "active",
-    "env_telemetry_path",
     "install",
-    "is_active",
     "load_jsonl",
-    "maybe_install_env_sampler",
-    "maybe_sample",
-    "maybe_write_env_telemetry",
     "render_top",
-    "sampling",
     "sparkline",
     "uninstall",
     "write_jsonl",
@@ -62,13 +53,9 @@ __all__ = [
 ]
 
 #: Environment variable naming the telemetry export path; when set,
-#: ``repro.cli`` (and ``scripts/overhead_gate.py``) install a sampler at
-#: startup and write the series on exit, exactly like ``SMITE_TRACE_OUT``.
+#: :func:`repro.obs.report.recording` installs a sampler and writes the
+#: series on exit, exactly like ``SMITE_TRACE_OUT``.
 ENV_TELEMETRY_OUT = "SMITE_TELEMETRY_OUT"
-#: Optional override of the sampling cadence in (sim or wall) seconds.
-ENV_TELEMETRY_INTERVAL = "SMITE_TELEMETRY_INTERVAL"
-#: Optional override of the frame ring capacity.
-ENV_TELEMETRY_LIMIT = "SMITE_TELEMETRY_LIMIT"
 
 #: Default cadence: one frame per serving epoch at the default epoch
 #: width, and a sane wall-clock default for the API server.
@@ -85,8 +72,8 @@ class TelemetrySeries:
     """A bounded, mergeable ring of telemetry frames.
 
     A frame is ``{"t": sample time, "counters": {...}, "gauges": {...},
-    "alerts": {...}}``. Counter channels are cumulative (deltas are a
-    view, :meth:`deltas`), gauge and alert channels are point-in-time.
+    "alerts": {...}}``. Counter channels are cumulative, gauge and alert
+    channels are point-in-time.
     Tracked registry instruments (:meth:`track_counter` and friends) are
     read at every sample; callers layer run-specific channels on top
     through the ``counters=``/``gauges=`` arguments of :meth:`sample`.
@@ -259,20 +246,6 @@ class TelemetrySeries:
             self._drained = len(self._frames)
             return [dict(f) for f in fresh]
 
-    def deltas(self) -> list[dict[str, Any]]:
-        """Per-frame view with counter channels as successive deltas."""
-        out: list[dict[str, Any]] = []
-        previous: dict[str, float] = {}
-        for frame in self.frames:
-            row = dict(frame)
-            row["counters"] = {
-                name: value - previous.get(name, 0.0)
-                for name, value in frame["counters"].items()
-            }
-            previous = frame["counters"]
-            out.append(row)
-        return out
-
     # -- merge discipline ----------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -348,17 +321,12 @@ def _track_default(series: TelemetrySeries) -> None:
     series.track_percentile("serve.api.batch_occupancy", 95.0)
 
 
-def install(
-    interval_s: float = DEFAULT_INTERVAL_S,
-    capacity: int = DEFAULT_CAPACITY,
-    *,
-    track_default: bool = True,
-) -> TelemetrySeries:
-    """Install the process-wide telemetry series and return it."""
+def install(interval_s: float = DEFAULT_INTERVAL_S) -> TelemetrySeries:
+    """Install the process-wide telemetry series, tracking the standard
+    serving channels, and return it."""
     global _ACTIVE
-    series = TelemetrySeries(interval_s, capacity)
-    if track_default:
-        _track_default(series)
+    series = TelemetrySeries(interval_s)
+    _track_default(series)
     with _STATE_LOCK:
         _ACTIVE = series
     return series
@@ -375,81 +343,6 @@ def uninstall() -> TelemetrySeries | None:
 def active() -> TelemetrySeries | None:
     """The installed process-wide series, or None when sampling is off."""
     return _ACTIVE
-
-
-def is_active() -> bool:
-    """Whether a process-wide telemetry series is installed."""
-    return _ACTIVE is not None
-
-
-def maybe_sample(
-    time_s: float,
-    *,
-    counters: Mapping[str, float] | None = None,
-    gauges: Mapping[str, float] | None = None,
-    alerts: Mapping[str, float] | None = None,
-) -> dict[str, Any] | None:
-    """Cadence-gated sample on the installed series; no-op when off."""
-    series = _ACTIVE
-    if series is None:
-        return None
-    return series.maybe_sample(
-        time_s, counters=counters, gauges=gauges, alerts=alerts,
-    )
-
-
-@contextmanager
-def sampling(
-    interval_s: float = DEFAULT_INTERVAL_S,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Iterator[TelemetrySeries]:
-    """Scoped installation, for tests and library callers."""
-    series = install(interval_s, capacity)
-    try:
-        yield series
-    finally:
-        uninstall()
-
-
-# -- environment plumbing ----------------------------------------------
-
-def env_telemetry_path() -> Path | None:
-    """The SMITE_TELEMETRY_OUT destination, or None when unset."""
-    raw = os.environ.get(ENV_TELEMETRY_OUT, "").strip()
-    return Path(raw) if raw else None
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def maybe_install_env_sampler() -> bool:
-    """Install a sampler when ``SMITE_TELEMETRY_OUT`` is set; idempotent."""
-    if env_telemetry_path() is None or is_active():
-        return False
-    install(
-        _env_float(ENV_TELEMETRY_INTERVAL, DEFAULT_INTERVAL_S),
-        int(_env_float(ENV_TELEMETRY_LIMIT, DEFAULT_CAPACITY)),
-    )
-    return True
-
-
-def maybe_write_env_telemetry() -> Path | None:
-    """Uninstall the env-installed sampler and export it, if any."""
-    path = env_telemetry_path()
-    if path is None:
-        return None
-    series = uninstall()
-    if series is None:
-        return None
-    write_telemetry(path, series)
-    return path
 
 
 # -- export -------------------------------------------------------------

@@ -12,16 +12,14 @@ directly — with two tracks: ``wall-clock`` (``perf_counter`` time) and
 
 Tracing is off by default and must cost ~nothing when off: every
 emission site performs one module-global read and a ``None`` check
-before doing any work. The ring is bounded (``SMITE_TRACE_LIMIT``,
-default 200k events); once full, the oldest events are dropped and the
-drop count is recorded in the export's ``otherData`` so a truncated
-trace is never mistaken for a complete one.
+before doing any work. The ring is bounded (200k events); once full,
+the oldest events are dropped and the drop count is recorded in the
+export's ``otherData`` so a truncated trace is never mistaken for a
+complete one.
 
 Enable it with ``--trace-out PATH`` on ``repro.cli serve`` or the
-experiment runner, or by setting ``SMITE_TRACE_OUT=PATH``: the runner
-reads it as the ``--trace-out`` default, and the CLI (like
-``scripts/overhead_gate.py``) calls :func:`maybe_install_env_tracer` /
-:func:`maybe_write_env_trace`.
+experiment runner, or by setting ``SMITE_TRACE_OUT=PATH``; both arm it
+through :func:`repro.obs.report.recording`.
 
 Every event name must resolve against :mod:`repro.obs.catalog` — span
 events use span leaves, counter instants use counter names, and marker
@@ -32,44 +30,33 @@ catalog-parity family (SMT201/SMT202) covers trace emission sites too.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "ENV_TRACE_LIMIT",
     "ENV_TRACE_OUT",
     "TraceEvent",
     "Tracer",
     "active",
     "counter_value",
-    "env_trace_capacity",
-    "env_trace_path",
     "install",
     "instant",
-    "is_active",
-    "maybe_install_env_tracer",
-    "maybe_write_env_trace",
     "render_trace_summary",
     "top_events",
-    "tracing",
     "uninstall",
     "write_chrome_trace",
 ]
 
 ENV_TRACE_OUT = "SMITE_TRACE_OUT"
-ENV_TRACE_LIMIT = "SMITE_TRACE_LIMIT"
 
-#: Ring capacity when neither the caller nor ``SMITE_TRACE_LIMIT`` says
-#: otherwise. 200k events is ~2 simulated days of serve markers and a
-#: few tens of MB of JSON — big enough to be useful, small enough that
-#: an always-on tracer cannot exhaust memory.
+#: Ring capacity of an installed tracer. 200k events is ~2 simulated
+#: days of serve markers and a few tens of MB of JSON — big enough to be
+#: useful, small enough that an always-on tracer cannot exhaust memory.
 DEFAULT_CAPACITY = 200_000
 
 #: Chrome trace ``pid`` values; each pid renders as one named track.
@@ -232,17 +219,11 @@ def active() -> Tracer | None:
     return _ACTIVE
 
 
-def is_active() -> bool:
-    """Whether a tracer is currently installed."""
-    return _ACTIVE is not None
-
-
-def install(capacity: int | None = None) -> Tracer:
+def install() -> Tracer:
     """Install (and return) a fresh process-wide tracer."""
     global _ACTIVE
     with _STATE_LOCK:
-        _ACTIVE = Tracer(capacity if capacity is not None
-                         else env_trace_capacity())
+        _ACTIVE = Tracer()
         return _ACTIVE
 
 
@@ -279,7 +260,7 @@ def counter_value(
 
 
 # ----------------------------------------------------------------------
-# Export and environment plumbing
+# Export
 
 def write_chrome_trace(path: str | Path, tracer: Tracer) -> Path:
     """Serialize one tracer's buffer to ``path`` as Chrome trace JSON."""
@@ -289,45 +270,6 @@ def write_chrome_trace(path: str | Path, tracer: Tracer) -> Path:
     path.write_text(json.dumps(tracer.chrome_trace(), indent=1) + "\n",
                     encoding="utf-8")
     return path
-
-
-def env_trace_path() -> str | None:
-    """The ``SMITE_TRACE_OUT`` destination, or None when unset/empty."""
-    return os.environ.get(ENV_TRACE_OUT) or None
-
-
-def env_trace_capacity() -> int:
-    """The ``SMITE_TRACE_LIMIT`` ring bound (falls back to the default)."""
-    raw = os.environ.get(ENV_TRACE_LIMIT, "").strip()
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_CAPACITY
-
-
-def maybe_install_env_tracer() -> Tracer | None:
-    """Install a tracer if ``SMITE_TRACE_OUT`` asks for one.
-
-    Idempotent: an already-active tracer is kept (so an explicit
-    ``--trace-out`` and the environment variable do not fight).
-    """
-    if env_trace_path() is None:
-        return _ACTIVE
-    if _ACTIVE is not None:
-        return _ACTIVE
-    return install()
-
-
-def maybe_write_env_trace() -> Path | None:
-    """Export and uninstall the active tracer to ``SMITE_TRACE_OUT``."""
-    path = env_trace_path()
-    if path is None or _ACTIVE is None:
-        return None
-    tracer = uninstall()
-    assert tracer is not None
-    return write_chrome_trace(path, tracer)
 
 
 # ----------------------------------------------------------------------
@@ -390,17 +332,3 @@ def render_trace_summary(
     )
     return "\n".join(spans)
 
-
-@contextmanager
-def tracing(
-    path: str | Path | None = None,
-    capacity: int | None = None,
-) -> Iterator[Tracer]:
-    """Trace one block; write the Chrome JSON to ``path`` on the way out."""
-    tracer = install(capacity)
-    try:
-        yield tracer
-    finally:
-        uninstall()
-        if path is not None:
-            write_chrome_trace(path, tracer)

@@ -703,8 +703,7 @@ def _api_shard_worker(decider: Decider, host: str, conn,
     inherited = timeseries.uninstall()
     series = None
     if inherited is not None:
-        series = timeseries.install(inherited.interval_s,
-                                    inherited.capacity)
+        series = timeseries.install(inherited.interval_s)
     server = ApiServer(decider, host=host, port=0, **options)
     state = {"last": obs.snapshot()}
 

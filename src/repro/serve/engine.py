@@ -447,13 +447,7 @@ class ServingEngine:
         pool: EpochShardPool | None = None
         kernels: list[PoolKernel] = []
         if shards > 1:
-            series = timeseries.active()
-            stream_every = (
-                max(1, round(series.interval_s / (self.epoch_s * run_len)))
-                if series is not None else 0
-            )
-            pool = EpochShardPool(specs, shards=shards, jobs=jobs,
-                                  stream_every=stream_every)
+            pool = EpochShardPool(specs, shards=shards, jobs=jobs)
         else:
             kernels = [PoolKernel(*spec) for spec in specs]
         try:
@@ -568,7 +562,7 @@ class ServingEngine:
         counter("serve.engine.baseline_placed").inc(
             n_arrivals - colocated_placed
         )
-        if obs_trace.is_active():
+        if obs_trace.active() is not None:
             colocated_per_epoch = np.bincount(
                 ev_epoch[colocated_ev], minlength=n_epochs
             )

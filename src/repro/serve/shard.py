@@ -36,13 +36,13 @@ import heapq
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError, SchedulingError
-from repro.obs import counter, diff_snapshots, span
+from repro.obs import counter, span
 
 __all__ = [
     "EpochShardPool",
@@ -321,50 +321,37 @@ class PoolKernel:
         )
 
 
-def _shard_worker(
-    conn, specs: list[tuple[int, int]], stream_every: int = 0,
-) -> None:
+def _shard_worker(conn, specs: list[tuple[int, int]]) -> None:
     """Own a contiguous range of pool kernels for a whole replay.
 
     Protocol: each message carries one run's event columns per owned
-    pool (see :meth:`PoolKernel.step`); the reply is ``("step", groups,
-    frame)`` — each pool's per-epoch occupancy groups plus, every
-    ``stream_every`` steps (``0`` = never), a registry-delta frame since
-    the last shipped one. ``None`` closes the stream, answered with
-    ``("done", payload)``: the final :class:`PoolReplay` results plus
-    the residual obs delta for the parent to merge. The shipped deltas
-    always sum to the worker's whole-run snapshot, so streaming cannot
-    change the folded totals. Any exception is answered with
-    ``("error", traceback)``. The worker never sees coefficients or
-    predictions — placement is decision-driven — so parent-side model
-    swaps need no propagation beyond the caps already embedded in the
-    next run's events.
+    pool (see :meth:`PoolKernel.step`); the reply is ``("step",
+    groups)``, each pool's per-epoch occupancy groups. ``None`` closes
+    the stream, answered with ``("done", payload)``: the final
+    :class:`PoolReplay` results plus the worker's obs snapshot for the
+    parent to merge. Telemetry frames are built parent-side from the
+    event plan, so the worker ships no frames mid-run. Any exception is
+    answered with ``("error", traceback)``. The worker never sees
+    coefficients or predictions — placement is decision-driven — so
+    parent-side model swaps need no propagation beyond the caps already
+    embedded in the next run's events.
     """
     obs.reset()
     try:
         kernels = [PoolKernel(n_servers, n_states)
                    for n_servers, n_states in specs]
-        last = obs.snapshot()
-        steps = 0
         with span("serve.shard.replay"):
             while True:
                 message = conn.recv()
                 if message is None:
                     break
-                groups = [
+                conn.send(("step", [
                     kernel.step(*columns)
                     for kernel, columns in zip(kernels, message)
-                ]
-                steps += 1
-                frame = None
-                if stream_every and steps % stream_every == 0:
-                    current = obs.snapshot()
-                    frame = diff_snapshots(last, current)
-                    last = current
-                conn.send(("step", groups, frame))
+                ]))
         conn.send(("done", {
             "results": [kernel.result() for kernel in kernels],
-            "obs": diff_snapshots(last, obs.snapshot()),
+            "obs": obs.snapshot(),
         }))
     except BaseException:
         conn.send(("error", traceback.format_exc()))
@@ -382,12 +369,6 @@ class EpochShardPool:
     persists across runs. ``shards`` is the number of ranges (at most
     one per pool) and ``jobs`` caps the worker-process count directly.
 
-    ``stream_every`` > 0 makes each worker attach a registry-delta frame
-    to every Nth step reply (the engine picks N so frames land on the
-    telemetry cadence); the parent merges frames in a fixed worker
-    order and feeds them to ``on_frame``, keeping the fold deterministic
-    and the end-of-run totals unchanged.
-
     A worker that dies or raises fails the pending :meth:`step` or
     :meth:`finish` with a :class:`~repro.errors.SchedulingError` naming
     the shard (with the worker's traceback when it sent one), after
@@ -401,8 +382,6 @@ class EpochShardPool:
         *,
         shards: int,
         jobs: int | None = None,
-        stream_every: int = 0,
-        on_frame: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -412,11 +391,6 @@ class EpochShardPool:
         if jobs is not None:
             shards = min(shards, jobs)
         shards = max(shards, 1)
-        if stream_every < 0:
-            raise ConfigurationError(
-                f"stream_every must be >= 0, got {stream_every}"
-            )
-        self._on_frame = on_frame
         n = len(specs)
         self._bounds = [(k * n) // shards for k in range(shards + 1)]
         counter("serve.shard.workers").inc(shards)
@@ -427,8 +401,7 @@ class EpochShardPool:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_shard_worker,
-                args=(child_conn, specs[self._bounds[k]:self._bounds[k + 1]],
-                      stream_every),
+                args=(child_conn, specs[self._bounds[k]:self._bounds[k + 1]]),
                 daemon=True,
             )
             process.start()
@@ -449,13 +422,8 @@ class EpochShardPool:
                 self._send(k, runs[self._bounds[k]:self._bounds[k + 1]])
             groups: list[list[list[tuple[int, int, int]]]] = []
             for k in range(len(self._conns)):
-                worker_groups, frame = self._recv(k)
+                (worker_groups,) = self._recv(k)
                 groups.extend(worker_groups)
-                if frame is not None:
-                    obs.merge(frame)
-                    counter("serve.telemetry.frames").inc()
-                    if self._on_frame is not None:
-                        self._on_frame(frame)
         except BaseException:
             self.close()
             raise

@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import timeseries
 from repro.obs.registry import MetricsRegistry
+from repro.obs.report import recording
 from repro.obs.timeseries import (
     TelemetrySeries,
     load_jsonl,
@@ -107,13 +108,6 @@ class TestSampling:
         # The ring still holds everything for the end-of-run export.
         assert len(series.frames) == 3
 
-    def test_deltas_view(self):
-        series = TelemetrySeries(1.0, registry=MetricsRegistry())
-        series.sample(1.0, counters={"c": 2.0})
-        series.sample(2.0, counters={"c": 5.0})
-        deltas = [f["counters"]["c"] for f in series.deltas()]
-        assert deltas == [2.0, 3.0]
-
 
 class TestMerge:
     def test_shard_series_fold_to_the_single_series(self):
@@ -163,36 +157,48 @@ class TestMerge:
 class TestGlobalSampler:
     def test_install_uninstall_lifecycle(self):
         assert timeseries.active() is None
-        assert not timeseries.is_active()
-        assert timeseries.maybe_sample(1_000.0) is None  # off: no-op
         series = timeseries.install(120.0)
         assert timeseries.active() is series
-        assert timeseries.maybe_sample(120.0) is not None
+        assert series.maybe_sample(120.0) is not None
         assert timeseries.uninstall() is series
-        assert not timeseries.is_active()
-
-    def test_sampling_context_manager(self):
-        with timeseries.sampling(60.0) as series:
-            assert timeseries.active() is series
         assert timeseries.active() is None
+
+    def test_sampling_context_manager(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(timeseries.ENV_TELEMETRY_OUT, raising=False)
+        out = tmp_path / "ctx.jsonl"
+        with recording(telemetry_out=out, telemetry_interval=60.0):
+            series = timeseries.active()
+            assert series is not None and series.interval_s == 60.0
+        assert timeseries.active() is None
+        assert load_jsonl(out)["interval_s"] == 60.0
 
     def test_env_sampler_round_trip(self, tmp_path, monkeypatch):
         out = tmp_path / "t.jsonl"
         monkeypatch.setenv(timeseries.ENV_TELEMETRY_OUT, str(out))
-        monkeypatch.setenv(timeseries.ENV_TELEMETRY_INTERVAL, "30")
-        assert timeseries.maybe_install_env_sampler() is True
-        assert timeseries.maybe_install_env_sampler() is False  # idempotent
-        timeseries.active().sample(30.0, counters={"c": 1.0})
-        assert timeseries.maybe_write_env_telemetry() == out
+        with recording(telemetry_interval=30.0):
+            timeseries.active().sample(30.0, counters={"c": 1.0})
         assert timeseries.active() is None
         snap = load_jsonl(out)
         assert snap["interval_s"] == 30.0
         assert [f["t"] for f in snap["frames"]] == [30.0]
 
-    def test_env_sampler_off_without_the_variable(self, monkeypatch):
+    def test_env_sampler_off_without_the_variable(self, tmp_path,
+                                                  monkeypatch):
         monkeypatch.delenv(timeseries.ENV_TELEMETRY_OUT, raising=False)
-        assert timeseries.maybe_install_env_sampler() is False
-        assert timeseries.maybe_write_env_telemetry() is None
+        monkeypatch.chdir(tmp_path)
+        with recording():
+            assert timeseries.active() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_block_still_writes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(timeseries.ENV_TELEMETRY_OUT, raising=False)
+        out = tmp_path / "failed.jsonl"
+        with pytest.raises(RuntimeError):
+            with recording(telemetry_out=out):
+                timeseries.active().sample(300.0)
+                raise RuntimeError("boom")
+        assert timeseries.active() is None
+        assert [f["t"] for f in load_jsonl(out)["frames"]] == [300.0]
 
 
 class TestExports:

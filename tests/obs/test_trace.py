@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
+from repro.obs.report import recording
 from repro.obs.spans import span, time_histogram
 from tests.obs.trace_schema import validate_chrome_trace
 
@@ -104,29 +105,31 @@ class TestChromeExport:
 
 class TestGlobalLifecycle:
     def test_off_by_default_and_noop(self):
-        assert not trace.is_active()
         assert trace.active() is None
         # Module-level emitters must be safe no-ops when off.
         trace.instant("serve.decision")
         trace.counter_value("serve.engine.running", 1.0)
 
     def test_install_activates_and_uninstall_returns_the_tracer(self):
-        tracer = trace.install(capacity=10)
-        assert trace.is_active()
+        tracer = trace.install()
         assert trace.active() is tracer
         trace.instant("serve.decision")
         returned = trace.uninstall()
         assert returned is tracer
-        assert not trace.is_active()
+        assert trace.active() is None
         assert len(tracer.events()) == 1
 
-    def test_tracing_contextmanager_writes_on_exit(self, tmp_path):
+    def test_tracing_contextmanager_writes_on_exit(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.delenv(trace.ENV_TRACE_OUT, raising=False)
         target = tmp_path / "ctx.trace.json"
-        with trace.tracing(target) as tracer:
-            assert trace.active() is tracer
+        with recording(trace_out=target):
+            assert trace.active() is not None
             trace.instant("serve.decision")
-        assert not trace.is_active()
-        validate_chrome_trace(json.loads(target.read_text()))
+        assert trace.active() is None
+        doc = json.loads(target.read_text())
+        validate_chrome_trace(doc)
+        assert "serve.decision" in {e["name"] for e in doc["traceEvents"]}
 
 
 class TestSpanIntegration:
@@ -166,34 +169,32 @@ class TestSpanIntegration:
 
 
 class TestEnvPlumbing:
-    def test_env_capacity_parsing(self, monkeypatch):
-        monkeypatch.delenv(trace.ENV_TRACE_LIMIT, raising=False)
-        assert trace.env_trace_capacity() == trace.DEFAULT_CAPACITY
-        monkeypatch.setenv(trace.ENV_TRACE_LIMIT, "500")
-        assert trace.env_trace_capacity() == 500
-        monkeypatch.setenv(trace.ENV_TRACE_LIMIT, "not-a-number")
-        assert trace.env_trace_capacity() == trace.DEFAULT_CAPACITY
-        monkeypatch.setenv(trace.ENV_TRACE_LIMIT, "-3")
-        assert trace.env_trace_capacity() == 1
-
-    def test_env_tracer_requires_the_variable(self, monkeypatch):
+    def test_env_tracer_requires_the_variable(self, tmp_path, monkeypatch):
         monkeypatch.delenv(trace.ENV_TRACE_OUT, raising=False)
-        assert trace.maybe_install_env_tracer() is None
-        assert trace.maybe_write_env_trace() is None
+        monkeypatch.chdir(tmp_path)
+        with recording():
+            assert trace.active() is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_tracer_installs_once_and_writes(self, tmp_path,
                                                  monkeypatch):
         target = tmp_path / "env.trace.json"
         monkeypatch.setenv(trace.ENV_TRACE_OUT, str(target))
-        tracer = trace.maybe_install_env_tracer()
-        assert tracer is not None
-        # Idempotent: a second call keeps the same tracer.
-        assert trace.maybe_install_env_tracer() is tracer
-        trace.instant("serve.decision")
-        written = trace.maybe_write_env_trace()
-        assert written == target
-        assert not trace.is_active()
+        with recording():
+            tracer = trace.active()
+            assert tracer is not None
+            trace.instant("serve.decision")
+            assert trace.active() is tracer  # one tracer for the block
+        assert trace.active() is None
         validate_chrome_trace(json.loads(target.read_text()))
+
+    def test_flag_wins_over_the_variable(self, tmp_path, monkeypatch):
+        flag, env = tmp_path / "flag.json", tmp_path / "env.json"
+        monkeypatch.setenv(trace.ENV_TRACE_OUT, str(env))
+        with recording(trace_out=flag):
+            pass
+        validate_chrome_trace(json.loads(flag.read_text()))
+        assert not env.exists()
 
 
 class TestReadingTraces:

@@ -1,13 +1,12 @@
-"""Telemetry-on parity and incremental shard-frame streaming.
+"""Telemetry-on parity and the sharded replay's one-shot fold-back.
 
 Sampling must be a pure observer: with a telemetry series installed,
 in-process, sharded and reference (``scalar_oracle``) replays still
 produce byte-identical event logs, and the merged series itself is
 byte-identical across them (frames carry cumulative tallies sampled at
-identical simulated times). The streaming shard path additionally
-guarantees that merging frames incrementally reaches exactly the same
-registry state as the one-shot end-of-run fold-back — checked at every
-frame boundary, not just at the end.
+identical simulated times). Replay frames are built in the parent, so
+shard workers stream nothing mid-run: they fold their metrics back once,
+and that fold reaches the same registry counters as in-process kernels.
 """
 
 from __future__ import annotations
@@ -184,90 +183,80 @@ def _replay_fingerprint(replays):
     ]
 
 
-class TestIncrementalShardStream:
-    def test_streamed_merge_equals_foldback_at_every_boundary(self):
+#: Counted only by a sharded replay: the worker processes it started.
+_SHARD_ONLY = ("serve.shard.workers",)
+
+
+class TestShardFoldBack:
+    def test_fold_back_equals_in_process_kernels(self):
         n_pools = 4
         steps = _pool_runs(n_pools)
 
-        # In-process kernels are the placement reference.
+        obs.reset()
         kernels = [PoolKernel(*_SPEC) for _ in range(n_pools)]
         in_process = [
             [kernel.step(*columns) for kernel, columns in zip(kernels, runs)]
             for runs in steps
         ]
+        in_process_counters = obs.snapshot()["counters"]
 
-        # Reference fold-back: no frames, one end-of-run merge.
         obs.reset()
-        reference = _run_pool(steps, n_pools, shards=n_pools)
-        reference_counters = obs.snapshot()["counters"]
+        sharded = _run_pool(steps, n_pools, shards=n_pools)
+        sharded_counters = obs.snapshot()["counters"]
 
-        # Streamed: collect every frame and check, at each boundary,
-        # that the incrementally merged registry equals the sum of the
-        # deltas shipped so far (frames merge in deterministic order).
-        obs.reset()
-        boundary_checks = []
-        running: dict[str, float] = {}
-
-        def on_frame(delta):
-            for name, value in delta.get("counters", {}).items():
-                running[name] = running.get(name, 0) + value
-            merged_now = obs.snapshot()["counters"]
-            boundary_checks.append(all(
-                merged_now.get(name) == value
-                for name, value in running.items()
-                if name != "serve.telemetry.frames"
-            ))
-
-        streamed = _run_pool(steps, n_pools, shards=n_pools,
-                             stream_every=1, on_frame=on_frame)
-        streamed_counters = obs.snapshot()["counters"]
-
-        assert streamed == reference
-        assert reference[0] == in_process
-        assert reference[1] == _replay_fingerprint(
+        assert sharded[0] == in_process
+        assert sharded[1] == _replay_fingerprint(
             [kernel.result() for kernel in kernels]
         )
-        # One frame per worker per step, plus the boundary invariant.
-        n_frames = n_pools * len(steps)
-        assert len(boundary_checks) == n_frames
-        assert all(boundary_checks)
-        assert streamed_counters.pop("serve.telemetry.frames") == n_frames
-        assert streamed_counters == reference_counters
+        assert sharded_counters.pop("serve.shard.workers") == n_pools
+        assert sharded_counters == in_process_counters
 
-    def test_active_sampler_switches_to_streaming(self, snb_sim, apps,
-                                                  pool):
-        """A sharded replay streams frames whenever a series is
-        installed, per worker on the sampler's 600 s cadence: the one
-        whole-trace step without adaptation, every second of the 24
-        one-epoch steps with it."""
+    @pytest.mark.parametrize("adapt", [False, True])
+    def test_sampled_replay_matches_in_process(self, snb_sim, apps, pool,
+                                               adapt):
+        """Same frames, books and final counters with or without shards
+        (the sharded run only adds its worker count)."""
         trace = poisson_trace(pool, rate_per_s=0.02, horizon_s=7_200.0,
                               seed=7)
-        for adapt, frames in ((False, 2), (True, 24)):
-            _sampled_replay(snb_sim, apps, pool, trace, adapt=adapt,
-                            shards=2, jobs=2)
+        runs = []
+        for replay_kwargs in ({}, {"shards": 2, "jobs": 2}):
+            evidence = _sampled_replay(snb_sim, apps, pool, trace,
+                                       adapt=adapt, **replay_kwargs)
             counters = obs.snapshot()["counters"]
-            assert counters["serve.telemetry.frames"] == frames
-            assert counters["serve.shard.workers"] == 2
+            for name in _SHARD_ONLY:
+                counters.pop(name, None)
+            runs.append((evidence, counters))
+        assert runs[1] == runs[0]
+        assert "serve.telemetry.frames" not in runs[0][1]
+        assert json.loads(runs[0][0][3])["frames"]
+
+
+class TestIncrementalShardStream:
+    """Shard workers stream no frames: a replay folds back once."""
 
     def test_off_path_ships_no_frames(self, snb_sim, apps, pool):
         n_pools = 3
-        shipped = []
         obs.reset()
-        _run_pool(_pool_runs(n_pools), n_pools, shards=n_pools,
-                  on_frame=shipped.append)
-        assert shipped == []
+        _run_pool(_pool_runs(n_pools), n_pools, shards=n_pools)
         assert "serve.telemetry.frames" not in obs.snapshot()["counters"]
 
-        predictor = SMiTe(snb_sim).fit(spec_odd()[:4], mode="smt")
-        obs.reset()
-        engine = ServingEngine(
-            snb_sim, apps, PredictionService(predictor, TARGET),
-            servers_per_app=3, epoch_s=EPOCH_S, window_s=WINDOW_S,
-        )
-        engine.replay(
-            poisson_trace(pool, rate_per_s=0.02, horizon_s=4_800.0, seed=3),
-            shards=2,
-        )
-        counters = obs.snapshot()["counters"]
-        assert counters["serve.shard.workers"] == 2
-        assert "serve.telemetry.frames" not in counters
+        for sampled in (False, True):
+            predictor = SMiTe(snb_sim).fit(spec_odd()[:4], mode="smt")
+            obs.reset()
+            engine = ServingEngine(
+                snb_sim, apps, PredictionService(predictor, TARGET),
+                servers_per_app=3, epoch_s=EPOCH_S, window_s=WINDOW_S,
+            )
+            if sampled:
+                timeseries.install(EPOCH_S)
+            try:
+                engine.replay(
+                    poisson_trace(pool, rate_per_s=0.02,
+                                  horizon_s=4_800.0, seed=3),
+                    shards=2,
+                )
+            finally:
+                timeseries.uninstall()
+            counters = obs.snapshot()["counters"]
+            assert counters["serve.shard.workers"] == 2
+            assert "serve.telemetry.frames" not in counters

@@ -250,6 +250,38 @@ def test_repo_flag_tables_match_the_parsers():
     assert check_docs.check_flag_tables() == []
 
 
+_ENV_TABLE = """\
+| Flag (runner) | Environment variable | Default | Meaning |
+|---|---|---|---|
+| `--jobs N` | `SMITE_JOBS` | `1` | Worker processes. |
+| — | `SMITE_TRACE_LIMIT` | `200000` | A knob nothing reads. |
+| `--no-cache` | `SMITE_NO_CACHE=1` | off | No cache. |
+
+Prose naming `SMITE_ELSEWHERE` is not a row.
+"""
+
+
+def test_stale_and_missing_env_rows_are_reported(tmp_path):
+    (tmp_path / "knobs.py").write_text(
+        'import os\n'
+        'JOBS = os.environ.get("SMITE_JOBS")\n'
+        'NO_CACHE = "SMITE_NO_CACHE"\n'
+        'UNDOCUMENTED = os.environ.get("SMITE_SECRET")\n'
+        '"""A docstring naming SMITE_TRACE_LIMIT is not a read."""\n',
+        encoding="utf-8")
+    errors = check_docs.check_env_table(_ENV_TABLE, [tmp_path])
+    assert errors == [
+        "env table: README documents 'SMITE_TRACE_LIMIT', which nothing "
+        "under src/, scripts/ or examples/ reads",
+        "env table: 'SMITE_SECRET' is read but has no row in README's "
+        "configuration reference",
+    ]
+
+
+def test_repo_env_table_matches_the_code():
+    assert check_docs.check_env_table() == []
+
+
 # ----------------------------------------------------------------------
 # The repository's real documentation
 

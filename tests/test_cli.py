@@ -125,6 +125,54 @@ class TestServe:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestRecording:
+    """`repro.cli` arms trace and telemetry from flags or SMITE_*_OUT."""
+
+    _SERVE = ["serve", "--fast", "--duration", "3600", "--rate", "0.02",
+              "--seed", "3", "--servers", "2"]
+
+    def test_serve_writes_flagged_telemetry_and_env_trace(
+            self, capsys, monkeypatch, tmp_path):
+        from repro.obs.timeseries import load_jsonl
+
+        monkeypatch.setenv("SMITE_CACHE_DIR", str(tmp_path / "cache"))
+        flagged = tmp_path / "flag.jsonl"
+        env_series = tmp_path / "env.jsonl"
+        env_trace = tmp_path / "env.trace.json"
+        monkeypatch.setenv("SMITE_TELEMETRY_OUT", str(env_series))
+        monkeypatch.setenv("SMITE_TRACE_OUT", str(env_trace))
+        assert main([*self._SERVE, "--telemetry-out", str(flagged),
+                     "--telemetry-interval", "600"]) == 0
+        assert f"wrote {flagged}" in capsys.readouterr().err
+
+        # The flag wins over SMITE_TELEMETRY_OUT, which stays unwritten.
+        snap = load_jsonl(flagged)
+        assert snap["interval_s"] == 600.0
+        assert [f["t"] for f in snap["frames"]] == [600.0 * (i + 1)
+                                                    for i in range(6)]
+        assert not env_series.exists()
+
+        # SMITE_TRACE_OUT alone arms the tracer.
+        doc = json.loads(env_trace.read_text(encoding="utf-8"))
+        validate_chrome_trace(doc)
+        assert "serve.decision" in {e["name"] for e in doc["traceEvents"]}
+
+    def test_a_failing_command_still_writes_its_outputs(
+            self, capsys, monkeypatch, tmp_path):
+        from repro.obs.timeseries import load_jsonl
+
+        trace_path = tmp_path / "failed.trace.json"
+        series_path = tmp_path / "failed.jsonl"
+        monkeypatch.delenv("SMITE_TRACE_OUT", raising=False)
+        monkeypatch.delenv("SMITE_TELEMETRY_OUT", raising=False)
+        assert main(["serve", "--policy", "baseline", "--adapt",
+                     "--trace-out", str(trace_path),
+                     "--telemetry-out", str(series_path)]) == 1
+        assert "requires --policy smite" in capsys.readouterr().err
+        validate_chrome_trace(json.loads(trace_path.read_text()))
+        assert load_jsonl(series_path)["frames"] == []
+
+
 def _report_with(tmp_path, name, *, counters=None, audit=None,
                  wall_seconds=1.0):
     from repro.obs.registry import MetricsRegistry
