@@ -44,6 +44,7 @@ from repro.obs.alerts import AlertEngine, default_rules, render_alerts
 from repro.obs.diffs import render_diff
 from repro.obs.report import (
     build_report,
+    env_metrics_path,
     load_report,
     maybe_write_env_report,
     recording,
@@ -514,9 +515,9 @@ def _parser() -> argparse.ArgumentParser:
                             "(default 256)")
     serve.add_argument("--fast", action="store_true",
                        help="CI-sized run: smaller training set and pools")
-    serve.add_argument("--metrics-out", default=None,
+    serve.add_argument("--metrics-out", default=env_metrics_path(),
                        help="write the JSON run report here "
-                            "(SMITE_METRICS_OUT is honored too)")
+                            "(default: $SMITE_METRICS_OUT)")
     serve.add_argument("--trace-out", default=None,
                        help="write a Chrome trace-event JSON timeline "
                             "here (SMITE_TRACE_OUT is honored too)")
@@ -575,9 +576,9 @@ def _parser() -> argparse.ArgumentParser:
     serve_api.add_argument("--fast", action="store_true",
                            help="CI-sized run: smaller training set and "
                                 "tail-model fits")
-    serve_api.add_argument("--metrics-out", default=None,
+    serve_api.add_argument("--metrics-out", default=env_metrics_path(),
                            help="write the JSON run report here after the "
-                                "drain (SMITE_METRICS_OUT is honored too)")
+                                "drain (default: $SMITE_METRICS_OUT)")
     serve_api.add_argument("--telemetry-out", default=None,
                            help="record the streaming telemetry "
                                 "time-series and write it here after the "
@@ -652,7 +653,11 @@ def main(argv: list[str] | None = None) -> int:
             # Output was piped into something like `head`; not an error.
             return 0
         finally:
-            maybe_write_env_report()
+            # serve and serve-api write their own report (their
+            # --metrics-out defaults to the variable); the rest get a
+            # bare one.
+            if "metrics_out" not in vars(args):
+                maybe_write_env_report()
 
 
 if __name__ == "__main__":

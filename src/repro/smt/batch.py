@@ -39,6 +39,11 @@ the same order a bincount over the whole batch would, so the results
 are bitwise those of summing every context every time, and bitwise
 those of updating one placement slot at a time.
 
+Results stay columns: :func:`solve_many` returns a
+:class:`~repro.smt.results.SolvedBatch` (one row per context, a few
+numbers per problem), and a :class:`~repro.smt.results.RunResult` is
+built only when a caller indexes it.
+
 Because each problem performs the same arithmetic in the same order as a
 scalar :func:`repro.smt.solver.solve` call (modulo float summation
 association), per-context IPCs agree to ~1e-9, far inside the 1e-6
@@ -59,7 +64,7 @@ from repro.errors import ConvergenceError
 from repro.obs import counter, histogram
 from repro.isa.opcodes import ALL_PORTS, PORT_BINDINGS, UopKind
 from repro.smt.params import MachineSpec
-from repro.smt.results import ContextResult, CpiBreakdown, RunResult
+from repro.smt.results import N_COLUMNS, SolvedBatch, row_offsets
 from repro.smt.solver import (_DAMPING, _MAX_ITERATIONS, _TOLERANCE,
                               ContextPlacement, _ContextState,
                               _ProfileStatics, _prepare, _update_capacities)
@@ -290,17 +295,20 @@ def solve_many(
     *,
     max_iterations: int = _MAX_ITERATIONS,
     tolerance: float = _TOLERANCE,
-) -> list[RunResult]:
+) -> SolvedBatch:
     """Solve many independent placements in one stacked iteration.
 
     Each element of ``placements_list`` is an independent co-location
     problem (the argument :func:`repro.smt.solver.solve` takes); the
-    returned list matches its order. Problems converge independently —
-    a problem that reaches the fixed-point tolerance freezes while the
-    others keep iterating.
+    returned batch's problems match its order. Problems converge
+    independently — a problem that reaches the fixed-point tolerance
+    freezes while the others keep iterating. The results stay columns;
+    ``batch[i]`` builds problem ``i``'s :class:`RunResult`.
     """
     if not placements_list:
-        return []
+        return SolvedBatch(machine.name, (), np.zeros(0, dtype=np.int64),
+                           np.zeros((0, N_COLUMNS)), np.zeros(0),
+                           np.zeros(0, dtype=np.int64), row_offsets([]))
     started = time.perf_counter()
     counter("smt.batch.calls").inc()
     counter("smt.batch.problems").inc(len(placements_list))
@@ -367,37 +375,23 @@ def solve_many(
             f"(worst delta {worst:.3e})"
         )
 
-    ipc = pk.ipc.tolist()
-    utilization = np.minimum(1.0, pk.ipc[:, None] * pk.port_demand).tolist()
+    flat = [state for states in problems for state in states]
     bd = pk.breakdown
-    breakdowns = list(zip(
-        bd["frontend"].tolist(), bd["port"].tolist(),
-        bd["dependency"].tolist(), bd["compute"].tolist(),
-        bd["contention"].tolist(), bd["smt_overhead"].tolist(),
-        bd["memory"].tolist(), pk.branch_cpi.tolist(), pk.tlb_cpi.tolist(),
-        pk.icache_cpi.tolist(),
+    # One row per context, in the column order ``SolvedBatch`` documents.
+    values = np.column_stack((
+        pk.ipc, bd["frontend"], bd["port"], bd["dependency"],
+        bd["compute"], bd["contention"], bd["smt_overhead"], bd["memory"],
+        pk.branch_cpi, pk.tlb_cpi, pk.icache_cpi,
+        pk.h1, pk.h2, pk.h3, pk.hm,
+        np.array([state.capacities for state in flat]),
+        np.minimum(1.0, pk.ipc[:, None] * pk.port_demand),
     ))
-    results = []
-    g = 0
-    for states, dram, its in zip(problems, dram_rho.tolist(),
-                                 iterations.tolist()):
-        contexts = []
-        for state in states:
-            contexts.append(ContextResult(
-                profile=state.profile,
-                core=state.placement.core,
-                ipc=ipc[g],
-                breakdown=CpiBreakdown(*breakdowns[g]),
-                hits=state.hits,
-                port_utilization=dict(zip(ALL_PORTS, utilization[g])),
-                effective_capacities=state.capacities,
-            ))
-            g += 1
-        results.append(RunResult(
-            machine_name=machine.name,
-            contexts=tuple(contexts),
-            dram_utilization=dram,
-            iterations=its,
-        ))
+    results = SolvedBatch(
+        machine.name,
+        tuple([state.profile for state in flat]),
+        np.array([state.placement.core for state in flat], dtype=np.int64),
+        values, dram_rho, iterations.astype(np.int64),
+        row_offsets([len(states) for states in problems]),
+    )
     histogram("smt.batch.solve_seconds").record(time.perf_counter() - started)
     return results

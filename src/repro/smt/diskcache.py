@@ -9,30 +9,36 @@ model silently invalidates stale entries, while edits elsewhere in the
 repo (experiments, scheduler, docs) leave the cache warm.
 
 Each solved batch is one *segment* under
-``<root>/segments/<model-code hash prefix>/``: a pickle of its keys,
-then one of its results. A stale model's segments are never opened. A
-segment is written to a temp file, then renamed under a name unique to
-its writer, so concurrent workers share one directory without locking.
-A miss reads the key lists of segments the cache has not listed yet; a
-segment's results are unpickled only when one of its keys is asked for.
-A segment that fails to unpickle is deleted; its keys recompute.
+``<root>/segments/<model-code hash prefix>/``: a run of ``.npy`` arrays,
+its keys first (fixed-width bytes), then the machine name and the
+columns of its :class:`~repro.smt.results.SolvedBatch`. A segment holds
+no profiles: the caller's canonical placement names them, and
+:meth:`Solved.result <repro.smt.results.Solved.result>` takes them. A
+stale model's segments are never opened. A segment is written to a
+temp file, then renamed under a name unique to its writer, so
+concurrent workers share one directory without locking. A miss reads
+the key arrays of segments the cache has not listed yet; a segment's
+other arrays are read only when one of its keys is asked for. Every
+array is read with ``allow_pickle=False``. A segment that fails to
+parse is deleted; its keys recompute.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
+import io
 import os
-import pickle
 import struct
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, BinaryIO, Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.obs import counter
 from repro.smt.params import MachineSpec
-from repro.smt.results import RunResult
+from repro.smt.results import N_COLUMNS, Solved, SolvedBatch
 from repro.smt.solver import ContextPlacement
 from repro.workloads.profile import WorkloadProfile
 
@@ -80,12 +86,40 @@ def solve_key(machine: MachineSpec,
     return digest.hexdigest()
 
 
-def _read(path: Path, offset: int = 0) -> tuple[Any, int] | None:
-    """The pickle at ``offset`` in a segment and the offset after it."""
+#: A segment's arrays after its key list, in file order.
+_COLUMNS = ("core", "values", "dram_utilization", "iterations", "offsets")
+
+
+def _load_arrays(stream: BinaryIO, count: int) -> list[np.ndarray]:
+    """The next ``count`` arrays of a stream, refusing pickled objects."""
+    arrays = [np.load(stream, allow_pickle=False) for _ in range(count)]
+    if not all(isinstance(array, np.ndarray) for array in arrays):
+        raise ValueError("not a segment array")  # an .npz archive
+    return arrays
+
+
+def _batch(machine: np.ndarray, core: np.ndarray, values: np.ndarray,
+           dram: np.ndarray, iterations: np.ndarray,
+           offsets: np.ndarray) -> SolvedBatch:
+    """A segment's batch, once its arrays are checked to fit together."""
+    rows = len(core)
+    if not (machine.shape == () and values.shape == (rows, N_COLUMNS)
+            and offsets.shape == (len(iterations) + 1,)
+            and dram.shape == iterations.shape
+            and offsets[0] == 0 and offsets[-1] == rows
+            and (np.diff(offsets) > 0).all()):
+        raise ValueError("segment arrays do not fit together")
+    return SolvedBatch(str(machine), None, core, values, dram, iterations,
+                       offsets)
+
+
+def _read(path: Path, offset: int,
+          parse: Callable[[BinaryIO], Any]) -> tuple[Any, int] | None:
+    """``parse`` of a segment from ``offset``, and the offset after it."""
     try:
         with path.open("rb") as stream:
             stream.seek(offset)
-            found = pickle.load(stream)
+            found = parse(stream)
             end = stream.tell()
     except OSError:  # gone (another reader dropped it) or a passing error
         return None
@@ -97,37 +131,61 @@ def _read(path: Path, offset: int = 0) -> tuple[Any, int] | None:
     return found, end
 
 
+def _keys(stream: BinaryIO) -> list[str]:
+    (keys,) = _load_arrays(stream, 1)
+    if keys.ndim != 1 or keys.dtype.kind != "S":
+        raise ValueError("not a segment key list")
+    return [key.decode() for key in keys.tolist()]
+
+
+def _results(stream: BinaryIO) -> SolvedBatch:
+    return _batch(*_load_arrays(stream, 1 + len(_COLUMNS)))
+
+
 class PersistentSolveCache:
-    """Pickled :class:`RunResult` segments keyed by content hash."""
+    """Solved-batch segments of numpy arrays, keyed by content hash.
+
+    :meth:`get` returns a :class:`~repro.smt.results.Solved` handle;
+    :meth:`put` takes a batch's handles by key.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.writes = 0
         self._directory = self.root / "segments" / _model_code_hash()[:16]
-        self._entries: dict[str, RunResult] = {}
-        self._where: dict[str, tuple[Path, int]] = {}  # key: segment, offset
+        self._entries: dict[str, Solved] = {}
+        # Listed keys: segment, offset of its results, position in it.
+        self._where: dict[str, tuple[Path, int, int]] = {}
+        self._loaded: dict[Path, SolvedBatch] = {}
         self._listed: set[str] = set()
 
-    def get(self, key: str) -> RunResult | None:
+    def get(self, key: str) -> Solved | None:
         counter("smt.diskcache.requests").inc()
-        if key not in self._entries:
+        result = self._entries.get(key)
+        if result is None:
             if key not in self._where:
                 self._list_new()
             if key in self._where:
-                self._load(*self._where[key])
-        result = self._entries.get(key)
+                result = self._load(*self._where[key])
         if result is None:
             counter("smt.diskcache.misses").inc()
         else:
             counter("smt.diskcache.hits").inc()
         return result
 
-    def put(self, entries: dict[str, RunResult]) -> None:
-        """Persist one solved batch as one segment."""
+    def put(self, entries: Mapping[str, Solved]) -> None:
+        """Persist one solved batch as one segment (none if it is empty)."""
+        if not entries:
+            return
         self._entries.update(entries)
         self._directory.mkdir(parents=True, exist_ok=True)
-        payload = b"".join(pickle.dumps(part, pickle.HIGHEST_PROTOCOL)
-                           for part in (tuple(entries), entries))
+        batch = SolvedBatch.gather(list(entries.values()))
+        stream = io.BytesIO()
+        for array in (np.array(list(entries), dtype="S"),
+                      np.array(batch.machine_name),
+                      *(getattr(batch, name) for name in _COLUMNS)):
+            np.save(stream, array, allow_pickle=False)
+        payload = stream.getvalue()
         tmp = self._directory / f"{os.urandom(8).hex()}.tmp"
         try:
             tmp.write_bytes(payload)
@@ -149,31 +207,24 @@ class PersistentSolveCache:
         names = os.listdir(directory) if directory.is_dir() else []
         for name in sorted(set(names) - self._listed):
             path = directory.joinpath(name)
-            if name.endswith(".seg") and (read := _read(path)) is not None:
+            if (name.endswith(".seg")
+                    and (read := _read(path, 0, _keys)) is not None):
                 self._listed.add(name)
-                self._where.update(dict.fromkeys(read[0], (path, read[1])))
+                keys, offset = read
+                self._where.update(
+                    (key, (path, offset, i)) for i, key in enumerate(keys))
 
-    def _load(self, path: Path, offset: int) -> None:
-        """Add a segment's results and freeze them out of the GC's walks.
-
-        The GC is paused while the results unpickle: they are thousands
-        of fresh objects and none is garbage, so a collection mid-load
-        only walks them.
-        """
-        gc.collect()  # so that no pending garbage is frozen with them
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            read = _read(path, offset)
-        finally:
-            if enabled:
-                gc.enable()
-        if read is None:  # its keys become misses
-            self._where = {k: v for k, v in self._where.items()
-                           if v[0] != path}
-        else:
-            self._entries.update(read[0])
-            gc.freeze()
+    def _load(self, path: Path, offset: int, index: int) -> Solved | None:
+        """A listed key's handle, reading its segment's results once."""
+        batch = self._loaded.get(path)
+        if batch is None:
+            read = _read(path, offset, _results)
+            if read is None:  # its keys become misses
+                self._where = {k: v for k, v in self._where.items()
+                               if v[0] != path}
+                return None
+            batch = self._loaded[path] = read[0]
+        return batch.problem(index)
 
 
 def default_cache() -> PersistentSolveCache | None:

@@ -23,7 +23,6 @@ IPCs.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
 from operator import itemgetter
@@ -36,7 +35,7 @@ from repro.smt.batch import solve_many
 from repro.smt.diskcache import PersistentSolveCache, solve_key
 from repro.smt.params import IVY_BRIDGE, MachineSpec
 from repro.smt.pmu import PmuDefectModel, read_pmu
-from repro.smt.results import ContextResult, RunResult
+from repro.smt.results import ContextResult, RunResult, Solved
 # ``solve`` is not called here; it stays importable from this module
 # because benchmarks/e2e/test_harness.py checks that the layer wrappers
 # patch it at this import site.
@@ -115,23 +114,24 @@ def _canonical_placements(
     return canonical, order
 
 
-def _caller_order(result: RunResult,
-                  order: list[int]) -> list[ContextResult]:
-    """A canonical solve's contexts in the caller's order (cores as solved)."""
-    contexts: list = [None] * len(order)
-    for ctx, i in zip(result.contexts, order):
-        contexts[i] = ctx
-    return contexts
+def _caller_order(solved: Solved, order: list[int]) -> list[float]:
+    """A canonical solve's context IPCs in the caller's order."""
+    ipcs: list = [None] * len(order)
+    for ipc, i in zip(solved.ipcs(), order):
+        ipcs[i] = ipc
+    return ipcs
 
 
-def _mean_ipc(contexts: Sequence[ContextResult], name: str) -> float:
-    """Mean IPC of the named contexts, summed in the given order.
+def _mean_ipc(placements: Sequence[ContextPlacement], ipcs: list[float],
+              name: str) -> float:
+    """Mean IPC of the named contexts, summed in the caller's order.
 
-    The order is the caller's, as ``RunResult.all_named`` on a
-    reindexed result would give it, so the float is bitwise the same.
+    ``ipcs`` are in the caller's order, as ``RunResult.all_named`` on a
+    reindexed result would give them, so the float is bitwise the same.
     """
-    ipcs = [ctx.ipc for ctx in contexts if ctx.profile.name == name]
-    return sum(ipcs) / len(ipcs)  # smite: noqa[SMT302]: callers only ask for names they placed
+    named = [ipc for pl, ipc in zip(placements, ipcs)
+             if pl.profile.name == name]
+    return sum(named) / len(named)  # smite: noqa[SMT302]: callers only ask for names they placed
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,11 @@ class Simulator:
     would for a pinned, steady-state real measurement.
 
     Every read goes through one resolve step: canonical placement, then
-    the solve memo, then the disk cache, then a batch-of-one solve.
+    the solve memo, then the disk cache, then a batch-of-one solve. The
+    memo holds :class:`~repro.smt.results.Solved` handles (a solve's
+    rows in its batch); only ``run``/``run_many`` (and the ``run_*``
+    topologies) and the solo PMU reading build result objects, and
+    measurements read IPCs straight from the rows.
     Readings that are pure functions of their arguments plus the
     construction-time machine/seed/jitter are memoized on top (profiles
     are frozen, jitter is a crc32): solo IPCs and solo PMU readings per
@@ -181,7 +185,7 @@ class Simulator:
         if isinstance(disk_cache, (str, Path)):
             disk_cache = PersistentSolveCache(disk_cache)
         self.disk_cache = disk_cache
-        self._cache: dict[tuple, RunResult] = {}
+        self._cache: dict[tuple, Solved] = {}
         # Placement lists already pushed through prefetch, keyed by their
         # *uncanonicalized* (profile, core) tuple: repeat prefetches of
         # the same job list (every serving replay warms the same Ruler
@@ -190,6 +194,7 @@ class Simulator:
         self._solo_ipc: dict[WorkloadProfile, float] = {}
         self._unloaded_ipc: dict[tuple, float] = {}
         self._measurements: dict[tuple, PairMeasurement] = {}
+        self._server_placements: dict[tuple, tuple[ContextPlacement, ...]] = {}
         self._solve_count = 0
 
     @property
@@ -213,7 +218,7 @@ class Simulator:
         halves of a pair grid cost one fixed point each.
         """
         placements = list(placements)
-        return self._reindex(*self._resolve(placements), placements)
+        return self._materialize(*self._resolve(placements), placements)
 
     def run_many(
         self, placements_list: Sequence[Sequence[ContextPlacement]],
@@ -236,7 +241,7 @@ class Simulator:
             requests.append((key, order, placements))
         self._count(len(requests), memo_hits)
         self._solve_todo(todo)
-        return [self._reindex(self._cache[key], order, placements)
+        return [self._materialize(self._cache[key], order, placements)
                 for key, order, placements in requests]
 
     def prefetch(
@@ -263,7 +268,7 @@ class Simulator:
     # -- the resolve step -----------------------------------------------
 
     def _resolve(self, placements: Sequence[ContextPlacement],
-                 ) -> tuple[RunResult, list[int]]:
+                 ) -> tuple[Solved, list[int]]:
         """One placement's canonical solve and its contexts' caller indices.
 
         ``run`` and every measurement read through here. A miss in both
@@ -285,7 +290,7 @@ class Simulator:
     def _lookup(
         self, canonical: list[ContextPlacement],
         todo: _Todo,
-    ) -> tuple[tuple, RunResult | None]:
+    ) -> tuple[tuple, Solved | None]:
         """A canonical placement's memo key and memoized solve, if any.
 
         A memo miss reads the disk cache (once per key: a key already in
@@ -311,7 +316,7 @@ class Simulator:
         counter("smt.simulator.canonicalizations").inc(requests)
         counter("smt.simulator.memo_hits").inc(memo_hits)
 
-    def _store(self, solved: list[tuple[tuple, str | None, RunResult]],
+    def _store(self, solved: list[tuple[tuple, str | None, Solved]],
                ) -> None:
         """Memoize fresh solves and persist them as one disk segment."""
         fresh = {}
@@ -331,27 +336,19 @@ class Simulator:
             return
         solved = solve_many(self.machine,
                             [canonical for canonical, _ in todo.values()])
-        self._store([(key, disk_key, result) for (key, (_, disk_key)), result
-                     in zip(todo.items(), solved)])
+        self._store([(key, disk_key, solved.problem(i))
+                     for i, (key, (_, disk_key)) in enumerate(todo.items())])
 
     @staticmethod
-    def _reindex(canonical_result: RunResult, order: list[int],
-                 placements: list[ContextPlacement]) -> RunResult:
-        """Map a canonical solve back to the caller's context order.
+    def _materialize(solved: Solved, order: list[int],
+                     placements: list[ContextPlacement]) -> RunResult:
+        """A canonical solve as a result in the caller's context order.
 
-        Contexts are permuted; one is rebuilt only when its core label
-        differs from the caller's.
+        Each context carries the caller's profile and core label.
         """
-        contexts = _caller_order(canonical_result, order)
-        moved = False
-        for i, pl in enumerate(placements):
-            ctx = contexts[i]
-            if ctx.core != pl.core:
-                contexts[i] = dataclasses.replace(ctx, core=pl.core)
-                moved = True
-        if not moved and order == list(range(len(order))):
-            return canonical_result
-        return dataclasses.replace(canonical_result, contexts=tuple(contexts))
+        callers = [placements[i] for i in order]
+        return solved.result([pl.profile for pl in callers],
+                             [pl.core for pl in callers], order)
 
     def run_solo(self, profile: WorkloadProfile) -> ContextResult:
         """One context alone on the machine."""
@@ -376,8 +373,28 @@ class Simulator:
         instances: int,
         mode: PairMode = "smt",
         latency_threads: int | None = None,
+    ) -> tuple[ContextPlacement, ...]:
+        """The placements :meth:`run_server` solves (for prefetching).
+
+        Memoized on the arguments: a repeat call returns the same tuple.
+        Invalid arguments raise on every call.
+        """
+        key = (latency_profile, batch_profile, instances, mode,
+               latency_threads)
+        placements = self._server_placements.get(key)
+        if placements is None:
+            placements = self._server_placements[key] = tuple(
+                self._build_server_placements(*key))
+        return placements
+
+    def _build_server_placements(
+        self,
+        latency_profile: WorkloadProfile,
+        batch_profile: WorkloadProfile,
+        instances: int,
+        mode: PairMode,
+        latency_threads: int | None,
     ) -> list[ContextPlacement]:
-        """The placement list :meth:`run_server` solves (for prefetching)."""
         self._check_mode(mode)
         cores = self.machine.cores
         if mode == "smt":
@@ -440,18 +457,19 @@ class Simulator:
         """Solo IPC as a measurement (jittered), memoized per profile."""
         ipc = self._solo_ipc.get(profile)
         if ipc is None:
-            ipc = (self._solo_context(profile).ipc
-                   * self._jitter_factor("solo", profile.name))
+            (solo,) = _caller_order(
+                *self._resolve([ContextPlacement(profile, core=0)]))
+            ipc = solo * self._jitter_factor("solo", profile.name)
             self._solo_ipc[profile] = ipc
         return ipc
 
     def measure_pair(self, a: WorkloadProfile, b: WorkloadProfile,
                      mode: PairMode = "smt") -> PairMeasurement:
         """Co-run IPCs and Eq. 7 degradations, as measurements."""
-        ctx_a, ctx_b = _caller_order(
+        ipc_a, ipc_b = _caller_order(
             *self._resolve(self._pair_placements(a, b, mode)))
-        ipc_a = ctx_a.ipc * self._jitter_factor(mode, a.name, b.name, "a")
-        ipc_b = ctx_b.ipc * self._jitter_factor(mode, a.name, b.name, "b")
+        ipc_a *= self._jitter_factor(mode, a.name, b.name, "a")
+        ipc_b *= self._jitter_factor(mode, a.name, b.name, "b")
         solo_a = self.measure_solo_ipc(a)
         solo_b = self.measure_solo_ipc(b)
         return PairMeasurement(
@@ -504,15 +522,16 @@ class Simulator:
             )
         solo_ipc = self._unloaded_server_ipc(latency_profile, mode,
                                              latency_threads)
-        loaded = _caller_order(*self._resolve(self.server_placements(
+        placements = self.server_placements(
             latency_profile, batch_profile, instances=instances, mode=mode,
             latency_threads=latency_threads,
-        )))
-        loaded_ipc = _mean_ipc(loaded, latency_profile.name)
+        )
+        loaded = _caller_order(*self._resolve(placements))
+        loaded_ipc = _mean_ipc(placements, loaded, latency_profile.name)
         loaded_ipc *= self._jitter_factor(
             mode, latency_profile.name, batch_profile.name, f"server{instances}"
         )
-        batch_ipc = _mean_ipc(loaded, batch_profile.name)
+        batch_ipc = _mean_ipc(placements, loaded, batch_profile.name)
         batch_ipc *= self._jitter_factor(
             mode, latency_profile.name, batch_profile.name,
             f"server-batch{instances}"
@@ -540,7 +559,8 @@ class Simulator:
                 latency_profile, latency_profile, instances=0, mode=mode,
                 latency_threads=latency_threads,
             )
-            ipc = _mean_ipc(_caller_order(*self._resolve(placements)),
+            ipc = _mean_ipc(placements,
+                            _caller_order(*self._resolve(placements)),
                             latency_profile.name)
             self._unloaded_ipc[key] = ipc
         return ipc
@@ -569,12 +589,11 @@ class Simulator:
         """
         counters = self._solo_pmu.get(profile)
         if counters is None:
-            counters = read_pmu(self._solo_context(profile), self.pmu_defects)
+            placements = [ContextPlacement(profile, core=0)]
+            solo = self._materialize(*self._resolve(placements), placements)
+            counters = read_pmu(solo[0], self.pmu_defects)
             self._solo_pmu[profile] = counters
         return dict(counters)
-
-    def _solo_context(self, profile: WorkloadProfile) -> ContextResult:
-        return self._resolve([ContextPlacement(profile, core=0)])[0][0]
 
     # ------------------------------------------------------------------
 
@@ -587,7 +606,8 @@ class Simulator:
         """Forget every solve and prefetch mark, and every memoized reading.
 
         The readings are the solo IPCs, the solo PMU readings, the
-        unloaded-server IPCs and the server measurements.
+        unloaded-server IPCs and the server measurements. Server
+        placement tuples are kept: they hold no solve.
         """
         self._cache.clear()
         self._prefetched.clear()

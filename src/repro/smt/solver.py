@@ -99,7 +99,7 @@ class _ProfileStatics:
 
 #: (profile -> machine -> statics). Keyed on the profile's value (its
 #: ``__eq__``), so a same-named ``replace`` gets its own entry; kept off
-#: the profile instance, which is pickled into every cached result. The
+#: the profile instance, so a pickled profile carries none of it. The
 #: keys are weak: an entry lives as long as its profile does.
 _STATICS: weakref.WeakKeyDictionary[
     WorkloadProfile, dict[MachineSpec, _ProfileStatics]] = (

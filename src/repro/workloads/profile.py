@@ -217,7 +217,7 @@ class WorkloadProfile:
     def __getstate__(self) -> dict[str, object]:
         # Only the fields: memo stashes (``_key`` and the solver-side
         # ``_sort_key``/``_cache_digest``) recompute on demand, and
-        # pickling them would double every cached result's profiles.
+        # pickling them would double a pickled profile's size.
         return {name: value for name, value in self.__dict__.items()
                 if not name.startswith("_")}
 

@@ -11,6 +11,7 @@ import pytest
 from repro.core.predictor import SMiTe
 from repro.obs import snapshot
 from repro.smt.params import SANDY_BRIDGE_EN
+from repro.smt.results import SolvedBatch
 from repro.smt.simulator import Simulator
 from repro.smt.solver import solve
 from repro.workloads.cloudsuite import cloudsuite_apps
@@ -32,8 +33,10 @@ class ScalarSimulator(Simulator):
         return None
 
     def _solve_todo(self, todo) -> None:
-        self._store([(key, disk_key, solve(self.machine, canonical))
-                     for key, (canonical, disk_key) in todo.items()])
+        solved = SolvedBatch.from_results(
+            [solve(self.machine, canonical) for canonical, _ in todo.values()])
+        self._store([(key, disk_key, solved.problem(i))
+                     for i, (key, (_, disk_key)) in enumerate(todo.items())])
 
 
 def _counter(name: str) -> int:

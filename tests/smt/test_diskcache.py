@@ -2,12 +2,14 @@
 
 import gc
 import pickle
-import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.smt.diskcache as diskcache
 from repro.obs import snapshot
+from repro.smt.batch import solve_many
 from repro.smt.diskcache import PersistentSolveCache, default_cache, solve_key
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.simulator import ContextPlacement, Simulator
@@ -31,9 +33,27 @@ def _invalidations():
 
 
 def _segment_parts(segment):
-    """A segment's key list and results, in file order."""
+    """A segment's keys, the bytes they take, and its other arrays."""
     with segment.open("rb") as stream:
-        return pickle.load(stream), pickle.load(stream)
+        keys = np.load(stream, allow_pickle=False)
+        header = stream.tell()
+        arrays = [np.load(stream, allow_pickle=False) for _ in range(6)]
+        assert stream.read() == b""
+    return [key.decode() for key in keys.tolist()], header, arrays
+
+
+_UNPICKLED = []
+
+
+def _trip():
+    _UNPICKLED.append("unpickled")
+
+
+class _Tripwire:
+    """Records any attempt to unpickle it."""
+
+    def __reduce__(self):
+        return _trip, ()
 
 
 class TestSymmetricMemoization:
@@ -162,9 +182,8 @@ class TestPersistentCache:
         assert key(mcf.replace(itlb_mpki=mcf.itlb_mpki + 0.5)) != key(mcf)
         assert key(mcf, core=1) != key(mcf)
 
-    # Corrupt bytes take different routes out of the pickle machinery:
-    # b"not a pickle" raises UnpicklingError, but b"garbage\n" parses as
-    # a LONG opcode and raises ValueError. Both must fall back to a miss.
+    # Corrupt bytes are not an array file (ValueError), or no data at
+    # all (EOFError). Both must fall back to a miss.
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
     def test_corrupt_entry_recomputed(self, tmp_path, mcf, junk):
         key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
@@ -186,9 +205,33 @@ class TestPersistentCache:
         sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
         sim.run_many(problems)
         (segment,) = _segments(tmp_path)
-        keys, results = _segment_parts(segment)
-        assert keys == tuple(results)
-        assert len(results) == len(problems)
+        keys, _header, arrays = _segment_parts(segment)
+        assert keys == [solve_key(IVY_BRIDGE, problem) for problem in problems]
+        machine, core, values, dram, iterations, offsets = arrays
+        assert str(machine) == IVY_BRIDGE.name
+        assert len(iterations) == len(dram) == len(problems)
+        assert offsets.tolist() == list(range(len(problems) + 1))
+        assert values.shape == (len(problems), 24)
+        assert core.tolist() == [0] * len(problems)
+
+    def test_pickled_segment_is_damaged_and_never_unpickled(self, tmp_path,
+                                                            mcf):
+        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        (segment,) = _segments(tmp_path)
+        payload = pickle.dumps(_Tripwire())
+        pickle.loads(payload)  # the bytes are a working pickle
+        assert _UNPICKLED == ["unpickled"]
+        segment.write_bytes(payload)
+        cache = PersistentSolveCache(tmp_path)
+        invalidations = _invalidations()
+        assert cache.get(key) is None
+        assert _UNPICKLED == ["unpickled"]
+        assert not segment.exists()
+        assert _invalidations() == invalidations + 1
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=cache)
+        sim.run_solo(mcf)
+        assert sim.solve_count == 1
 
     def test_only_segments_holding_asked_keys_load(self, tmp_path, mcf, namd):
         sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
@@ -201,9 +244,8 @@ class TestPersistentCache:
         key = solve_key(IVY_BRIDGE, [ContextPlacement(namd, core=0)])
         assert cache.get(key) is not None
         # Both key lists are read, but only the second segment's results.
-        (first_key,), _ = _segment_parts(first)
-        assert first_key not in cache._entries
-        header = len(pickle.dumps((first_key,), pickle.HIGHEST_PROTOCOL))
+        _keys, header, _arrays = _segment_parts(first)
+        assert list(cache._loaded) == [second]
         assert _count("bytes_read") == \
             bytes_read + header + second.stat().st_size
         assert len(cache) == 2
@@ -245,16 +287,17 @@ class TestPersistentCache:
             problems)
         (segment,) = _segments(tmp_path)
         segment.write_bytes(segment.read_bytes()[:-100])
-        collections = []
-        collect = gc.collect
-        monkeypatch.setattr(gc, "collect",
-                            lambda: collections.append(1) or collect())
+        collections = []  # attempts to read the segment's results
+        results = diskcache._results
+        monkeypatch.setattr(diskcache, "_results",
+                            lambda stream: collections.append(1)
+                            or results(stream))
         cache = PersistentSolveCache(tmp_path)
         invalidations = _invalidations()
         keys = [solve_key(IVY_BRIDGE, problem) for problem in problems]
         assert gc.isenabled()
         assert [cache.get(key) for key in keys] == [None] * len(keys)
-        assert gc.isenabled()  # paused only around the failed unpickle
+        assert gc.isenabled()  # a load leaves the GC alone
         assert not segment.exists()
         assert _invalidations() == invalidations + 1
         assert len(collections) == 1  # later keys do not retry the load
@@ -288,7 +331,7 @@ class TestPersistentCache:
         for p in (mcf, namd, lbm):
             placement = [ContextPlacement(p, core=0)]
             keys[p.name] = solve_key(IVY_BRIDGE, placement)
-            results[p.name] = Simulator(IVY_BRIDGE, jitter=0.0).run(placement)
+            results[p.name] = solve_many(IVY_BRIDGE, [placement]).problem(0)
         first = PersistentSolveCache(tmp_path)
         second = PersistentSolveCache(tmp_path)
 
@@ -304,49 +347,6 @@ class TestPersistentCache:
         assert first.get(keys[lbm.name]) == results[lbm.name]
         assert len(first) == len(second) == 3
 
-    def test_load_collects_then_freezes(self, tmp_path, mcf):
-        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
-        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
-        cache = PersistentSolveCache(tmp_path)
-
-        class Node:
-            pass
-
-        was = gc.isenabled()
-        gc.disable()
-        try:
-            garbage = Node()
-            garbage.cycle = garbage
-            pending = weakref.ref(garbage)
-            del garbage
-            frozen = gc.get_freeze_count()
-            assert cache.get(key) is not None
-            assert pending() is None  # collected, not frozen
-            assert gc.get_freeze_count() > frozen
-            assert not gc.isenabled()  # the load leaves it as it was
-        finally:
-            gc.unfreeze()
-            if was:
-                gc.enable()
-
-    def test_results_unpickle_with_the_gc_paused(self, tmp_path,
-                                                 monkeypatch, mcf):
-        import repro.smt.diskcache as diskcache
-
-        key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
-        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
-        cache = PersistentSolveCache(tmp_path)
-        enabled = []
-        load = pickle.load
-        monkeypatch.setattr(diskcache.pickle, "load",
-                            lambda stream: enabled.append(gc.isenabled())
-                            or load(stream))
-        assert gc.isenabled()
-        assert cache.get(key) is not None
-        # The key list is read with the GC running, the results without.
-        assert enabled == [True, False]
-        assert gc.isenabled()
-
     def test_roundtrip(self, tmp_path, mcf):
         cache = PersistentSolveCache(tmp_path)
         sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=cache)
@@ -354,14 +354,22 @@ class TestPersistentCache:
         key = solve_key(IVY_BRIDGE, [ContextPlacement(mcf, core=0)])
         stored = cache.get(key)
         assert stored is not None
-        assert stored.contexts == (result,)
+        assert stored.result([mcf]).contexts == (result,)
         assert len(cache) == 1
 
-    def test_results_pickle_stable(self, mcf, namd):
-        # The cache stores pickles; RunResult must round-trip by value.
-        sim = Simulator(IVY_BRIDGE, jitter=0.0)
-        result = sim.run_pair(mcf, namd, "smt")
-        assert pickle.loads(pickle.dumps(result)) == result
+    def test_round_trip_materializes_the_same_result(self, tmp_path, mcf,
+                                                      namd):
+        placements = [ContextPlacement(mcf, core=0),
+                      ContextPlacement(namd, core=0)]
+        solved = solve_many(IVY_BRIDGE, [placements])
+        before = solved[0]
+        key = solve_key(IVY_BRIDGE, placements)
+        PersistentSolveCache(tmp_path).put({key: solved.problem(0)})
+        stored = PersistentSolveCache(tmp_path).get(key)
+        assert stored == solved.problem(0)
+        after = stored.result([mcf, namd])
+        assert repr(after) == repr(before)
+        assert after == before
 
 
 class TestDefaultCache:

@@ -182,6 +182,28 @@ class TestSolvePathIndependence:
         assert prefetched.run(placements) == direct
 
 
+class TestServerPlacements:
+    def test_repeat_call_returns_the_same_tuple(self, mcf, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        first = sim.server_placements(web, mcf, instances=3)
+        assert isinstance(first, tuple) and len(first) == 9
+        assert sim.server_placements(web, mcf, instances=3) is first
+        assert sim.server_placements(web, mcf, instances=2) != first
+        cmp = sim.server_placements(web, mcf, instances=3, mode="cmp")
+        assert [pl.core for pl in cmp] == list(range(6))
+
+    @pytest.mark.parametrize("bad", [
+        {"instances": 13}, {"mode": "numa"}, {"latency_threads": 0},
+    ], ids=["instances", "mode", "latency_threads"])
+    def test_an_invalid_call_raises_every_time(self, mcf, cloud_apps, bad):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        for _attempt in range(2):
+            with pytest.raises(ConfigurationError):
+                sim.server_placements(web, mcf, **{"instances": 1, **bad})
+
+
 class TestMeasurementMemo:
     def test_repeat_is_one_lookup(self, mcf, cloud_apps):
         sim = Simulator(SANDY_BRIDGE_EN)

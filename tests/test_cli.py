@@ -173,6 +173,32 @@ class TestRecording:
         assert load_jsonl(series_path)["frames"] == []
 
 
+class TestMetricsReport:
+    """serve's SMITE_METRICS_OUT report is its --metrics-out report."""
+
+    _SERVE = TestRecording._SERVE
+
+    def test_variable_alone_writes_the_full_report(self, capsys,
+                                                   monkeypatch, tmp_path):
+        monkeypatch.setenv("SMITE_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("SMITE_METRICS_OUT", str(tmp_path / "env.json"))
+        assert main(self._SERVE) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == ["env.json"]
+        report = json.loads((tmp_path / "env.json").read_text())
+        assert report["audit"]
+        assert report["command"] == ["repro.cli", "serve"]
+
+    def test_flag_wins_and_only_its_file_is_written(self, capsys,
+                                                    monkeypatch, tmp_path):
+        monkeypatch.setenv("SMITE_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("SMITE_METRICS_OUT", str(tmp_path / "env.json"))
+        flagged = tmp_path / "flag.json"
+        assert main([*self._SERVE, "--metrics-out", str(flagged)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == \
+            ["flag.json"]
+        assert json.loads(flagged.read_text())["audit"]
+
+
 def _report_with(tmp_path, name, *, counters=None, audit=None,
                  wall_seconds=1.0):
     from repro.obs.registry import MetricsRegistry
