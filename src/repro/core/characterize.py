@@ -17,12 +17,11 @@ import numpy as np
 from repro.errors import CharacterizationError
 from repro.obs import counter, span
 from repro.rulers.base import Dimension, RulerSuite
-from repro.smt.simulator import ContextPlacement, PairMode, Simulator
+from repro.smt.simulator import PairMode, Simulator
 from repro.workloads.profile import WorkloadProfile
 
 __all__ = [
     "Characterization",
-    "characterization_jobs",
     "characterize",
     "characterize_many",
 ]
@@ -106,33 +105,6 @@ def characterize(
     )
 
 
-def characterization_jobs(
-    profiles: Iterable[WorkloadProfile],
-    suite: RulerSuite,
-    *,
-    mode: PairMode = "smt",
-) -> list[list[ContextPlacement]]:
-    """The placements :func:`characterize` reads for each profile.
-
-    Every Ruler's solo run, then per profile its solo run and its co-run
-    with each Ruler — the job list to hand :meth:`Simulator.prefetch`
-    before characterizing a population.
-    """
-    rulers = [suite[dimension].profile for dimension in suite]
-    co_core = 0 if mode == "smt" else 1
-    jobs: list[list[ContextPlacement]] = [
-        [ContextPlacement(ruler, core=0)] for ruler in rulers
-    ]
-    for profile in profiles:
-        jobs.append([ContextPlacement(profile, core=0)])
-        jobs.extend(
-            [ContextPlacement(profile, core=0),
-             ContextPlacement(ruler, core=co_core)]
-            for ruler in rulers
-        )
-    return jobs
-
-
 def characterize_many(
     simulator: Simulator,
     profiles: Iterable[WorkloadProfile],
@@ -149,7 +121,10 @@ def characterize_many(
     """
     with span("characterize_many"):
         profiles = list(profiles)
-        simulator.prefetch(characterization_jobs(profiles, suite, mode=mode))
+        rulers = [suite[dimension].profile for dimension in suite]
+        simulator.prefetch_readings(pairs=[
+            (profile, ruler, mode) for profile in profiles for ruler in rulers
+        ])
         result: dict[str, Characterization] = {}
         for profile in profiles:
             result[profile.name] = characterize(simulator, profile, suite,

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from repro.core.characterize import (
     Characterization,
-    characterization_jobs,
     characterize,
     characterize_many,
 )
@@ -26,7 +25,7 @@ from repro.core.trainer import build_pair_dataset
 from repro.errors import ConfigurationError
 from repro.rulers.base import Dimension, RulerSuite
 from repro.rulers.suite import default_suite
-from repro.smt.simulator import ContextPlacement, PairMode, Simulator
+from repro.smt.simulator import PairMode, Simulator
 from repro.workloads.profile import WorkloadProfile
 
 __all__ = ["SMiTe"]
@@ -52,7 +51,7 @@ class SMiTe:
         self.server_models: dict[int, SMiTeModel] = {}
         self._mode: PairMode = "smt"
         self._characterizations: dict[tuple[str, str], Characterization] = {}
-        # Characterization keys whose placements prefetch_server already
+        # Characterization keys whose readings prefetch_server already
         # pushed to the simulator (solves never go stale).
         self._warmed: set[tuple[str, str]] = set()
         # Derived from the fitted models and the mode; every fit clears
@@ -243,10 +242,11 @@ class SMiTe:
         # The whole calibration grid — each latency variant against every
         # Ruler (its per-count characterization) and every training app
         # (the response), at every count — in one batched solve.
-        self.simulator.prefetch(self._server_jobs(
-            latency_apps, [*self._ruler_profiles(), *training], counts,
-            latency_threads,
-        ))
+        others = [*self._ruler_profiles(), *training]
+        self.simulator.prefetch_readings(servers=[
+            (latency_app, other, k, self._mode, latency_threads)
+            for latency_app in latency_apps for other in others for k in counts
+        ])
         self.server_models = {}
         for k in counts:
             triples = []
@@ -349,18 +349,16 @@ class SMiTe:
         rulers = self._ruler_profiles()
         pair_apps = [*batch_profiles,
                      *(rulers if self.server_models else latency_profiles)]
-        uncharacterized = [p for p in dict.fromkeys(pair_apps)
-                           if wanted((p.name, self._mode))]
-        jobs = (characterization_jobs(uncharacterized, self.suite,
-                                      mode=self._mode)
-                if uncharacterized else [])
-        for latency in dict.fromkeys(latency_profiles):
-            counts = [k for k in dict.fromkeys(instance_counts)
-                      if k > 0 and wanted(self._server_key(latency, k))]
-            jobs += self._server_jobs([latency], rulers, counts,
-                                      latency_threads)
-        if jobs:
-            self.simulator.prefetch(jobs)
+        mode = self._mode
+        pairs = [(p, ruler, mode) for p in dict.fromkeys(pair_apps)
+                 if wanted((p.name, mode)) for ruler in rulers]
+        servers = [(latency, ruler, k, mode, latency_threads)
+                   for latency in dict.fromkeys(latency_profiles)
+                   for k in dict.fromkeys(instance_counts)
+                   if k > 0 and wanted(self._server_key(latency, k))
+                   for ruler in rulers]
+        if pairs or servers:
+            self.simulator.prefetch_readings(pairs=pairs, servers=servers)
 
     # ------------------------------------------------------------------
 
@@ -377,40 +375,6 @@ class SMiTe:
 
     def _ruler_profiles(self) -> list[WorkloadProfile]:
         return [self.suite[dimension].profile for dimension in self.suite]
-
-    def _server_jobs(
-        self,
-        latency_profiles: Sequence[WorkloadProfile],
-        others: Sequence[WorkloadProfile],
-        counts: Sequence[int],
-        latency_threads: int | None,
-    ) -> list[list[ContextPlacement]]:
-        """The placements server measurements against ``others`` read.
-
-        :meth:`Simulator.measure_server` reads the latency app alone (no
-        batch instances), the loaded server at the count, and the other
-        app's solo run; this lists them for every latency app, other app
-        and count, in the predictor's mode.
-        """
-        simulator = self.simulator
-        jobs = [[ContextPlacement(other, core=0)] for other in others]
-        for latency in latency_profiles:
-            if not counts:
-                continue
-            # With no batch instances the batch profile places nothing.
-            jobs.append(simulator.server_placements(
-                latency, latency, instances=0, mode=self._mode,
-                latency_threads=latency_threads,
-            ))
-            jobs.extend(
-                simulator.server_placements(
-                    latency, other, instances=k, mode=self._mode,
-                    latency_threads=latency_threads,
-                )
-                for other in others
-                for k in counts
-            )
-        return jobs
 
     def _server_model_for(self, instances: int) -> SMiTeModel:
         model = self.server_models.get(instances)

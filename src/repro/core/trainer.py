@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.evaluation import EvaluationReport, PairPrediction
 from repro.errors import ConfigurationError
 from repro.obs import counter, span
-from repro.smt.simulator import ContextPlacement, PairMode, Simulator
+from repro.smt.simulator import PairMode, Simulator
 from repro.workloads.profile import WorkloadProfile
 
 __all__ = [
@@ -88,30 +88,20 @@ def build_pair_dataset(
     if not others:
         raise ConfigurationError("pair dataset needs at least one aggressor")
     with span("trainer.pair_dataset"):
-        co_core = 0 if mode == "smt" else 1
-        jobs: list[list[ContextPlacement]] = [
-            [ContextPlacement(profile, core=0)]
-            for profile in {p.name: p for p in [*victims, *others]}.values()
+        pairs = [(victim, aggressor, mode)
+                 for victim in victims
+                 for aggressor in others
+                 if include_self_pairs or victim.name != aggressor.name]
+        simulator.prefetch_readings(pairs=pairs)
+        samples = [
+            PairSample(
+                victim=victim,
+                aggressor=aggressor,
+                degradation=simulator.measure_pair(
+                    victim, aggressor, mode).degradation_a,
+            )
+            for victim, aggressor, _mode in pairs
         ]
-        jobs.extend(
-            [ContextPlacement(victim, core=0),
-             ContextPlacement(aggressor, core=co_core)]
-            for victim in victims
-            for aggressor in others
-            if include_self_pairs or victim.name != aggressor.name
-        )
-        simulator.prefetch(jobs)
-        samples = []
-        for victim in victims:
-            for aggressor in others:
-                if not include_self_pairs and victim.name == aggressor.name:
-                    continue
-                measured = simulator.measure_pair(victim, aggressor, mode)
-                samples.append(PairSample(
-                    victim=victim,
-                    aggressor=aggressor,
-                    degradation=measured.degradation_a,
-                ))
         counter("core.trainer.pair_samples").inc(len(samples))
         return PairDataset(mode=mode, samples=tuple(samples))
 
@@ -140,32 +130,23 @@ def build_server_dataset(
         max_instances = (simulator.machine.cores if mode == "smt"
                          else simulator.machine.cores // 2)
     with span("trainer.server_dataset"):
-        jobs = [
-            [ContextPlacement(batch_app, core=0)] for batch_app in batch_apps
+        readings = [(latency_app, batch_app, k, mode, latency_threads)
+                    for latency_app in latency_apps
+                    for batch_app in batch_apps
+                    for k in range(1, max_instances + 1)]
+        simulator.prefetch_readings(servers=readings)
+        samples = [
+            ServerSample(
+                latency_app=latency_app,
+                batch_app=batch_app,
+                instances=k,
+                degradation=simulator.measure_server_degradation(
+                    latency_app, batch_app, instances=k, mode=mode,
+                    latency_threads=latency_threads,
+                ),
+            )
+            for latency_app, batch_app, k, _mode, _threads in readings
         ]
-        jobs.extend(
-            simulator.server_placements(latency_app, batch_app, instances=k,
-                                        mode=mode,
-                                        latency_threads=latency_threads)
-            for latency_app in latency_apps
-            for batch_app in batch_apps
-            for k in range(max_instances + 1)
-        )
-        simulator.prefetch(jobs)
-        samples = []
-        for latency_app in latency_apps:
-            for batch_app in batch_apps:
-                for k in range(1, max_instances + 1):
-                    degradation = simulator.measure_server_degradation(
-                        latency_app, batch_app, instances=k, mode=mode,
-                        latency_threads=latency_threads,
-                    )
-                    samples.append(ServerSample(
-                        latency_app=latency_app,
-                        batch_app=batch_app,
-                        instances=k,
-                        degradation=degradation,
-                    ))
         counter("core.trainer.server_samples").inc(len(samples))
         return tuple(samples)
 

@@ -9,6 +9,7 @@ piece of work once. Everything here is deterministic given the config.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from repro.core.characterize import Characterization, characterize_many
 from repro.core.pmu_model import PmuModel
@@ -20,6 +21,7 @@ from repro.smt.diskcache import default_cache
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.simulator import PairMode, Simulator
 from repro.workloads.cloudsuite import cloudsuite_apps
+from repro.workloads.profile import WorkloadProfile
 from repro.workloads.registry import all_profiles
 from repro.workloads.spec import spec_even, spec_odd
 
@@ -31,6 +33,7 @@ __all__ = [
     "characterized_population",
     "smite_spec",
     "smite_cloud",
+    "fit_pmu_baseline",
     "pmu_model_spec",
     "spec_test_dataset",
     "cloud_profiles",
@@ -91,11 +94,11 @@ def spec_test_dataset(mode: PairMode = "smt") -> PairDataset:
     return build_pair_dataset(ivy_simulator(), spec_odd(), mode=mode)
 
 
-@lru_cache(maxsize=None)
-def pmu_model_spec(mode: PairMode = "smt") -> PmuModel:
-    """The Equation 9 baseline trained on even-numbered SPEC pairs."""
-    simulator = ivy_simulator()
-    train = build_pair_dataset(simulator, spec_even(), mode=mode)
+def fit_pmu_baseline(simulator: Simulator,
+                     training: Sequence[WorkloadProfile],
+                     mode: PairMode) -> PmuModel:
+    """The Equation 9 baseline fit on every ordered pair of ``training``."""
+    train = build_pair_dataset(simulator, training, mode=mode)
     model = PmuModel()
     model.fit([
         (simulator.read_solo_pmu(s.victim),
@@ -104,6 +107,12 @@ def pmu_model_spec(mode: PairMode = "smt") -> PmuModel:
         for s in train
     ])
     return model
+
+
+@lru_cache(maxsize=None)
+def pmu_model_spec(mode: PairMode = "smt") -> PmuModel:
+    """The Equation 9 baseline trained on even-numbered SPEC pairs."""
+    return fit_pmu_baseline(ivy_simulator(), spec_even(), mode)
 
 
 def cloud_profiles():

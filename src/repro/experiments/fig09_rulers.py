@@ -15,7 +15,6 @@ from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.context import ivy_simulator, ivy_suite
 from repro.rulers.suite import intensity_sweep
 from repro.rulers.validation import validate_purity
-from repro.smt.simulator import ContextPlacement
 from repro.workloads.spec import spec_even
 
 __all__ = ["run"]
@@ -32,17 +31,14 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         dimension: intensity_sweep(suite[dimension], points=4)
         for dimension in suite if not dimension.is_functional_unit
     }
-    # Every (victim, swept Ruler) co-run the linearity check measures,
-    # with both sides' solo runs, and the functional-unit Rulers' solo
-    # runs the purity check reads from the PMU, in one batched solve.
-    swept = [r.profile for sweep in sweeps.values() for r in sweep]
-    functional = [suite[d].profile for d in suite if d.is_functional_unit]
-    simulator.prefetch([
-        *([ContextPlacement(p, core=0)]
-          for p in [*victims, *swept, *functional]),
-        *([ContextPlacement(victim, core=0), ContextPlacement(r, core=0)]
-          for victim in victims for r in swept),
-    ])
+    # Every (victim, swept Ruler) co-run the linearity check measures
+    # and the functional-unit Rulers' solo runs the purity check reads
+    # from the PMU, in one batched solve.
+    simulator.prefetch_readings(
+        solos=[suite[d].profile for d in suite if d.is_functional_unit],
+        pairs=[(victim, r.profile, "smt") for victim in victims
+               for sweep in sweeps.values() for r in sweep],
+    )
 
     for dimension in suite:
         ruler = suite[dimension]

@@ -15,10 +15,14 @@ from functools import lru_cache
 from repro.core.evaluation import EvaluationReport, PairPrediction
 from repro.core.pmu_model import PmuModel
 from repro.core.predictor import SMiTe
-from repro.core.trainer import build_pair_dataset, build_server_dataset
+from repro.core.trainer import build_server_dataset
 from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.context import cloud_profiles, smite_cloud, snb_simulator
-from repro.smt.simulator import ContextPlacement
+from repro.experiments.context import (
+    cloud_profiles,
+    fit_pmu_baseline,
+    smite_cloud,
+    snb_simulator,
+)
 from repro.workloads.spec import spec_even, spec_odd
 
 __all__ = ["run", "cloudsuite_reports"]
@@ -33,16 +37,7 @@ def _smite_cloud_cmp() -> SMiTe:
 
 @lru_cache(maxsize=None)
 def _pmu_cloud(mode: str) -> PmuModel:
-    simulator = snb_simulator()
-    train = build_pair_dataset(simulator, spec_odd(), mode=mode)  # type: ignore[arg-type]
-    model = PmuModel()
-    model.fit([
-        (simulator.read_solo_pmu(s.victim),
-         simulator.read_solo_pmu(s.aggressor),
-         s.degradation)
-        for s in train
-    ])
-    return model
+    return fit_pmu_baseline(snb_simulator(), spec_odd(), mode)  # type: ignore[arg-type]
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +55,7 @@ def cloudsuite_reports(mode: str) -> tuple[EvaluationReport, EvaluationReport]:
     # predictor's per-count characterizations and the PMU's solo runs.
     smite.prefetch_server(latency_apps, spec_even(),
                           instance_counts=range(1, total + 1))
-    simulator.prefetch([[ContextPlacement(app, core=0)]
-                        for app in latency_apps])
+    simulator.prefetch_readings(solos=latency_apps)
     smite_preds = []
     pmu_preds = []
     for sample in dataset:

@@ -19,7 +19,7 @@ from repro.errors import SchedulingError
 from repro.obs import counter, span
 from repro.scheduler.policies import ColocationPolicy
 from repro.scheduler.qos import QosTarget
-from repro.smt.simulator import ContextPlacement, Simulator
+from repro.smt.simulator import Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -164,18 +164,11 @@ class Cluster:
             counter("scheduler.cluster.qos_violations").inc(violations)
 
     def _prefetch_outcomes(self, decisions: Sequence[int]) -> None:
-        """Batch-solve the placements the measurement pass will read."""
-        jobs = []
-        for app, batch, instances in dict.fromkeys(
-            (s.latency_app, s.batch_candidate, k)
-            for s, k in zip(self.servers, decisions) if k > 0
-        ):
-            jobs.append([ContextPlacement(batch, core=0)])
-            jobs.append(self.simulator.server_placements(
-                app.profile, batch, instances=0, mode="smt"))
-            jobs.append(self.simulator.server_placements(
-                app.profile, batch, instances=instances, mode="smt"))
-        self.simulator.prefetch(jobs)
+        """Batch-solve the measurements the measurement pass will read."""
+        self.simulator.prefetch_readings(servers=(
+            (s.latency_app.profile, s.batch_candidate, k, "smt", None)
+            for s, k in zip(self.servers, decisions)
+        ))
 
     # ------------------------------------------------------------------
 

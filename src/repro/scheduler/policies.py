@@ -24,7 +24,7 @@ from repro.core.predictor import SMiTe
 from repro.core.tail import TailLatencyModel
 from repro.errors import SchedulingError
 from repro.scheduler.qos import QosTarget, largest_safe_count
-from repro.smt.simulator import ContextPlacement, Simulator
+from repro.smt.simulator import Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -114,16 +114,12 @@ class OraclePolicy(ColocationPolicy):
         self.simulator = simulator
 
     def prefetch(self, pairs, max_instances) -> None:
-        """Every placement an exhaustive scan over ``pairs`` could read."""
-        jobs = []
-        for app, batch in pairs:
-            jobs.append([ContextPlacement(batch, core=0)])
-            jobs.extend(
-                self.simulator.server_placements(app.profile, batch,
-                                                 instances=k, mode="smt")
-                for k in range(max_instances + 1)
-            )
-        self.simulator.prefetch(jobs)
+        """Every measurement an exhaustive scan over ``pairs`` could read."""
+        self.simulator.prefetch_readings(servers=[
+            (app.profile, batch, k, "smt", None)
+            for app, batch in pairs
+            for k in range(1, max_instances + 1)
+        ])
 
     def decide(self, latency_app, batch_app, target, *, max_instances,
                tail_model=None) -> int:

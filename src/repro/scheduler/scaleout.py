@@ -31,7 +31,7 @@ from repro.scheduler.policies import (
     SMiTePolicy,
 )
 from repro.scheduler.qos import QosTarget
-from repro.smt.simulator import ContextPlacement, Simulator
+from repro.smt.simulator import Simulator
 from repro.workloads.cloudsuite import LatencySensitiveWorkload
 from repro.workloads.profile import WorkloadProfile
 
@@ -69,15 +69,9 @@ def fit_tail_model(
         for dimension in predictor.suite
     }
     rulers = [ruler.profile for sweep in sweeps.values() for ruler in sweep]
-    # The measurements below read the unloaded and the fully loaded
-    # server plus each swept Ruler's solo run: one batched solve.
-    simulator.prefetch([
-        simulator.server_placements(workload.profile, workload.profile,
-                                    instances=0, mode="smt"),
-        *([ContextPlacement(ruler, core=0)] for ruler in rulers),
-        *(simulator.server_placements(workload.profile, ruler,
-                                      instances=threads, mode="smt")
-          for ruler in rulers),
+    # The fully loaded server against each swept Ruler: one batched solve.
+    simulator.prefetch_readings(servers=[
+        (workload.profile, ruler, threads, "smt", None) for ruler in rulers
     ])
     for dimension, sweep in sweeps.items():
         for ruler in sweep:

@@ -250,10 +250,8 @@ class ServingEngine:
             if (a, p, inst) not in deg_idx
         ]
         if missing:
-            self.simulator.prefetch([
-                self.simulator.server_placements(
-                    self.apps[a].profile, pool[p], instances=inst,
-                )
+            self.simulator.prefetch_readings(servers=[
+                (self.apps[a].profile, pool[p], inst, "smt", None)
                 for a, p, inst in missing
             ])
             for a, p, inst in missing:

@@ -11,8 +11,8 @@ replayed day of traffic cheap:
 2. **request micro-batching** — at each event epoch the engine announces
    the epoch's decision candidates up front, and every simulator solve a
    cache miss will need (batch Ruler co-runs, per-count server
-   characterizations) is pushed through :meth:`Simulator.prefetch` as one
-   batched fixed point;
+   characterizations) is pushed through
+   :meth:`Simulator.prefetch_readings` as one batched fixed point;
 3. **admission control** — each epoch has a simulated decision-latency
    budget; once the epoch's accumulated decision cost would exceed it,
    further arrivals are *shed* to the no-co-location baseline
@@ -525,7 +525,8 @@ class PredictionService(Decider):
         deterministic cost model :meth:`decide` will charge; every miss
         that fits the budget has its simulator solves (batch Ruler
         co-runs, per-count server characterizations) pushed through one
-        batched :meth:`Simulator.prefetch` before any decision runs.
+        batched :meth:`Simulator.prefetch_readings` before any decision
+        runs.
         """
         self._epoch_remaining_ms = self.admission.budget_ms_per_epoch
         planned = self._epoch_remaining_ms

@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import counter
@@ -164,6 +164,10 @@ class Simulator:
     profile, the unloaded-server latency IPC per (latency profile, mode,
     latency threads), and server measurements per ``measure_server``
     arguments. Assigning ``pmu_defects`` drops the PMU readings.
+
+    Callers warm the caches with the readings they are about to make
+    (:meth:`prefetch_readings`); only this class knows which placements
+    a reading resolves, so a sweep never builds a placement grid.
     """
 
     def __init__(
@@ -186,10 +190,9 @@ class Simulator:
             disk_cache = PersistentSolveCache(disk_cache)
         self.disk_cache = disk_cache
         self._cache: dict[tuple, Solved] = {}
-        # Placement lists already pushed through prefetch, keyed by their
-        # *uncanonicalized* (profile, core) tuple: repeat prefetches of
-        # the same job list (every serving replay warms the same Ruler
-        # grid) then skip canonicalization entirely.
+        # Readings already pushed through prefetch_readings: a repeat
+        # prefetch (every serving epoch warms the same Ruler grid) skips
+        # them before any placement is built.
         self._prefetched: set[tuple] = set()
         self._solo_ipc: dict[WorkloadProfile, float] = {}
         self._unloaded_ipc: dict[tuple, float] = {}
@@ -249,21 +252,69 @@ class Simulator:
     ) -> None:
         """Fill the solve caches in bulk without materializing results."""
         todo: _Todo = {}
-        raw_keys: list[tuple] = []
-        n_requests = 0
-        memo_hits = 0
+        n_requests = memo_hits = 0
         for placements in placements_list:
             n_requests += 1
-            raw_key = tuple((pl.profile, pl.core) for pl in placements)
-            if raw_key in self._prefetched:
-                memo_hits += 1
-                continue
-            raw_keys.append(raw_key)
             canonical, _order = _canonical_placements(placements)
             memo_hits += self._lookup(canonical, todo)[1] is not None
         self._count(n_requests, memo_hits)
         self._solve_todo(todo)
-        self._prefetched.update(raw_keys)
+
+    def prefetch_readings(
+        self,
+        *,
+        solos: Iterable[WorkloadProfile] = (),
+        pairs: Iterable[tuple[WorkloadProfile, WorkloadProfile,
+                              PairMode]] = (),
+        servers: Iterable[tuple[WorkloadProfile, WorkloadProfile, int,
+                                PairMode, int | None]] = (),
+    ) -> None:
+        """Solve, in one batch, every placement these readings resolve.
+
+        ``solos`` are profiles (``measure_solo_ipc``, ``read_solo_pmu``,
+        ``run_solo``), ``pairs`` are ``(a, b, mode)`` (``measure_pair``)
+        and ``servers`` are ``measure_server``'s memo key ``(latency,
+        batch, instances, mode, latency_threads)``. A pair reading also
+        reads both solo runs; a server reading reads the unloaded server,
+        the loaded server and the batch app's solo run, and one with no
+        batch instance reads nothing. Readings already warmed are
+        skipped, as are the solo runs and unloaded servers they share.
+        """
+        warmed = self._prefetched
+        fresh: dict[tuple, Sequence[ContextPlacement]] = {}
+
+        def want(key: tuple) -> bool:
+            return key not in warmed and key not in fresh
+
+        def solo(profile: WorkloadProfile) -> None:
+            key = ("solo", profile)
+            if want(key):
+                fresh[key] = [ContextPlacement(profile, core=0)]
+
+        for profile in solos:
+            solo(profile)
+        for a, b, mode in pairs:
+            key = ("pair", a, b, mode)
+            if want(key):
+                fresh[key] = self._pair_placements(a, b, mode)
+                solo(a)
+                solo(b)
+        for latency, batch, instances, mode, threads in servers:
+            key = ("server", latency, batch, instances, mode, threads)
+            if instances == 0 or not want(key):
+                continue
+            fresh[key] = self.server_placements(
+                latency, batch, instances=instances, mode=mode,
+                latency_threads=threads)
+            unloaded = ("unloaded", latency, mode, threads)
+            if want(unloaded):
+                fresh[unloaded] = self.server_placements(
+                    latency, latency, instances=0, mode=mode,
+                    latency_threads=threads)
+            solo(batch)
+        if fresh:
+            self.prefetch(list(fresh.values()))
+            warmed.update(fresh)
 
     # -- the resolve step -----------------------------------------------
 
@@ -312,6 +363,7 @@ class Simulator:
 
     @staticmethod
     def _count(requests: int, memo_hits: int) -> None:
+        """Count memo reads; each one canonicalized its placement once."""
         counter("smt.simulator.requests").inc(requests)
         counter("smt.simulator.canonicalizations").inc(requests)
         counter("smt.simulator.memo_hits").inc(memo_hits)
@@ -374,10 +426,11 @@ class Simulator:
         mode: PairMode = "smt",
         latency_threads: int | None = None,
     ) -> tuple[ContextPlacement, ...]:
-        """The placements :meth:`run_server` solves (for prefetching).
+        """The placements :meth:`run_server` and :meth:`measure_server` solve.
 
         Memoized on the arguments: a repeat call returns the same tuple.
-        Invalid arguments raise on every call.
+        Invalid arguments raise on every call. To warm the caches, hand
+        the readings to :meth:`prefetch_readings` instead.
         """
         key = (latency_profile, batch_profile, instances, mode,
                latency_threads)
@@ -603,11 +656,13 @@ class Simulator:
         return self._solve_count
 
     def clear_cache(self) -> None:
-        """Forget every solve and prefetch mark, and every memoized reading.
+        """Forget every solve, warmed reading and memoized reading.
 
-        The readings are the solo IPCs, the solo PMU readings, the
-        unloaded-server IPCs and the server measurements. Server
-        placement tuples are kept: they hold no solve.
+        The memoized readings are the solo IPCs, the solo PMU readings,
+        the unloaded-server IPCs and the server measurements; with the
+        warmed readings gone, a repeat :meth:`prefetch_readings` solves
+        its placements again. Server placement tuples are kept: they
+        hold no solve.
         """
         self._cache.clear()
         self._prefetched.clear()

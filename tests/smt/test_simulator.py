@@ -14,8 +14,12 @@ from repro.smt.solver import ContextPlacement
 from repro.workloads.spec import SPEC_CPU2006
 
 
+def _counter(name: str) -> int:
+    return snapshot()["counters"].get(name, 0)
+
+
 def _requests() -> int:
-    return snapshot()["counters"].get("smt.simulator.requests", 0)
+    return _counter("smt.simulator.requests")
 
 
 class TestTopologies:
@@ -127,16 +131,14 @@ class TestCaching:
     def test_clear_cache_forgets_prefetch_marks(self, mcf, namd,
                                                  monkeypatch):
         sim = Simulator(SANDY_BRIDGE_EN)
-        jobs = [sim.server_placements(mcf, namd, instances=k)
-                for k in (0, 2)]
-        sim.prefetch(jobs)
+        readings = [(mcf, namd, 2, "smt", None)]
+        sim.prefetch_readings(servers=readings)
         sim.clear_cache()
-        sim.prefetch(jobs)
+        sim.prefetch_readings(servers=readings)
         solves = []
         monkeypatch.setattr(simulator_module, "solve_many",
                             lambda *args: solves.append(args))
-        for placements in jobs:
-            sim.run(placements)
+        sim.measure_server(mcf, namd, instances=2)
         assert solves == []
 
     def test_clear_cache_forgets_measurements(self, mcf, lbm, cloud_apps):
@@ -159,6 +161,85 @@ class TestCaching:
         assert readings() == first
         # As many reads reach the solve cache as on a fresh simulator.
         assert _requests() - before == cold_requests
+
+
+class TestPrefetchReadings:
+    """Callers name readings; the simulator expands them to placements."""
+
+    def test_readings_cover_every_measurement(self, mcf, namd, lbm,
+                                              cloud_apps, monkeypatch):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        batches = []
+        solve_many = simulator_module.solve_many
+
+        def counting(machine, problems):
+            batches.append(len(problems))
+            return solve_many(machine, problems)
+
+        monkeypatch.setattr(simulator_module, "solve_many", counting)
+        sim.prefetch_readings(
+            solos=[lbm], pairs=[(mcf, namd, "cmp")],
+            servers=[(web, mcf, k, "smt", None) for k in (1, 3)],
+        )
+        sim.read_solo_pmu(lbm)
+        sim.measure_pair(mcf, namd, "cmp")
+        for k in (1, 3):
+            sim.measure_server(web, mcf, instances=k)
+        # lbm, mcf, namd solo; the cmp pair; the unloaded server and two
+        # loaded ones: seven placements in one batch, and no later miss.
+        assert batches == [7]
+
+    def test_warmed_readings_are_skipped(self, mcf, namd, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        readings = {"pairs": [(mcf, namd, "smt")],
+                    "servers": [(web, namd, 2, "smt", None)]}
+        sim.prefetch_readings(**readings)
+        before = _requests()
+        sim.prefetch_readings(**readings, solos=[mcf, namd])
+        assert _requests() == before
+
+    def test_a_server_without_batch_instances_reads_nothing(self, mcf,
+                                                            cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        sim.prefetch_readings(
+            servers=[(cloud_apps[0].profile, mcf, 0, "smt", None)])
+        assert sim.solve_count == 0
+
+    def test_an_invalid_reading_raises(self, mcf, cloud_apps):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        with pytest.raises(ConfigurationError):
+            sim.prefetch_readings(
+                servers=[(cloud_apps[0].profile, mcf, 7, "smt", None)])
+        with pytest.raises(ConfigurationError):
+            sim.prefetch_readings(pairs=[(mcf, mcf, "numa")])
+
+    def test_canonicalizations_count_real_calls(self, mcf, namd,
+                                                cloud_apps, monkeypatch):
+        sim = Simulator(SANDY_BRIDGE_EN)
+        web = cloud_apps[0].profile
+        calls = []
+        canonical = simulator_module._canonical_placements
+
+        def counting(placements):
+            calls.append(placements)
+            return canonical(placements)
+
+        monkeypatch.setattr(simulator_module, "_canonical_placements",
+                            counting)
+        before = _counter("smt.simulator.canonicalizations")
+        jobs = [[ContextPlacement(mcf, core=0)],
+                [ContextPlacement(mcf, core=0), ContextPlacement(namd, core=0)]]
+        for _repeat in range(2):
+            sim.prefetch(jobs)
+            sim.prefetch_readings(servers=[(web, namd, 2, "smt", None)])
+        sim.run_many(jobs)
+        sim.measure_server(web, namd, instances=2)
+        sim.measure_server(web, namd, instances=2)
+        assert calls
+        assert (_counter("smt.simulator.canonicalizations") - before
+                == len(calls))
 
 
 class TestSolvePathIndependence:
