@@ -27,16 +27,29 @@ Subpackages:
 - :mod:`repro.scheduler` — the 4,000-server scale-out study;
 - :mod:`repro.tco` — the 3-year TCO analysis;
 - :mod:`repro.experiments` — one driver per paper table/figure.
+
+The names below resolve on first use (see :mod:`repro._lazy`), so
+``import repro`` alone imports neither numpy nor the model.
 """
 
-from repro.core.predictor import SMiTe
-from repro.core.tail import TailLatencyModel
-from repro.errors import ReproError
-from repro.rulers.base import Dimension
-from repro.rulers.suite import default_suite
-from repro.smt.params import IVY_BRIDGE, MACHINES, SANDY_BRIDGE_EN, MachineSpec
-from repro.smt.simulator import Simulator
-from repro.workloads.profile import Suite, WorkloadProfile
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro.core.predictor import SMiTe
+    from repro.core.tail import TailLatencyModel
+    from repro.errors import ReproError
+    from repro.rulers.base import Dimension
+    from repro.rulers.suite import default_suite
+    from repro.smt.params import (
+        IVY_BRIDGE,
+        MACHINES,
+        SANDY_BRIDGE_EN,
+        MachineSpec,
+    )
+    from repro.smt.simulator import Simulator
+    from repro.workloads.profile import Suite, WorkloadProfile
 
 __version__ = "1.0.0"
 
@@ -55,3 +68,17 @@ __all__ = [
     "WorkloadProfile",
     "__version__",
 ]
+
+_EXPORTS = {
+    "repro.core.predictor": ("SMiTe",),
+    "repro.core.tail": ("TailLatencyModel",),
+    "repro.errors": ("ReproError",),
+    "repro.rulers.base": ("Dimension",),
+    "repro.rulers.suite": ("default_suite",),
+    "repro.smt.params": ("IVY_BRIDGE", "MACHINES", "SANDY_BRIDGE_EN",
+                         "MachineSpec"),
+    "repro.smt.simulator": ("Simulator",),
+    "repro.workloads.profile": ("Suite", "WorkloadProfile"),
+}
+
+__getattr__, __dir__ = exports(globals(), _EXPORTS)

@@ -5,25 +5,22 @@ paper needs (Pearson correlation, empirical CDFs, ordinary least squares)
 directly on numpy so the core library depends on nothing heavier.
 """
 
-from repro.analysis.bootstrap import (
-    ConfidenceInterval,
-    bootstrap_difference,
-    bootstrap_mean,
-)
-from repro.analysis.linreg import LinearModel, fit_least_squares
-from repro.analysis.stats import (
-    empirical_cdf,
-    mean_absolute_error,
-    pearson,
-    pearson_matrix,
-    summarize,
-)
-from repro.analysis.tables import format_table
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro.analysis.linreg import LinearModel, fit_least_squares
+    from repro.analysis.stats import (
+        empirical_cdf,
+        mean_absolute_error,
+        pearson,
+        pearson_matrix,
+        summarize,
+    )
+    from repro.analysis.tables import format_table
 
 __all__ = [
-    "ConfidenceInterval",
-    "bootstrap_difference",
-    "bootstrap_mean",
     "LinearModel",
     "fit_least_squares",
     "empirical_cdf",
@@ -33,3 +30,12 @@ __all__ = [
     "summarize",
     "format_table",
 ]
+
+_EXPORTS = {
+    "repro.analysis.linreg": ("LinearModel", "fit_least_squares"),
+    "repro.analysis.stats": ("empirical_cdf", "mean_absolute_error",
+                             "pearson", "pearson_matrix", "summarize"),
+    "repro.analysis.tables": ("format_table",),
+}
+
+__getattr__, __dir__ = exports(globals(), _EXPORTS)

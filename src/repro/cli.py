@@ -16,26 +16,23 @@ A thin operational wrapper over the library for quick questions:
 The predictor is trained on the machine-appropriate SPEC half on first
 use (even-numbered for Ivy Bridge pair predictions, odd-numbered for
 Sandy Bridge-EN server questions, matching the paper's splits).
+
+Each command imports the model modules it runs inside its own function,
+so building the parser (``--help``, a usage error) imports neither numpy
+nor the model.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import re
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.adapt import (
-    AdaptationController,
-    DriftPolicy,
-    ModelRegistry,
-    OnlineRefitter,
-)
 from repro.analysis.tables import format_table
-from repro.core.predictor import SMiTe
 from repro.errors import ReproError
 from repro.obs import PredictionAudit, snapshot
 from repro.obs import timeseries as obs_timeseries
@@ -53,26 +50,10 @@ from repro.obs.report import (
     render_report,
     write_report,
 )
-from repro.scheduler.qos import QosTarget, largest_safe_count
-from repro.scheduler.scaleout import fit_tail_model
-from repro.serve import (
-    ApiServer,
-    BaselineDecider,
-    PredictionService,
-    RandomDecider,
-    ServingEngine,
-    WindowedSlo,
-    diurnal_trace,
-    poisson_trace,
-    run_api_shards,
-)
-from repro.smt.diskcache import default_cache
 from repro.smt.params import IVY_BRIDGE, MACHINES, SANDY_BRIDGE_EN
-from repro.smt.simulator import Simulator
-from repro.workloads.cloudsuite import CLOUDSUITE, cloudsuite_apps
-from repro.workloads.insights import classify
-from repro.workloads.registry import all_profiles, get_profile
-from repro.workloads.spec import spec_even, spec_odd
+
+if TYPE_CHECKING:
+    from repro.scheduler.qos import QosTarget
 
 __all__ = ["main"]
 
@@ -87,6 +68,9 @@ def _machine(name: str):
 
 
 def _cmd_workloads(_args: argparse.Namespace) -> int:
+    from repro.workloads.insights import classify
+    from repro.workloads.registry import all_profiles
+
     rows = [
         (p.name, p.suite.value, classify(p).value,
          f"{p.total_footprint_bytes / (1024 * 1024):.1f} MB"
@@ -102,6 +86,10 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.core.predictor import SMiTe
+    from repro.smt.simulator import Simulator
+    from repro.workloads.registry import get_profile
+
     simulator = Simulator(_machine(args.machine))
     predictor = SMiTe(simulator)
     profile = get_profile(args.workload)
@@ -118,6 +106,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.core.predictor import SMiTe
+    from repro.smt.simulator import Simulator
+    from repro.workloads.registry import get_profile
+    from repro.workloads.spec import spec_even
+
     simulator = Simulator(_machine(args.machine))
     predictor = SMiTe(simulator).fit(spec_even(), mode=args.mode)
     victim = get_profile(args.victim)
@@ -135,6 +128,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_safe_batch(args: argparse.Namespace) -> int:
+    from repro.core.predictor import SMiTe
+    from repro.scheduler.qos import QosTarget, largest_safe_count
+    from repro.smt.simulator import Simulator
+    from repro.workloads.cloudsuite import CLOUDSUITE
+    from repro.workloads.spec import spec_even, spec_odd
+
     if args.latency_app not in CLOUDSUITE:
         raise ReproError(
             f"{args.latency_app!r} is not a latency-sensitive app; "
@@ -166,6 +165,8 @@ def _cmd_safe_batch(args: argparse.Namespace) -> int:
 
 def _parse_qos(spec: str) -> QosTarget:
     """Parse ``--qos``: a bare level (average) or ``metric:level``."""
+    from repro.scheduler.qos import QosTarget
+
     metric, _, level_text = spec.rpartition(":")
     metric = metric or "average"
     try:
@@ -188,6 +189,13 @@ def _fit_smite(args: argparse.Namespace):
     ``--qos``, and for a tail target fits one latency model per served
     CloudSuite app. Returns ``(predictor, target, apps, tail_models)``.
     """
+    from repro.core.predictor import SMiTe
+    from repro.scheduler.scaleout import fit_tail_model
+    from repro.smt.diskcache import default_cache
+    from repro.smt.simulator import Simulator
+    from repro.workloads.cloudsuite import cloudsuite_apps
+    from repro.workloads.spec import spec_odd
+
     simulator = Simulator(SANDY_BRIDGE_EN, disk_cache=default_cache())
     training = spec_odd()[:8] if args.fast else spec_odd()
     counts = (1, 3, 6) if args.fast else (1, 2, 4, 6)
@@ -209,6 +217,8 @@ def _fit_smite(args: argparse.Namespace):
 def _decider(args: argparse.Namespace, fitted=None):
     """The ``--policy`` decider; only ``smite`` needs the :func:`_fit_smite`
     model, which is fitted here unless the caller passes it."""
+    from repro.serve import BaselineDecider, PredictionService, RandomDecider
+
     if args.policy == "random":
         return RandomDecider(seed=args.seed + 1)
     if args.policy == "baseline":
@@ -218,6 +228,20 @@ def _decider(args: argparse.Namespace, fitted=None):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.adapt import (
+        AdaptationController,
+        DriftPolicy,
+        ModelRegistry,
+        OnlineRefitter,
+    )
+    from repro.serve import (
+        ServingEngine,
+        WindowedSlo,
+        diurnal_trace,
+        poisson_trace,
+    )
+    from repro.workloads.spec import spec_even
+
     if args.adapt and args.policy != "smite":
         raise ReproError("--adapt recalibrates the SMiTe regression; it "
                          "requires --policy smite")
@@ -299,6 +323,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_api(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.serve import ApiServer, run_api_shards
+
     if args.shards > 1 and args.port != 0:
         raise ReproError(
             "--port only applies to the in-process server; sharded "

@@ -10,12 +10,17 @@ reports plus headline metrics. Run them all with::
 or individually through :func:`repro.experiments.registry.run_experiment`.
 """
 
-from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.registry import (
-    all_experiment_ids,
-    get_experiment,
-    run_experiment,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro.experiments.base import ExperimentConfig, ExperimentResult
+    from repro.experiments.registry import (
+        all_experiment_ids,
+        get_experiment,
+        run_experiment,
+    )
 
 __all__ = [
     "ExperimentConfig",
@@ -24,3 +29,11 @@ __all__ = [
     "get_experiment",
     "run_experiment",
 ]
+
+_EXPORTS = {
+    "repro.experiments.base": ("ExperimentConfig", "ExperimentResult"),
+    "repro.experiments.registry": ("all_experiment_ids", "get_experiment",
+                                   "run_experiment"),
+}
+
+__getattr__, __dir__ = exports(globals(), _EXPORTS)

@@ -17,7 +17,12 @@ class ExperimentConfig:
 
     ``fast`` shrinks the expensive studies (cluster size, DES job counts)
     for CI and benchmarking runs; results keep the same shape, with more
-    sampling noise. ``seed`` feeds every stochastic component.
+    sampling noise. ``seed`` seeds the cluster layouts, job traces and
+    DES runs, so it moves only fig13–fig18, ``figs_online`` and
+    ``figs_adaptive``. It does not reach the measurements: the
+    simulators in :mod:`repro.experiments.context` keep their default
+    jitter seed (0), so table1 and fig2–fig12 read the same numbers at
+    every ``seed``.
 
     Must stay frozen and picklable: the parallel runner ships one config
     to every worker process, and the figure modules key their memoized

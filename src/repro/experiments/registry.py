@@ -1,60 +1,47 @@
-"""The experiment registry: paper identifier -> driver."""
+"""The experiment registry: paper identifier -> driver.
+
+Each driver is named by its ``"module:function"`` path and imported only
+when it runs, so listing the ids (``runner --list``) imports no
+experiment module, and running one imports only its own.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    fig02_fu_sencon,
-    fig03_fu_utilization,
-    fig04_mem_sencon,
-    fig05_memport_utilization,
-    fig06_summary,
-    fig07_correlation,
-    fig09_rulers,
-    fig10_spec_smt,
-    fig11_spec_cmp,
-    fig12_cloudsuite,
-    fig13_tail_latency,
-    fig18_tco,
-    figs_adaptive,
-    figS_online_scaleout,
-    table1,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.fig14_17_scaleout import (
-    run_fig14,
-    run_fig15,
-    run_fig16,
-    run_fig17,
-)
+
+if TYPE_CHECKING:
+    from repro.experiments.base import ExperimentConfig, ExperimentResult
 
 __all__ = ["EXPERIMENTS", "EXPERIMENT_FAMILIES", "all_experiment_ids",
            "get_experiment", "group_by_family", "run_experiment"]
 
-ExperimentFn = Callable[[ExperimentConfig], ExperimentResult]
+ExperimentFn = Callable[["ExperimentConfig"], "ExperimentResult"]
 
-EXPERIMENTS: dict[str, ExperimentFn] = {
-    "table1": table1.run,
-    "fig2": fig02_fu_sencon.run,
-    "fig3": fig03_fu_utilization.run,
-    "fig4": fig04_mem_sencon.run,
-    "fig5": fig05_memport_utilization.run,
-    "fig6": fig06_summary.run,
-    "fig7": fig07_correlation.run,
-    "fig9": fig09_rulers.run,
-    "fig10": fig10_spec_smt.run,
-    "fig11": fig11_spec_cmp.run,
-    "fig12": fig12_cloudsuite.run,
-    "fig13": fig13_tail_latency.run,
-    "fig14": run_fig14,
-    "fig15": run_fig15,
-    "fig16": run_fig16,
-    "fig17": run_fig17,
-    "fig18": fig18_tco.run,
-    "figs_online": figS_online_scaleout.run,
-    "figs_adaptive": figs_adaptive.run,
+#: Every experiment, in paper order, as the ``"module:function"`` path of
+#: its driver.
+EXPERIMENTS: dict[str, str] = {
+    "table1": "repro.experiments.table1:run",
+    "fig2": "repro.experiments.fig02_fu_sencon:run",
+    "fig3": "repro.experiments.fig03_fu_utilization:run",
+    "fig4": "repro.experiments.fig04_mem_sencon:run",
+    "fig5": "repro.experiments.fig05_memport_utilization:run",
+    "fig6": "repro.experiments.fig06_summary:run",
+    "fig7": "repro.experiments.fig07_correlation:run",
+    "fig9": "repro.experiments.fig09_rulers:run",
+    "fig10": "repro.experiments.fig10_spec_smt:run",
+    "fig11": "repro.experiments.fig11_spec_cmp:run",
+    "fig12": "repro.experiments.fig12_cloudsuite:run",
+    "fig13": "repro.experiments.fig13_tail_latency:run",
+    "fig14": "repro.experiments.fig14_17_scaleout:run_fig14",
+    "fig15": "repro.experiments.fig14_17_scaleout:run_fig15",
+    "fig16": "repro.experiments.fig14_17_scaleout:run_fig16",
+    "fig17": "repro.experiments.fig14_17_scaleout:run_fig17",
+    "fig18": "repro.experiments.fig18_tco:run",
+    "figs_online": "repro.experiments.figS_online_scaleout:run",
+    "figs_adaptive": "repro.experiments.figs_adaptive:run",
 }
 
 
@@ -102,17 +89,23 @@ def all_experiment_ids() -> list[str]:
 
 
 def get_experiment(experiment_id: str) -> ExperimentFn:
-    """Look up an experiment's run function by its id."""
+    """Look up an experiment's run function by its id, importing its module."""
     try:
-        return EXPERIMENTS[experiment_id]
+        path = EXPERIMENTS[experiment_id]
     except KeyError as exc:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; "
             f"known: {', '.join(EXPERIMENTS)}"
         ) from exc
+    module, _, function = path.partition(":")
+    return getattr(importlib.import_module(module), function)
 
 
 def run_experiment(experiment_id: str,
                    config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run one experiment by its paper identifier."""
-    return get_experiment(experiment_id)(config or ExperimentConfig())
+    if config is None:
+        from repro.experiments.base import ExperimentConfig
+
+        config = ExperimentConfig()
+    return get_experiment(experiment_id)(config)

@@ -37,17 +37,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.registry import (
     all_experiment_ids,
     group_by_family,
     run_experiment,
 )
 from repro.obs import report as obs_report
+
+if TYPE_CHECKING:
+    from repro.experiments.base import ExperimentConfig, ExperimentResult
 
 __all__ = ["main"]
 
@@ -162,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(ids: list[str], args: argparse.Namespace) -> None:
     """Run the experiments, print them, and write the requested files."""
+    from repro.experiments.base import ExperimentConfig
+
     config = ExperimentConfig(fast=args.fast, seed=args.seed)
     jobs = max(1, args.jobs)
     groups = group_by_family(ids)
@@ -180,6 +183,8 @@ def _run(ids: list[str], args: argparse.Namespace) -> None:
         # One task per fixture-sharing family (splitting a family across
         # workers would recompute its shared fixtures per process); the
         # groups come back heaviest-first, keeping workers balanced.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             futures = [pool.submit(_run_group, group, config)
                        for group in groups]

@@ -84,12 +84,10 @@ CATALOG: tuple[MetricSpec, ...] = (
     # -- simulator facade (smt/simulator.py) ----------------------------
     MetricSpec("counter", "smt.simulator.requests", "placements",
                "placement reads of the solve memo (run / run_many / "
-               "prefetch; a memoized or already warmed reading makes none)"),
+               "prefetch; a memoized or already warmed reading makes "
+               "none); each canonicalizes its placement once"),
     MetricSpec("counter", "smt.simulator.memo_hits", "placements",
                "requests served from the in-memory memo cache"),
-    MetricSpec("counter", "smt.simulator.canonicalizations", "placements",
-               "symmetry canonicalizations run; every memo read "
-               "canonicalizes its placement once, so this equals requests"),
     MetricSpec("counter", "smt.simulator.run_solves", "placements",
                "run or measurement misses nothing prefetched, solved as "
                "a batch of one"),

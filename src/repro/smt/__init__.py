@@ -18,22 +18,27 @@ user-facing facade with solo/SMT-pair/CMP-pair/server topologies and
 deterministic measurement jitter.
 """
 
-from repro.smt.params import (
-    IVY_BRIDGE,
-    MACHINES,
-    SANDY_BRIDGE_EN,
-    CacheSpec,
-    MachineSpec,
-)
-from repro.smt.pmu import PMU_COUNTERS, PmuDefectModel, read_pmu
-from repro.smt.reporting import (
-    InterferenceBreakdown,
-    cpi_stack,
-    explain_pair,
-    utilization_report,
-)
-from repro.smt.results import ContextResult, CpiBreakdown, RunResult
-from repro.smt.simulator import ContextPlacement, Simulator
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro.smt.params import (
+        IVY_BRIDGE,
+        MACHINES,
+        SANDY_BRIDGE_EN,
+        CacheSpec,
+        MachineSpec,
+    )
+    from repro.smt.pmu import PMU_COUNTERS, PmuDefectModel, read_pmu
+    from repro.smt.reporting import (
+        InterferenceBreakdown,
+        cpi_stack,
+        explain_pair,
+        utilization_report,
+    )
+    from repro.smt.results import ContextResult, CpiBreakdown, RunResult
+    from repro.smt.simulator import ContextPlacement, Simulator
 
 __all__ = [
     "IVY_BRIDGE",
@@ -54,3 +59,15 @@ __all__ = [
     "ContextPlacement",
     "Simulator",
 ]
+
+_EXPORTS = {
+    "repro.smt.params": ("IVY_BRIDGE", "MACHINES", "SANDY_BRIDGE_EN",
+                         "CacheSpec", "MachineSpec"),
+    "repro.smt.pmu": ("PMU_COUNTERS", "PmuDefectModel", "read_pmu"),
+    "repro.smt.reporting": ("InterferenceBreakdown", "cpi_stack",
+                            "explain_pair", "utilization_report"),
+    "repro.smt.results": ("ContextResult", "CpiBreakdown", "RunResult"),
+    "repro.smt.simulator": ("ContextPlacement", "Simulator"),
+}
+
+__getattr__, __dir__ = exports(globals(), _EXPORTS)

@@ -365,7 +365,6 @@ class Simulator:
     def _count(requests: int, memo_hits: int) -> None:
         """Count memo reads; each one canonicalized its placement once."""
         counter("smt.simulator.requests").inc(requests)
-        counter("smt.simulator.canonicalizations").inc(requests)
         counter("smt.simulator.memo_hits").inc(memo_hits)
 
     def _store(self, solved: list[tuple[tuple, str | None, Solved]],

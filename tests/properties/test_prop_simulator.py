@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.simulator import Simulator
 from repro.smt.solver import ContextPlacement
+from repro.workloads.cloudsuite import cloudsuite_apps
+from repro.workloads.spec import SPEC_CPU2006
 from repro.workloads.synthetic import random_profile
 
 _SIM = Simulator(IVY_BRIDGE, jitter=0.0)
@@ -136,3 +138,39 @@ class TestRelabelingInvariance:
         a = Simulator(SANDY_BRIDGE_EN, jitter=0.0).run(original)
         b = Simulator(SANDY_BRIDGE_EN, jitter=0.0).run(relabeled)
         assert _ipcs_by_profile(a) == _ipcs_by_profile(b)
+
+
+class TestInstanceCountMonotonicity:
+    def test_server_degradation_never_falls_as_instances_grow(self):
+        """More batch instances never help the latency app (Fig. 12).
+
+        The whole grid: 4 CloudSuite apps x 29 SPEC apps on Sandy
+        Bridge-EN, SMT 1-6 and CMP 1-3 instances (812 steps). It runs at
+        jitter 0 because measurement jitter is noise by design: at the
+        default 1% some cells read a negative degradation and ~70 steps
+        fall, which says nothing about the interference model.
+        """
+        sim = Simulator(SANDY_BRIDGE_EN, jitter=0.0)
+        counts = {"smt": range(1, 7), "cmp": range(1, 4)}
+        grid = [(app.profile, batch, mode, tuple(instances))
+                for app in cloudsuite_apps()
+                for batch in SPEC_CPU2006.values()
+                for mode, instances in counts.items()]
+        sim.prefetch_readings(servers=[
+            (latency, batch, k, mode, None)
+            for latency, batch, mode, instances in grid
+            for k in instances])
+        steps, falls = 0, []
+        for latency, batch, mode, instances in grid:
+            degradations = [
+                sim.measure_server_degradation(latency, batch, instances=k,
+                                               mode=mode)
+                for k in instances]
+            for k, (fewer, more) in enumerate(
+                    zip(degradations, degradations[1:]), start=1):
+                steps += 1
+                if more < fewer:
+                    falls.append((latency.name, batch.name, mode, k,
+                                  fewer, more))
+        assert steps == 812
+        assert not falls

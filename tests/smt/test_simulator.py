@@ -217,6 +217,8 @@ class TestPrefetchReadings:
 
     def test_canonicalizations_count_real_calls(self, mcf, namd,
                                                 cloud_apps, monkeypatch):
+        """Every memo read canonicalizes its placement exactly once, so
+        ``smt.simulator.requests`` counts the real canonicalizations."""
         sim = Simulator(SANDY_BRIDGE_EN)
         web = cloud_apps[0].profile
         calls = []
@@ -228,7 +230,7 @@ class TestPrefetchReadings:
 
         monkeypatch.setattr(simulator_module, "_canonical_placements",
                             counting)
-        before = _counter("smt.simulator.canonicalizations")
+        before = _requests()
         jobs = [[ContextPlacement(mcf, core=0)],
                 [ContextPlacement(mcf, core=0), ContextPlacement(namd, core=0)]]
         for _repeat in range(2):
@@ -238,8 +240,7 @@ class TestPrefetchReadings:
         sim.measure_server(web, namd, instances=2)
         sim.measure_server(web, namd, instances=2)
         assert calls
-        assert (_counter("smt.simulator.canonicalizations") - before
-                == len(calls))
+        assert _requests() - before == len(calls)
 
 
 class TestSolvePathIndependence:
