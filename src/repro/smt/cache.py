@@ -16,7 +16,7 @@ size claims roughly half the capacity.
 Pressures here are *intrinsic* — built from access rates and footprints,
 never from the evolving IPC estimates. The batch solver
 (:mod:`repro.smt.batch`) relies on that: it computes capacity shares and
-hit fractions once per problem instead of once per iteration. If sharing
+hit fractions once per batch instead of once per iteration. If sharing
 ever becomes IPC-dependent, that hoist (and the scalar loop's idempotent
 recompute) must both change.
 """

@@ -17,8 +17,9 @@ no profiles: the caller's canonical placement names them, and
 stale model's segments are never opened. A segment is written to a
 temp file, then renamed under a name unique to its writer, so
 concurrent workers share one directory without locking. A miss reads
-the key arrays of segments the cache has not listed yet; a segment's
-other arrays are read only when one of its keys is asked for. Every
+the key arrays of segments the cache has not listed yet, at most once
+per :meth:`~PersistentSolveCache.lookup_pass`; a segment's other arrays
+are read only when one of its keys is asked for. Every
 array is read with ``allow_pickle=False``. A segment that fails to
 parse is deleted; its keys recompute.
 """
@@ -30,9 +31,10 @@ import hashlib
 import io
 import os
 import struct
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -158,13 +160,30 @@ class PersistentSolveCache:
         self._where: dict[str, tuple[Path, int, int]] = {}
         self._loaded: dict[Path, SolvedBatch] = {}
         self._listed: set[str] = set()
+        # Inside a lookup pass: whether it listed yet (None outside one).
+        self._pass_listed: bool | None = None
+
+    @contextmanager
+    def lookup_pass(self) -> Iterator[None]:
+        """Misses inside list the segment directory at most once.
+
+        The pass's first miss lists every segment written before it;
+        one another writer adds later is seen by the next pass.
+        """
+        self._pass_listed = False
+        try:
+            yield
+        finally:
+            self._pass_listed = None
 
     def get(self, key: str) -> Solved | None:
         counter("smt.diskcache.requests").inc()
         result = self._entries.get(key)
         if result is None:
-            if key not in self._where:
+            if key not in self._where and not self._pass_listed:
                 self._list_new()
+                if self._pass_listed is not None:
+                    self._pass_listed = True
             if key in self._where:
                 result = self._load(*self._where[key])
         if result is None:

@@ -24,6 +24,7 @@ IPCs.
 from __future__ import annotations
 
 import zlib
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -236,12 +237,13 @@ class Simulator:
         requests = []
         todo: _Todo = {}
         memo_hits = 0
-        for placements in placements_list:
-            placements = list(placements)
-            canonical, order = _canonical_placements(placements)
-            key, memoized = self._lookup(canonical, todo)
-            memo_hits += memoized is not None
-            requests.append((key, order, placements))
+        with self._lookup_pass():
+            for placements in placements_list:
+                placements = list(placements)
+                canonical, order = _canonical_placements(placements)
+                key, memoized = self._lookup(canonical, todo)
+                memo_hits += memoized is not None
+                requests.append((key, order, placements))
         self._count(len(requests), memo_hits)
         self._solve_todo(todo)
         return [self._materialize(self._cache[key], order, placements)
@@ -253,10 +255,11 @@ class Simulator:
         """Fill the solve caches in bulk without materializing results."""
         todo: _Todo = {}
         n_requests = memo_hits = 0
-        for placements in placements_list:
-            n_requests += 1
-            canonical, _order = _canonical_placements(placements)
-            memo_hits += self._lookup(canonical, todo)[1] is not None
+        with self._lookup_pass():
+            for placements in placements_list:
+                n_requests += 1
+                canonical, _order = _canonical_placements(placements)
+                memo_hits += self._lookup(canonical, todo)[1] is not None
         self._count(n_requests, memo_hits)
         self._solve_todo(todo)
 
@@ -337,6 +340,12 @@ class Simulator:
                 self._solve_todo(todo)
             result = self._cache[key]
         return result, order
+
+    def _lookup_pass(self) -> AbstractContextManager[None]:
+        """One disk lookup pass: misses list new segments at most once."""
+        if self.disk_cache is None:
+            return nullcontext()
+        return self.disk_cache.lookup_pass()
 
     def _lookup(
         self, canonical: list[ContextPlacement],

@@ -177,12 +177,10 @@ class _SlotOrderPacked(batch_module._Packed):
     the same ``_slot_update``.
     """
 
-    def __init__(self, machine, problems):
-        super().__init__(machine, problems)
-        counts = np.array([len(states) for states in problems])
+    def __init__(self, machine, prob, core, *columns):
+        super().__init__(machine, prob, core, *columns)
+        counts = np.bincount(prob)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        core = np.array([state.placement.core
-                         for states in problems for state in states])
         _keys, core_gid = np.unique(self.prob * machine.cores + core,
                                     return_inverse=True)
         local = np.full(core_gid.max() + 1, -1, dtype=np.intp)

@@ -372,6 +372,46 @@ class TestPersistentCache:
         assert after == before
 
 
+class TestLookupPass:
+    def _count_listings(self, monkeypatch):
+        listings = []
+        listdir = diskcache.os.listdir
+        monkeypatch.setattr(diskcache.os, "listdir",
+                            lambda path: listings.append(path)
+                            or listdir(path))
+        return listings
+
+    def test_one_listing_per_cold_batch(self, tmp_path, monkeypatch, mcf):
+        Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path).run_solo(mcf)
+        listings = self._count_listings(monkeypatch)
+        profiles = _profiles(6)
+        sim = Simulator(IVY_BRIDGE, jitter=0.0, disk_cache=tmp_path)
+        sim.run_many([[ContextPlacement(p, core=0)] for p in profiles])
+        assert sim.solve_count == len(profiles) - 1  # mcf was on disk
+        assert len(listings) == 1
+        sim.prefetch_readings(pairs=[(a, b, "smt") for a in profiles
+                                     for b in profiles])
+        assert sim.solve_count > len(profiles)
+        assert len(listings) == 2
+
+    def test_a_later_pass_sees_another_writer(self, tmp_path, mcf, namd):
+        keys, results = [], []
+        for p in (mcf, namd):
+            placement = [ContextPlacement(p, core=0)]
+            keys.append(solve_key(IVY_BRIDGE, placement))
+            results.append(solve_many(IVY_BRIDGE, [placement]).problem(0))
+        reader = PersistentSolveCache(tmp_path)
+        writer = PersistentSolveCache(tmp_path)
+        writer.put({keys[0]: results[0]})
+        with reader.lookup_pass():
+            assert reader.get(keys[0]) == results[0]
+            assert reader.get(keys[1]) is None
+            writer.put({keys[1]: results[1]})
+            assert reader.get(keys[1]) is None  # listed once this pass
+        with reader.lookup_pass():
+            assert reader.get(keys[1]) == results[1]
+
+
 class TestDefaultCache:
     def test_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("SMITE_NO_CACHE", "1")

@@ -22,7 +22,8 @@ from repro.smt.diskcache import PersistentSolveCache
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.smt.results import (ContextResult, CpiBreakdown, RunResult,
                                 SolvedBatch)
-from repro.smt.solver import ContextPlacement
+from repro.smt.solver import (ContextPlacement, _prepare,
+                              _update_capacities)
 from repro.workloads.synthetic import random_profile
 
 _settings = settings(max_examples=15, deadline=None,
@@ -32,23 +33,30 @@ _settings = settings(max_examples=15, deadline=None,
 def _oracle_solve_many(machine, problems):
     """``solve_many`` with its former object-building loop.
 
-    The kernel's final state (the packed arrays and the per-context
-    states) is captured from the real run; the results are then built
-    exactly as ``solve_many`` built them before it returned columns.
+    The kernel's final state (the packed arrays) is captured from the
+    real run; the results are then built exactly as ``solve_many`` built
+    them before it returned columns, with each context's hit fractions
+    and capacities from the scalar set-up (``_prepare`` plus
+    ``_update_capacities``), not from the batch.
     """
     captured = []
 
     class _Recording(batch_module._Packed):
-        def __init__(self, machine, states):
-            super().__init__(machine, states)
-            captured.append((self, states))
+        def __init__(self, machine, *arrays):
+            super().__init__(machine, *arrays)
+            captured.append(self)
 
     with mock.patch.object(batch_module, "_Packed", _Recording):
         solved = solve_many(machine, problems)
-    ((pk, states_list),) = captured
+    (pk,) = captured
+    states_list = []
+    for placements in problems:
+        states = _prepare(machine, placements)
+        _update_capacities(machine, states, {})
+        states_list.append(states)
 
     ipc = pk.ipc.tolist()
-    utilization = np.minimum(1.0, pk.ipc[:, None] * pk.port_demand).tolist()
+    utilization = np.minimum(1.0, pk.ipc[:, None] * pk.port_demand.T).tolist()
     bd = pk.breakdown
     breakdowns = list(zip(
         bd["frontend"].tolist(), bd["port"].tolist(),
