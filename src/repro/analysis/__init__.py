@@ -13,7 +13,6 @@ if TYPE_CHECKING:
     from repro.analysis.linreg import LinearModel, fit_least_squares
     from repro.analysis.stats import (
         empirical_cdf,
-        mean_absolute_error,
         pearson,
         pearson_matrix,
         summarize,
@@ -24,7 +23,6 @@ __all__ = [
     "LinearModel",
     "fit_least_squares",
     "empirical_cdf",
-    "mean_absolute_error",
     "pearson",
     "pearson_matrix",
     "summarize",
@@ -33,8 +31,8 @@ __all__ = [
 
 _EXPORTS = {
     "repro.analysis.linreg": ("LinearModel", "fit_least_squares"),
-    "repro.analysis.stats": ("empirical_cdf", "mean_absolute_error",
-                             "pearson", "pearson_matrix", "summarize"),
+    "repro.analysis.stats": ("empirical_cdf", "pearson", "pearson_matrix",
+                             "summarize"),
     "repro.analysis.tables": ("format_table",),
 }
 

@@ -1,8 +1,7 @@
 """Basic statistics: Pearson correlation, empirical CDFs, summaries.
 
-These are the primitives behind the paper's Figure 3/5 (utilization CDFs),
-Figure 7 (correlation among sharing dimensions), and the error metrics of
-Section IV.
+These are the primitives behind the paper's Figure 3/5 (utilization CDFs)
+and Figure 7 (correlation among sharing dimensions).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "pearson_matrix",
     "empirical_cdf",
     "EmpiricalCdf",
-    "mean_absolute_error",
     "summarize",
     "DistributionSummary",
 ]
@@ -101,21 +99,6 @@ def empirical_cdf(sample: Sequence[float]) -> EmpiricalCdf:
         raise ConfigurationError("cannot build a CDF from an empty sample")
     probs = np.arange(1, arr.size + 1, dtype=float) / arr.size
     return EmpiricalCdf(values=arr, probabilities=probs)
-
-
-def mean_absolute_error(
-    predicted: Sequence[float], actual: Sequence[float]
-) -> float:
-    """Mean of ``|predicted - actual|`` — the paper's Equation 8, averaged."""
-    pa = np.asarray(predicted, dtype=float)
-    aa = np.asarray(actual, dtype=float)
-    if pa.shape != aa.shape:
-        raise ConfigurationError(
-            f"prediction/actual shape mismatch: {pa.shape} vs {aa.shape}"
-        )
-    if pa.size == 0:
-        raise ConfigurationError("cannot compute error over an empty set")
-    return float(np.abs(pa - aa).mean())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@
 - :mod:`repro.core.model` — the Sen x Con interaction regression
   (Equation 3);
 - :mod:`repro.core.pmu_model` — the PMU-counter baseline (Equation 9);
-- :mod:`repro.core.trainer` — pair-dataset construction, the even/odd
-  SPEC split, and model evaluation (Equations 7-8);
+- :mod:`repro.core.trainer` — pair-dataset construction and model
+  evaluation (Equations 7-8) over the even/odd SPEC split of
+  :func:`repro.workloads.spec.spec_even` and ``spec_odd``;
 - :mod:`repro.core.tail` — the M/M/1 percentile-latency model
   (Equations 4-6);
 - :mod:`repro.core.correlation` — the Figure 7 cross-dimension analysis;
@@ -37,7 +38,6 @@ from repro.core.trainer import (
     build_pair_dataset,
     build_server_dataset,
     evaluate_model,
-    parity_split,
 )
 
 __all__ = [
@@ -63,5 +63,4 @@ __all__ = [
     "build_pair_dataset",
     "build_server_dataset",
     "evaluate_model",
-    "parity_split",
 ]

@@ -1,16 +1,18 @@
 """Dataset construction and model evaluation (Section IV-B).
 
-The paper's protocol: split the 29 SPEC benchmarks by even/odd numbering,
-profile every ordered co-location pair inside the training half, fit the
-models there, and evaluate on pairs drawn from the testing half
-(Equations 7-8). For CloudSuite, the server-level topology (1..6 batch
-instances against a half-loaded latency app) replaces the simple pair.
+The paper's protocol: split the 29 SPEC benchmarks by even/odd numbering
+(:func:`repro.workloads.spec.spec_even` and
+:func:`~repro.workloads.spec.spec_odd`), profile every ordered co-location
+pair inside the training half, fit the models there, and evaluate on pairs
+drawn from the testing half (Equations 7-8). For CloudSuite, the
+server-level topology (1..6 batch instances against a half-loaded latency
+app) replaces the simple pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.evaluation import EvaluationReport, PairPrediction
 from repro.errors import ConfigurationError
@@ -21,7 +23,6 @@ from repro.workloads.profile import WorkloadProfile
 __all__ = [
     "PairSample",
     "PairDataset",
-    "parity_split",
     "build_pair_dataset",
     "ServerSample",
     "build_server_dataset",
@@ -50,21 +51,6 @@ class PairDataset:
 
     def __iter__(self):
         return iter(self.samples)
-
-
-def parity_split(
-    profiles: Iterable[WorkloadProfile],
-) -> tuple[list[WorkloadProfile], list[WorkloadProfile]]:
-    """The paper's train/test split: (even-numbered, odd-numbered)."""
-    even: list[WorkloadProfile] = []
-    odd: list[WorkloadProfile] = []
-    for profile in profiles:
-        if profile.spec_number is None:
-            raise ConfigurationError(
-                f"{profile.name} has no SPEC number; parity split undefined"
-            )
-        (even if profile.spec_number % 2 == 0 else odd).append(profile)
-    return even, odd
 
 
 def build_pair_dataset(

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "make_rows"]
+__all__ = ["ExperimentConfig", "ExperimentResult"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,3 @@ class ExperimentResult:
                 f"available: {sorted(self.metrics)}"
             ) from exc
 
-
-def make_rows(rows: Sequence[Sequence[object]]) -> tuple[tuple, ...]:
-    """Normalize rows into the tuple-of-tuples the result type stores."""
-    return tuple(tuple(row) for row in rows)

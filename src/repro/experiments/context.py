@@ -29,7 +29,6 @@ __all__ = [
     "ivy_simulator",
     "snb_simulator",
     "ivy_suite",
-    "snb_suite",
     "characterized_population",
     "smite_spec",
     "smite_cloud",
@@ -56,12 +55,6 @@ def snb_simulator() -> Simulator:
 def ivy_suite() -> RulerSuite:
     """The default Ruler suite for the Ivy Bridge machine (cached)."""
     return default_suite(IVY_BRIDGE)
-
-
-@lru_cache(maxsize=None)
-def snb_suite() -> RulerSuite:
-    """The default Ruler suite for the Sandy Bridge-EN machine (cached)."""
-    return default_suite(SANDY_BRIDGE_EN)
 
 
 @lru_cache(maxsize=None)

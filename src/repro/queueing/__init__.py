@@ -4,14 +4,10 @@
   model of Equations 4-6;
 - :mod:`repro.queueing.des` — a discrete-event simulator of the same
   queue (Lindley recursion), used as the "measured" percentile latency
-  the analytic prediction is judged against;
-- :mod:`repro.queueing.mmc` — the M/M/c alternative (Erlang-C), which
-  makes the paper's per-thread-M/M/1 modelling choice checkable.
+  the analytic prediction is judged against.
 """
 
 from repro.queueing.des import FcfsQueueSimulation, simulate_fcfs_mm1
 from repro.queueing.mm1 import Mm1Queue
-from repro.queueing.mmc import MmcQueue
 
-__all__ = ["Mm1Queue", "MmcQueue", "FcfsQueueSimulation",
-           "simulate_fcfs_mm1"]
+__all__ = ["Mm1Queue", "FcfsQueueSimulation", "simulate_fcfs_mm1"]

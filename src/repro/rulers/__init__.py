@@ -26,7 +26,6 @@ from repro.rulers.validation import (
     PurityReport,
     validate_linearity,
     validate_purity,
-    validate_suite,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "PurityReport",
     "validate_linearity",
     "validate_purity",
-    "validate_suite",
 ]

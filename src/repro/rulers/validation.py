@@ -18,8 +18,7 @@ from repro.rulers.suite import intensity_sweep
 from repro.smt.simulator import Simulator
 from repro.workloads.profile import WorkloadProfile
 
-__all__ = ["PurityReport", "validate_purity", "validate_linearity",
-           "validate_suite"]
+__all__ = ["PurityReport", "validate_purity", "validate_linearity"]
 
 #: The paper's validated purity level for functional-unit rulers.
 PURITY_THRESHOLD = 0.9999
@@ -127,12 +126,3 @@ def validate_linearity(
         )
     return mean
 
-
-def validate_suite(suite, simulator: Simulator) -> dict[str, float]:
-    """Run purity validation across a suite; returns name -> purity."""
-    purities: dict[str, float] = {}
-    for dimension in suite:
-        ruler = suite[dimension]
-        if dimension.is_functional_unit:
-            purities[ruler.name] = validate_purity(ruler, simulator).purity
-    return purities

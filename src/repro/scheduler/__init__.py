@@ -12,13 +12,6 @@ to a target utilization for the violation comparison).
 """
 
 from repro.scheduler.cluster import Cluster, ServerState
-from repro.scheduler.jobqueue import (
-    BatchJob,
-    JobQueueScheduler,
-    PackingResult,
-    Placement,
-    round_robin_baseline,
-)
 from repro.scheduler.metrics import ScaleOutResult, ViolationStats
 from repro.scheduler.policies import (
     ColocationPolicy,
@@ -33,11 +26,6 @@ from repro.scheduler.scaleout import ScaleOutStudy
 __all__ = [
     "Cluster",
     "ServerState",
-    "BatchJob",
-    "JobQueueScheduler",
-    "PackingResult",
-    "Placement",
-    "round_robin_baseline",
     "ScaleOutResult",
     "ViolationStats",
     "ColocationPolicy",

@@ -12,11 +12,7 @@ from repro.workloads.cloudsuite import (
     LatencySensitiveWorkload,
     cloudsuite_apps,
 )
-from repro.workloads.insights import (
-    ResourceClass,
-    classify,
-    summarize_profile,
-)
+from repro.workloads.insights import ResourceClass, classify
 from repro.workloads.profile import FootprintStratum, Suite, WorkloadProfile
 from repro.workloads.registry import (
     all_profiles,
@@ -33,7 +29,6 @@ __all__ = [
     "cloudsuite_apps",
     "ResourceClass",
     "classify",
-    "summarize_profile",
     "FootprintStratum",
     "Suite",
     "WorkloadProfile",

@@ -1,4 +1,4 @@
-"""Static workload classification and summaries.
+"""Static workload classification.
 
 Schedulers and operators reason about workloads in categories — "FP-port
 bound", "LLC-resident", "DRAM streamer" — before any measurement exists.
@@ -10,12 +10,10 @@ the classification is used to sanity-check the synthetic populations
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from repro.isa.opcodes import UOP_LATENCY
 from repro.workloads.profile import WorkloadProfile
 
-__all__ = ["ResourceClass", "classify", "WorkloadSummary", "summarize_profile"]
+__all__ = ["ResourceClass", "classify"]
 
 KB = 1024
 MB = 1024 * 1024
@@ -69,43 +67,3 @@ def classify(profile: WorkloadProfile, *,
         return ResourceClass.CACHE_RESIDENT
     return (ResourceClass.FP_COMPUTE if fp > profile.int_alu
             else ResourceClass.INT_COMPUTE)
-
-
-@dataclass(frozen=True)
-class WorkloadSummary:
-    """Scheduler-facing one-line description of a profile."""
-
-    name: str
-    resource_class: ResourceClass
-    arithmetic_per_access: float
-    critical_path_cycles: float
-    footprint_bytes: float
-    dram_access_fraction: float
-
-    def __str__(self) -> str:
-        footprint = (f"{self.footprint_bytes / MB:.1f} MB"
-                     if self.footprint_bytes >= MB
-                     else f"{self.footprint_bytes / KB:.0f} KB")
-        return (f"{self.name}: {self.resource_class.value}, "
-                f"{self.arithmetic_per_access:.1f} ops/access, "
-                f"{footprint} working set")
-
-
-def summarize_profile(profile: WorkloadProfile, *,
-                      llc_bytes: float = 8 * MB) -> WorkloadSummary:
-    """Derive the summary a scheduler would log for a new profile."""
-    compute = (profile.fp_mul + profile.fp_add + profile.fp_shf
-               + profile.int_alu)
-    accesses = profile.accesses_per_instruction
-    arithmetic = compute / accesses if accesses > 0 else float("inf")
-    critical_path = profile.dependency_factor * sum(
-        rate * UOP_LATENCY[kind] for kind, rate in profile.uops.items()
-    )
-    return WorkloadSummary(
-        name=profile.name,
-        resource_class=classify(profile, llc_bytes=llc_bytes),
-        arithmetic_per_access=arithmetic,
-        critical_path_cycles=critical_path,
-        footprint_bytes=profile.total_footprint_bytes,
-        dram_access_fraction=_dram_fraction(profile, llc_bytes),
-    )

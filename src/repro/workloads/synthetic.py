@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.workloads.profile import FootprintStratum, Suite, WorkloadProfile
 
-__all__ = ["random_profile", "random_population"]
+__all__ = ["random_profile"]
 
 KB = 1024
 MB = 1024 * 1024
@@ -91,13 +91,3 @@ def random_profile(
         description="randomly generated profile",
     )
 
-
-def random_population(
-    count: int, *, seed: int = 0, suite: Suite = Suite.SYNTHETIC
-) -> list[WorkloadProfile]:
-    """A reproducible list of ``count`` random profiles."""
-    rng = np.random.default_rng(seed)
-    return [
-        random_profile(rng, name=f"synthetic-{seed}-{i:03d}", suite=suite)
-        for i in range(count)
-    ]

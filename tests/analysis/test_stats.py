@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.stats import (
     empirical_cdf,
-    mean_absolute_error,
     pearson,
     pearson_matrix,
     summarize,
@@ -94,26 +93,6 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             empirical_cdf([])
-
-
-class TestMeanAbsoluteError:
-    def test_exact_match_is_zero(self):
-        assert mean_absolute_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_known_value(self):
-        assert mean_absolute_error([1.0, 3.0], [2.0, 1.0]) == pytest.approx(1.5)
-
-    def test_symmetry(self):
-        a, b = [0.1, 0.9], [0.4, 0.2]
-        assert mean_absolute_error(a, b) == mean_absolute_error(b, a)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean_absolute_error([1.0], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean_absolute_error([], [])
 
 
 class TestSummarize:

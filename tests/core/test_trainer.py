@@ -6,22 +6,9 @@ from repro.core.trainer import (
     build_pair_dataset,
     build_server_dataset,
     evaluate_model,
-    parity_split,
 )
 from repro.errors import ConfigurationError
 from repro.workloads.spec import SPEC_CPU2006
-from repro.workloads.synthetic import random_profile
-
-
-class TestParitySplit:
-    def test_matches_numbering(self):
-        even, odd = parity_split(SPEC_CPU2006.values())
-        assert all(p.spec_number % 2 == 0 for p in even)
-        assert all(p.spec_number % 2 == 1 for p in odd)
-
-    def test_unnumbered_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parity_split([random_profile(0)])
 
 
 class TestPairDataset:

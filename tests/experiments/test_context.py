@@ -1,6 +1,9 @@
 """Tests for the shared experiment fixtures (memoization semantics)."""
 
 from repro.experiments import context
+from repro.rulers.base import Dimension
+from repro.rulers.suite import default_suite
+from repro.smt.params import SANDY_BRIDGE_EN
 
 
 class TestMemoization:
@@ -15,8 +18,7 @@ class TestMemoization:
 
     def test_suites_sized_to_machines(self):
         ivy_l3 = context.ivy_suite()
-        snb_l3 = context.snb_suite()
-        from repro.rulers.base import Dimension
+        snb_l3 = default_suite(SANDY_BRIDGE_EN)
         assert (snb_l3[Dimension.L3].profile.total_footprint_bytes
                 > ivy_l3[Dimension.L3].profile.total_footprint_bytes)
 

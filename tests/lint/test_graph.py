@@ -10,7 +10,6 @@ SMT6xx/SMT7xx rules consume.
 from __future__ import annotations
 
 import ast
-import pickle
 import textwrap
 
 from repro.lint.graph import build_graph, module_name_for, scan_module
@@ -273,13 +272,3 @@ def test_worker_taint_tracks_roots_and_foldback():
     assert g.root_folds_back("pkg.work:folding_worker")
     assert not g.root_folds_back("pkg.work:leaky_worker")
 
-
-def test_graph_pickles_for_phase2_workers():
-    g = _graph({
-        "src/pkg/a.py": """\
-            def f():
-                pass
-        """,
-    })
-    clone = pickle.loads(pickle.dumps(g))
-    assert "pkg.a:f" in clone.functions

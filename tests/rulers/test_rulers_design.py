@@ -13,11 +13,7 @@ from repro.rulers.functional_unit import (
 )
 from repro.rulers.memory import memory_kernel, memory_ruler, memory_rulers
 from repro.rulers.suite import default_suite, intensity_sweep
-from repro.rulers.validation import (
-    validate_linearity,
-    validate_purity,
-    validate_suite,
-)
+from repro.rulers.validation import validate_linearity, validate_purity
 from repro.smt.params import IVY_BRIDGE, SANDY_BRIDGE_EN
 from repro.workloads.spec import spec_even
 
@@ -118,9 +114,10 @@ class TestSuite:
 
 class TestValidation:
     def test_purity_passes_for_all_fu_rulers(self, ivy_sim, ivy_rulers):
-        purities = validate_suite(ivy_rulers, ivy_sim)
+        purities = [validate_purity(ivy_rulers[dim], ivy_sim).purity
+                    for dim in ivy_rulers if dim.is_functional_unit]
         assert len(purities) == 4
-        assert all(p >= 0.9999 for p in purities.values())
+        assert all(p >= 0.9999 for p in purities)
 
     def test_purity_rejects_memory_rulers(self, ivy_sim, ivy_rulers):
         with pytest.raises(ValidationError):

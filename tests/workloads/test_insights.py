@@ -1,13 +1,7 @@
 """Tests for workload classification."""
 
-import pytest
-
 from repro.workloads.cloudsuite import cloudsuite_apps
-from repro.workloads.insights import (
-    ResourceClass,
-    classify,
-    summarize_profile,
-)
+from repro.workloads.insights import ResourceClass, classify
 from repro.workloads.spec import SPEC_CPU2006
 
 
@@ -43,22 +37,3 @@ class TestClassify:
         assert classify(lbm, llc_bytes=1 << 40) is not \
             ResourceClass.DRAM_STREAMING
 
-
-class TestSummaries:
-    def test_fields(self):
-        summary = summarize_profile(SPEC_CPU2006["444.namd"])
-        assert summary.name == "444.namd"
-        assert summary.arithmetic_per_access > 1.0
-        assert summary.critical_path_cycles > 0.0
-        assert summary.dram_access_fraction == 0.0
-
-    def test_string_form(self):
-        text = str(summarize_profile(SPEC_CPU2006["429.mcf"]))
-        assert "429.mcf" in text
-        assert "dram-latency" in text
-        assert "MB" in text
-
-    def test_streamer_has_low_arithmetic_intensity(self):
-        lbm = summarize_profile(SPEC_CPU2006["470.lbm"])
-        namd = summarize_profile(SPEC_CPU2006["444.namd"])
-        assert lbm.arithmetic_per_access < namd.arithmetic_per_access

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.workloads.profile import Suite
-from repro.workloads.synthetic import random_population, random_profile
+from repro.workloads.synthetic import random_profile
 
 
 class TestRandomProfile:
@@ -32,15 +32,3 @@ class TestRandomProfile:
                  for _ in range(100)}
         assert kinds == {True, False}
 
-
-class TestRandomPopulation:
-    def test_count_and_unique_names(self):
-        population = random_population(20, seed=5)
-        assert len(population) == 20
-        assert len({p.name for p in population}) == 20
-
-    def test_reproducible(self):
-        assert random_population(5, seed=9) == random_population(5, seed=9)
-
-    def test_seed_changes_population(self):
-        assert random_population(5, seed=1) != random_population(5, seed=2)
