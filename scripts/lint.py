@@ -7,8 +7,8 @@ working directory without an installed package or PYTHONPATH: it pins
 
 Usage::
 
-    python scripts/lint.py                # gate: exit 1 on new violations
-    python scripts/lint.py --stats        # per-rule counts + phase timings
+    python scripts/lint.py                # gate: exit 1 on any violation
+    python scripts/lint.py --format json  # machine-readable findings
     python scripts/lint.py --list-rules   # rule reference
 
 The linted paths and per-family scopes are constants in

@@ -77,11 +77,11 @@ class SensitivityCurve:
         if intensity >= xs[-1]:
             return ys[-1]
         if intensity <= xs[0]:
-            return ys[0] * intensity / xs[0]  # smite: noqa[SMT302]: intensities are validated in (0, 1] at construction
+            return ys[0] * intensity / xs[0]  # intensities are validated in (0, 1] at construction
         hi = bisect.bisect_right(xs, intensity)
         lo = hi - 1
         span = xs[hi] - xs[lo]
-        weight = (intensity - xs[lo]) / span  # smite: noqa[SMT302]: intensities are validated strictly increasing, so span > 0
+        weight = (intensity - xs[lo]) / span  # intensities are validated strictly increasing, so span > 0
         return ys[lo] + weight * (ys[hi] - ys[lo])
 
     def at_working_set(self, footprint_bytes: float) -> float:
@@ -102,7 +102,7 @@ class SensitivityCurve:
         floor = Ruler.MEMORY_FOOTPRINT_FLOOR
         scale = footprint_bytes / self.full_footprint_bytes
         # Invert the Ruler's footprint mapping: scale = floor + (1-floor)*i.
-        intensity = (scale - floor) / (1.0 - floor)  # smite: noqa[SMT302]: MEMORY_FOOTPRINT_FLOOR is the constant 0.5
+        intensity = (scale - floor) / (1.0 - floor)  # MEMORY_FOOTPRINT_FLOOR is the constant 0.5
         return self.at(max(0.0, min(1.0, intensity)))
 
     @property

@@ -53,7 +53,7 @@ def _steady_state_dep_cpi(kernel: Kernel) -> float:
         end = max(ready.values(), default=0.0)
         delta = end - previous_end
         previous_end = end
-    return delta / len(kernel.body)  # smite: noqa[SMT302]: Kernel validates a non-empty body
+    return delta / len(kernel.body)  # Kernel validates a non-empty body
 
 
 def _dependency_factor(kernel: Kernel) -> float:
@@ -63,7 +63,7 @@ def _dependency_factor(kernel: Kernel) -> float:
         return 0.0
     counts = kernel.count_kinds()
     n_instr = kernel.instructions_per_iteration
-    path = sum(  # smite: noqa[SMT302]: instructions_per_iteration = body*unroll + 1 >= 1
+    path = sum(  # instructions_per_iteration = body*unroll + 1 >= 1
         count * UOP_LATENCY[kind] for kind, count in counts.items()
     ) / n_instr
     if path <= 0.0:
@@ -84,7 +84,7 @@ def _strata(kernel: Kernel, counts: dict[UopKind, int]) -> tuple[FootprintStratu
         per_ref[instr.mem.footprint_bytes] = per_ref.get(instr.mem.footprint_bytes, 0) + 1
     total = sum(per_ref.values())
     strata = [
-        FootprintStratum(footprint_bytes=fp, access_fraction=n / total)  # smite: noqa[SMT302]: non-empty refs imply at least one counted body reference
+        FootprintStratum(footprint_bytes=fp, access_fraction=n / total)
         for fp, n in sorted(per_ref.items())
     ]
     # Guard against floating-point drift in the fraction sum.
@@ -102,7 +102,7 @@ def analyze_kernel(kernel: Kernel, *, suite: Suite = Suite.RULER) -> WorkloadPro
     """Derive a :class:`WorkloadProfile` from a kernel's static structure."""
     counts = kernel.count_kinds()
     n_instr = kernel.instructions_per_iteration
-    rate = {kind: counts.get(kind, 0) / n_instr for kind in UopKind}  # smite: noqa[SMT302]: instructions_per_iteration = body*unroll + 1 >= 1
+    rate = {kind: counts.get(kind, 0) / n_instr for kind in UopKind}  # instructions_per_iteration = body*unroll + 1 >= 1
     has_memory = (counts.get(UopKind.LOAD, 0) + counts.get(UopKind.STORE, 0)) > 0
 
     return WorkloadProfile(

@@ -4,7 +4,9 @@ Both are module constants, so every interpreter, the CLI and the test
 suite check the same thing. Paths are relative to the repository root
 (``--root``). A family's :class:`Scope` restricts where it fires:
 ``include`` is a list of path prefixes the family applies to (empty =
-everywhere) and ``exclude`` a list of prefixes it skips. Phase 1 still
+everywhere) and ``exclude`` a list of prefixes it skips. Scopes are the
+one way to exempt code from a family; there are no inline suppression
+comments. Phase 1 still
 parses every linted file whatever the scopes say, so a scoped-out
 module contributes call edges to the project graph.
 """
@@ -41,26 +43,20 @@ def _has_prefix(path: str, prefix: str) -> bool:
 #: What a run with no explicit paths lints.
 PATHS: tuple[str, ...] = ("src", "benchmarks", "scripts")
 
-#: Where each rule family fires. Determinism and numeric rules target
-#: the model code implementing the paper's equations; harness/CLI layers
-#: may look at the clock or divide by values their own argument parsing
-#: already rejects. The metrics rules skip the registry internals, whose
-#: helpers take dynamic names. Library-facing hygiene stays on ``src``:
-#: benchmarks and scripts are entrypoint code without a public API. The
-#: concurrency and process-safety families cover every linted path:
-#: bench drivers fork the same shard workers production does.
+#: Where each rule family fires. Every registered family has an entry
+#: (the engine indexes this map directly). Determinism rules target the
+#: model code implementing the paper's equations; harness/CLI layers may
+#: look at the clock. The metrics rules skip the registry internals,
+#: whose helpers take dynamic names. Library-facing hygiene stays on
+#: ``src``: benchmarks and scripts are entrypoint code without a public
+#: API. The concurrency family covers every linted path.
 SCOPES: Mapping[str, Scope] = {
     "determinism": Scope(include=(
         "src/repro/core", "src/repro/smt", "src/repro/queueing",
         "src/repro/scheduler", "src/repro/serve", "src/repro/adapt",
     )),
     "metrics": Scope(exclude=("src/repro/obs",)),
-    "numeric": Scope(include=(
-        "src/repro/core", "src/repro/smt", "src/repro/queueing",
-        "src/repro/isa", "src/repro/rulers", "src/repro/analysis",
-    )),
     "api": Scope(include=("src",)),
     "ports": Scope(),
     "concurrency": Scope(include=PATHS),
-    "procsafety": Scope(include=PATHS),
 }

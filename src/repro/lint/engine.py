@@ -3,17 +3,15 @@
 A run first parses every file once and scans it into the plain-data
 module summaries of :mod:`repro.lint.graph`, then links them into one
 :class:`~repro.lint.graph.ProjectGraph` — the project-wide symbol table,
-import/call graph, and the worker-taint and blocking-reachability sets
-the cross-module rule families need (phase 1).
+import/call graph and the blocking-reachability set the cross-module
+concurrency rules need (phase 1).
 
 It then lints each module in process (phase 2): the single-walk
 families (SMT1xx-5xx) dispatch their ``visit_<NodeType>`` hooks during
-one shared :func:`ast.walk`, and the graph families (SMT6xx/7xx) read
-``ctx.graph`` in their ``check_module`` hooks (SMT703 from its
-``visit_Call`` hook on the shared walk). Rules never do their own
+one shared :func:`ast.walk`, and the graph family (SMT6xx) reads
+``ctx.graph`` in its ``check_module`` hooks. Rules never do their own
 tree walks or file IO, which keeps a whole-tree run linear in the
-source size regardless of how many rules are enabled. Inline
-suppressions are applied last.
+source size regardless of how many rules are enabled.
 
 :func:`lint_sources` is the one project-building path: :func:`run`
 reads the tree into it, and test fixtures hand it in-memory modules.
@@ -22,21 +20,19 @@ reads the tree into it, and test fixtures hand it in-memory modules.
 from __future__ import annotations
 
 import ast
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Type
 
-from repro.lint.config import PATHS, SCOPES, Scope
-from repro.lint.findings import Finding, Severity
+from repro.lint.config import PATHS, SCOPES
+from repro.lint.findings import Finding
 from repro.lint.graph import ProjectGraph, build_graph, scan_module
 from repro.lint.registry import Rule, all_rules
-from repro.lint.suppress import Suppression, parse_suppressions
 
 __all__ = ["ModuleContext", "LintResult", "lint_sources", "collect_files",
            "run", "SYNTAX_ERROR_RULE"]
 
-#: Pseudo-rule id for files the parser rejects; not suppressible.
+#: Pseudo-rule id for files the parser rejects.
 SYNTAX_ERROR_RULE = "SMT000"
 
 
@@ -52,9 +48,6 @@ class ModuleContext:
         self.tree = tree
         self.graph = graph
         self.findings: list[Finding] = []
-        self._parent_map: dict[ast.AST, ast.AST] | None = None
-
-    # -- reporting ------------------------------------------------------
 
     def report(self, rule: Rule, message: str, *,
                node: ast.AST | None = None, line: int = 0,
@@ -65,7 +58,6 @@ class ModuleContext:
             col = getattr(node, "col_offset", 0)
         self.findings.append(Finding(
             rule=rule.id,
-            severity=rule.severity,
             path=self.relpath,
             line=line,
             col=col,
@@ -78,93 +70,28 @@ class ModuleContext:
             return self.lines[lineno - 1].strip()
         return ""
 
-    # -- structure helpers ----------------------------------------------
-
-    @property
-    def parent_map(self) -> dict[ast.AST, ast.AST]:
-        """Child -> parent links, built lazily on first use."""
-        if self._parent_map is None:
-            parents: dict[ast.AST, ast.AST] = {}
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-            self._parent_map = parents
-        return self._parent_map
-
-    def enclosing_function(self, node: ast.AST) -> ast.AST | None:
-        """The nearest FunctionDef/AsyncFunctionDef around ``node``."""
-        current = self.parent_map.get(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return current
-            current = self.parent_map.get(current)
-        return None
-
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, after suppression filtering."""
+    """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: Wall-clock attribution: ``phase1_s`` (parse + graph build),
-    #: ``phase2_s`` (rule execution), ``total_s`` (including file reads).
-    timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def failing(self) -> list[Finding]:
-        """Findings that should fail the run (unsuppressed, not INFO)."""
-        return [f for f in self.findings
-                if not f.suppressed and f.severity is not Severity.INFO]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failing else 0
-
-    def rule_stats(self) -> dict[str, dict[str, int]]:
-        """Per-rule ``{failing, suppressed, advisory}`` counts."""
-        stats: dict[str, dict[str, int]] = {}
-        for finding in self.findings:
-            row = stats.setdefault(finding.rule, {
-                "failing": 0, "suppressed": 0, "advisory": 0,
-            })
-            if finding.suppressed:
-                row["suppressed"] += 1
-            elif finding.severity is Severity.INFO:
-                row["advisory"] += 1
-            else:
-                row["failing"] += 1
-        return stats
+        return 1 if self.findings else 0
 
 
 def _active_rules(relpath: str,
                   rule_classes: Sequence[Type[Rule]]) -> list[Rule]:
     return [rule_class() for rule_class in rule_classes
-            if SCOPES.get(rule_class.family, Scope()).applies_to(relpath)]
-
-
-def _apply_suppressions(findings: list[Finding],
-                        suppressions: dict[int, Suppression]) -> list[Finding]:
-    if not suppressions:
-        return findings
-    out: list[Finding] = []
-    for finding in findings:
-        # Whole-module findings (line 0) may be silenced from line 1.
-        mark = suppressions.get(finding.line or 1)
-        if mark is not None and mark.covers(finding.rule):
-            finding = Finding(
-                rule=finding.rule, severity=finding.severity,
-                path=finding.path, line=finding.line, col=finding.col,
-                message=finding.message, source=finding.source,
-                suppressed=True, suppress_reason=mark.reason,
-            )
-        out.append(finding)
-    return out
+            if SCOPES[rule_class.family].applies_to(relpath)]
 
 
 def _syntax_finding(relpath: str, exc: SyntaxError) -> Finding:
     return Finding(
-        rule=SYNTAX_ERROR_RULE, severity=Severity.ERROR, path=relpath,
+        rule=SYNTAX_ERROR_RULE, path=relpath,
         line=exc.lineno or 0, col=(exc.offset or 1) - 1,
         message=f"file does not parse: {exc.msg}",
     )
@@ -188,14 +115,11 @@ def _lint_module(ctx: ModuleContext,
                 hook(node, ctx)
     for rule in rules:
         rule.check_module(ctx)
-
-    ctx.findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return _apply_suppressions(ctx.findings, parse_suppressions(ctx.source))
+    return ctx.findings
 
 
 def lint_sources(sources: Mapping[str, str], *, root: Path = Path("."),
                  rule_classes: Sequence[Type[Rule]] | None = None,
-                 timings: dict[str, float] | None = None,
                  ) -> list[Finding]:
     """Lint several modules as one project; findings sorted by location.
 
@@ -204,10 +128,8 @@ def lint_sources(sources: Mapping[str, str], *, root: Path = Path("."),
     module itself (SMT5xx) reads ``root / relpath``. A coroutine in one
     file and the blocking helper it reaches two files away are linked
     through one project graph, whether the text came from a tree run
-    or from a test fixture. ``timings``, when given, receives
-    ``phase1_s`` and ``phase2_s``.
+    or from a test fixture.
     """
-    t0 = time.perf_counter()
     if rule_classes is None:
         rule_classes = all_rules()
     findings: list[Finding] = []
@@ -222,15 +144,11 @@ def lint_sources(sources: Mapping[str, str], *, root: Path = Path("."),
         parsed[relpath] = (source, tree)
     graph = build_graph({relpath: scan_module(relpath, tree)
                          for relpath, (_source, tree) in parsed.items()})
-    t1 = time.perf_counter()
     for relpath, (source, tree) in parsed.items():
         ctx = ModuleContext(path=root / relpath, relpath=relpath,
                             source=source, tree=tree, graph=graph)
         findings.extend(_lint_module(ctx, rule_classes))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if timings is not None:
-        timings["phase1_s"] = t1 - t0
-        timings["phase2_s"] = time.perf_counter() - t1
     return findings
 
 
@@ -267,15 +185,11 @@ def run(root: Path | str = ".",
     Findings report paths relative to ``root``; a file outside it
     reports its absolute path.
     """
-    t0 = time.perf_counter()
     root = Path(root).resolve()
     if paths is None:
         paths = [root / p for p in PATHS]
     files = collect_files(paths)
     sources = {_relpath_for(file, root): file.read_text(encoding="utf-8")
                for file in files}
-    timings: dict[str, float] = {}
-    findings = lint_sources(sources, root=root, timings=timings)
-    timings["total_s"] = time.perf_counter() - t0
-    return LintResult(findings=findings, files_checked=len(files),
-                      timings=timings)
+    return LintResult(findings=lint_sources(sources, root=root),
+                      files_checked=len(files))

@@ -1,26 +1,22 @@
 """Phase 1 of the two-phase engine: the project-wide symbol graph.
 
 The single-walk rule families (SMT1xx-5xx) see one module at a time;
-the concurrency families (SMT6xx/SMT7xx) need to know what a call
-*reaches* across module boundaries — a ``time.sleep`` three helpers away
-from an ``async def`` blocks the event loop just as surely as one in the
+the concurrency family (SMT6xx) needs to know what a call *reaches*
+across module boundaries — a ``time.sleep`` three helpers away from an
+``async def`` blocks the event loop just as surely as one in the
 coroutine body. This module builds that view:
 
 - :class:`ModuleInfo` per file: defined functions/classes, import
   bindings (absolute, relative, aliased, ``from x import *``), and per
-  function the raw call sites, blocking-primitive calls, obs-recorder
-  calls, module-global mutations, and executor submit sites;
+  function the raw call sites and blocking-primitive calls;
 - :class:`ProjectGraph`: resolves call sites to project symbols
   (module functions, class methods through base classes *and* project
   subclass overrides, ``self.<attr>`` fields typed by constructor
-  annotations or local construction), then computes two closures: the
-  **worker taint** (functions reachable from a
-  ``ProcessPoolExecutor.submit`` / ``multiprocessing.Process``
-  entrypoint, tracked per entrypoint so snapshot/merge foldback can be
-  checked per worker) and **blocking reachability** with the call chain
-  kept for diagnostics. SMT601 walks a coroutine's own call edges into
-  the blocking set; an executor hop passes the function as a value, so
-  there is no edge and the chain breaks where the fix goes.
+  annotations or local construction), then computes **blocking
+  reachability** with the call chain kept for diagnostics. SMT601 walks
+  a coroutine's own call edges into the blocking set; an executor hop
+  passes the function as a value, so there is no edge and the chain
+  breaks where the fix goes.
 
 Everything stored here is plain data (no AST nodes).
 """
@@ -75,25 +71,6 @@ COROUTINE_WRAPPER_TAILS = frozenset({
     "as_completed", "timeout",
 })
 
-#: Calls that hand work to a process pool: ``<executor>.submit(fn, ...)``
-#: (positional target) and ``multiprocessing.Process(target=fn)``.
-_PROCESS_CTORS = frozenset({
-    "concurrent.futures.ProcessPoolExecutor",
-    "multiprocessing.Pool", "multiprocessing.pool.Pool",
-})
-
-#: Methods on module-level containers that mutate them in place.
-_MUTATOR_TAILS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault",
-    "pop", "popitem", "remove", "discard", "clear",
-})
-
-#: Obs-registry recorders (mutate process-global metric state) and the
-#: snapshot/merge calls that fold that state back to a parent process.
-_OBS_RECORDERS = frozenset({"counter", "gauge", "histogram", "span",
-                            "time_histogram"})
-_OBS_FOLDBACK = frozenset({"snapshot", "merge", "reset"})
-
 
 def module_name_for(relpath: str) -> str:
     """Dotted module name for a repo-relative path.
@@ -120,7 +97,6 @@ class CallSite:
     lineno: int
     col: int
     raw: str                 # dotted source text ("self.decider.decide")
-    expanded: str            # after import-alias expansion
     awaited: bool            # immediate ``await`` parent
     wrapped: bool            # argument of create_task/gather/run/...
     returned: bool           # direct ``return <call>`` statement
@@ -143,21 +119,11 @@ class FunctionInfo:
     calls: list[CallSite] = field(default_factory=list)
     #: (lineno, col, dotted) of direct blocking-primitive calls.
     blocking: list[tuple[int, int, str]] = field(default_factory=list)
-    #: (lineno, col, name) of obs-recorder calls (counter/gauge/...).
-    obs_mutations: list[tuple[int, int, str]] = field(default_factory=list)
-    #: Obs foldback calls (snapshot/merge/reset) made directly here.
-    obs_foldback: bool = False
-    #: (lineno, col, name, how) module-global mutations.
-    global_mutations: list[tuple[int, int, str, str]] = (
-        field(default_factory=list))
     #: local variable -> expanded ctor dotted name (light type tracking).
     local_ctors: dict[str, str] = field(default_factory=dict)
     #: local variable -> the ``self.`` attribute chain it aliases
     #: (``simulator`` -> "self.predictor.simulator").
     local_aliases: dict[str, str] = field(default_factory=dict)
-    #: (lineno, col, api, target kind, target name) executor submits.
-    submits: list[tuple[int, int, str, str, str]] = (
-        field(default_factory=list))
 
 
 @dataclass
@@ -173,8 +139,6 @@ class ClassInfo:
     #: self.<attr> -> raw dotted class name (from ctor annotations or
     #: direct construction in any method).
     attr_types: dict[str, str] = field(default_factory=dict)
-    #: Lifecycle methods the class defines (close/shutdown/...).
-    closers: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -189,7 +153,6 @@ class ModuleInfo:
     #: "counter" -> "repro.obs.counter").
     imports: dict[str, str] = field(default_factory=dict)
     star_imports: tuple[str, ...] = ()
-    module_globals: frozenset[str] = frozenset()
 
     def expand(self, dotted: str) -> str:
         """Rewrite the leading segment through this module's imports."""
@@ -237,10 +200,6 @@ def _annotation_dotted(node: ast.AST) -> str:
     return "" if name in ("None", "str", "int", "float", "bool") else name
 
 
-_CLOSER_NAMES = frozenset({"close", "shutdown", "stop", "drain",
-                           "__exit__", "__aexit__", "__del__"})
-
-
 class _Scanner(ast.NodeVisitor):
     """Single recursive walk building a :class:`ModuleInfo`."""
 
@@ -249,7 +208,6 @@ class _Scanner(ast.NodeVisitor):
         self.parents = parents
         self._class_stack: list[ClassInfo] = []
         self._func_stack: list[FunctionInfo] = []
-        self._declared_globals: list[set[str]] = []
 
     # -- imports --------------------------------------------------------
 
@@ -292,8 +250,6 @@ class _Scanner(ast.NodeVisitor):
         for child in node.body:
             self.visit(child)
         self._class_stack.pop()
-        cls.closers = frozenset(m for m in cls.methods
-                                if m.rpartition(".")[2] in _CLOSER_NAMES)
 
     def _visit_function(self, node, *, is_async: bool) -> None:
         if self._func_stack:
@@ -317,10 +273,8 @@ class _Scanner(ast.NodeVisitor):
             self._class_stack[-1].methods[node.name] = local
             self._note_annotated_attrs(node)
         self._func_stack.append(fn)
-        self._declared_globals.append(set())
         for child in node.body:
             self.visit(child)
-        self._declared_globals.pop()
         self._func_stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -358,44 +312,7 @@ class _Scanner(ast.NodeVisitor):
 
     # -- statements inside functions ------------------------------------
 
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._declared_globals:
-            self._declared_globals[-1].update(node.names)
-
-    def _mutated_root(self, target: ast.AST) -> tuple[str, str] | None:
-        """(name, how) when ``target`` stores into module-global state."""
-        if isinstance(target, ast.Name):
-            if self._declared_globals and \
-                    target.id in self._declared_globals[-1]:
-                return target.id, "global-statement rebind"
-            return None
-        node = target
-        while isinstance(node, (ast.Subscript, ast.Attribute)):
-            node = node.value
-        if isinstance(node, ast.Name) \
-                and node.id in self.info.module_globals:
-            how = ("item assignment" if isinstance(target, ast.Subscript)
-                   else "attribute assignment")
-            return node.id, how
-        return None
-
-    def _note_mutations(self, targets) -> None:
-        if not self._func_stack:
-            return
-        fn = self._func_stack[-1]
-        for target in targets:
-            hit = self._mutated_root(target)
-            if hit is not None:
-                fn.global_mutations.append(
-                    (target.lineno, target.col_offset, *hit))
-
     def visit_Assign(self, node: ast.Assign) -> None:
-        if not self._func_stack and not self._class_stack:
-            for target in node.targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        self.info.module_globals |= {leaf.id}
-        self._note_mutations(node.targets)
         if self._func_stack and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             bound = node.targets[0].id
@@ -409,18 +326,6 @@ class _Scanner(ast.NodeVisitor):
                 if chain.startswith("self."):
                     self._func_stack[-1].local_aliases.setdefault(
                         bound, chain)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if not self._func_stack and not self._class_stack \
-                and isinstance(node.target, ast.Name):
-            self.info.module_globals |= {node.target.id}
-        if node.value is not None:
-            self._note_mutations([node.target])
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._note_mutations([node.target])
         self.generic_visit(node)
 
     def visit_With(self, node: ast.With) -> None:
@@ -462,90 +367,24 @@ class _Scanner(ast.NodeVisitor):
         raw = _dotted(node.func)
         if self._func_stack and raw:
             fn = self._func_stack[-1]
-            expanded = self.info.expand(raw)
             awaited, wrapped, returned, assigned = self._call_context(node)
             fn.calls.append(CallSite(
                 lineno=node.lineno, col=node.col_offset, raw=raw,
-                expanded=expanded, awaited=awaited, wrapped=wrapped,
+                awaited=awaited, wrapped=wrapped,
                 returned=returned, assigned=assigned,
                 discarded=isinstance(self.parents.get(node), ast.Expr),
             ))
-            self._classify_call(fn, node, raw, expanded)
+            tail = raw.rpartition(".")[2]
+            if self.info.expand(raw) in BLOCKING_DOTTED or raw == "open" \
+                    or (tail in BLOCKING_ATTR_TAILS and "." in raw):
+                fn.blocking.append((node.lineno, node.col_offset, raw))
         self.generic_visit(node)
-
-    def _classify_call(self, fn: FunctionInfo, node: ast.Call,
-                       raw: str, expanded: str) -> None:
-        tail = raw.rpartition(".")[2]
-        if expanded in BLOCKING_DOTTED or raw == "open" \
-                or (tail in BLOCKING_ATTR_TAILS and "." in raw):
-            fn.blocking.append((node.lineno, node.col_offset, raw))
-        if expanded.startswith("repro.obs"):
-            leaf = expanded.rpartition(".")[2]
-            if leaf in _OBS_RECORDERS:
-                fn.obs_mutations.append(
-                    (node.lineno, node.col_offset, leaf))
-            elif leaf in _OBS_FOLDBACK:
-                fn.obs_foldback = True
-        if tail in _MUTATOR_TAILS and "." in raw:
-            root = raw.partition(".")[0]
-            if root in self.info.module_globals:
-                fn.global_mutations.append(
-                    (node.lineno, node.col_offset, root,
-                     f"in-place `.{tail}()`"))
-        self._classify_submit(fn, node, raw, expanded, tail)
-
-    def _classify_submit(self, fn: FunctionInfo, node: ast.Call,
-                         raw: str, expanded: str, tail: str) -> None:
-        """Record executor-submit sites with their target expression."""
-        target: ast.AST | None = None
-        api = ""
-        if tail == "submit" and node.args:
-            receiver = raw.rpartition(".")[0]
-            ctor = fn.local_ctors.get(receiver, "")
-            if ctor in _PROCESS_CTORS \
-                    or ctor.rpartition(".")[2] == "ProcessPoolExecutor":
-                target, api = node.args[0], f"{ctor.rpartition('.')[2]}.submit"
-        elif tail in ("map", "imap", "imap_unordered", "starmap") \
-                and node.args:
-            receiver = raw.rpartition(".")[0]
-            ctor = fn.local_ctors.get(receiver, "")
-            if ctor in _PROCESS_CTORS \
-                    or ctor.rpartition(".")[2] == "ProcessPoolExecutor":
-                target, api = node.args[0], f"{ctor.rpartition('.')[2]}.{tail}"
-        elif expanded in ("multiprocessing.Process",
-                          "multiprocessing.context.Process"):
-            api = "multiprocessing.Process"
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    target = kw.value
-        if target is None:
-            return
-        if isinstance(target, ast.Lambda):
-            kind, name = "lambda", "<lambda>"
-        elif isinstance(target, ast.Name):
-            kind, name = "name", target.id
-        elif isinstance(target, (ast.Attribute,)):
-            kind, name = "attr", _dotted(target)
-        else:
-            kind, name = "expr", ast.dump(target)[:40]
-        fn.submits.append((node.lineno, node.col_offset, api, kind, name))
 
 
 def scan_module(relpath: str, tree: ast.Module) -> ModuleInfo:
     """Build the plain-data summary of one parsed module."""
     info = ModuleInfo(relpath=relpath.replace("\\", "/"),
                       modname=module_name_for(relpath))
-    # Module-level names must be known before function bodies are
-    # scanned (a mutation site may precede the assignment textually).
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        info.module_globals |= {leaf.id}
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) \
-                and isinstance(stmt.target, ast.Name):
-            info.module_globals |= {stmt.target.id}
     parents: dict[ast.AST, ast.AST] = {}
     for parent in ast.walk(tree):
         for child in ast.iter_child_nodes(parent):
@@ -555,10 +394,10 @@ def scan_module(relpath: str, tree: ast.Module) -> ModuleInfo:
 
 
 # ----------------------------------------------------------------------
-# Phase-1 linking: resolution + closures over the whole project
+# Phase-1 linking: resolution + the blocking closure over the project
 
 class ProjectGraph:
-    """All modules' summaries, linked: resolution, taints, chains."""
+    """All modules' summaries, linked: resolution and blocking chains."""
 
     def __init__(self, modules: dict[str, ModuleInfo]) -> None:
         #: relpath -> ModuleInfo
@@ -575,10 +414,7 @@ class ProjectGraph:
                 self.classes[cls.qualname] = cls
         self._subclasses: dict[str, set[str]] = {}
         self._link()
-        self.worker_taint: dict[str, frozenset[str]] = {}
-        self.worker_roots: dict[str, frozenset[str]] = {}
-        self.blocking_next: dict[str, tuple[str, int, str]] = {}
-        self._close()
+        self.blocking_next = self._blocking_reachability()
 
     # -- symbol resolution ----------------------------------------------
 
@@ -704,15 +540,6 @@ class ProjectGraph:
             return site
         return replace(site, callees=callees)
 
-    def resolve_call(self, fn: FunctionInfo, raw: str) -> tuple[str, ...]:
-        """Public resolution query: ``raw`` as called from inside ``fn``."""
-        mod = self.by_name.get(fn.module)
-        if mod is None:
-            return ()
-        cls = (mod.classes.get(fn.class_name)
-               if fn.class_name is not None else None)
-        return self._resolve_call(fn, mod, cls, raw)
-
     def _resolve_call(self, fn: FunctionInfo, mod: ModuleInfo,
                       cls: ClassInfo | None, raw: str) -> tuple[str, ...]:
         head, _, rest = raw.partition(".")
@@ -765,12 +592,14 @@ class ProjectGraph:
             return ()
         return self._resolve_symbol(mod.modname, raw)
 
-    # -- closures -------------------------------------------------------
+    # -- closure -------------------------------------------------------
 
-    def _close(self) -> None:
-        """Compute blocking reachability and the worker taints."""
-        # Blocking reachability, backwards: seed with functions that
-        # contain a primitive, then pull callers in until fixpoint.
+    def _blocking_reachability(self) -> dict[str, tuple[str, int, str]]:
+        """Each blocking-reachable function -> (via, line, next hop).
+
+        Computed backwards: seed with functions that contain a
+        primitive, then pull sync callers in until fixpoint.
+        """
         nxt: dict[str, tuple[str, int, str]] = {}
         for fn in self.functions.values():
             if fn.blocking:
@@ -788,37 +617,7 @@ class ProjectGraph:
                         nxt[fn.qualname] = (site.raw, site.lineno, hit)
                         changed = True
                         break
-        self.blocking_next = nxt
-
-        # Worker taint, forwards from submit targets, tracked per root.
-        roots: dict[str, set[str]] = {}
-        for fn in self.functions.values():
-            for _lineno, _col, _api, kind, name in fn.submits:
-                if kind not in ("name", "attr"):
-                    continue
-                for target in self.resolve_call(fn, name):
-                    roots.setdefault(target, set())
-        reach: dict[str, set[str]] = {q: {q} for q in roots}
-        for root in roots:
-            seen = {root}
-            stack = [root]
-            while stack:
-                for site in self.functions[stack.pop()].calls:
-                    for callee in site.callees:
-                        if callee in self.functions and callee not in seen:
-                            seen.add(callee)
-                            stack.append(callee)
-            reach[root] = seen
-        taint_roots: dict[str, set[str]] = {}
-        for root, seen in reach.items():
-            for fn_qual in seen:
-                taint_roots.setdefault(fn_qual, set()).add(root)
-        self.worker_taint = {
-            q: frozenset(rs) for q, rs in taint_roots.items()
-        }
-        self.worker_roots = {
-            root: frozenset(seen) for root, seen in reach.items()
-        }
+        return nxt
 
     # -- phase-2 queries -------------------------------------------------
 
@@ -840,14 +639,6 @@ class ProjectGraph:
             hops.append(f"{via} -> {self.functions[nxt].local}")
             current = nxt
         return " -> ".join(hops) if hops else "?"
-
-    def root_folds_back(self, root: str) -> bool:
-        """Does this worker entrypoint ship obs state back (snapshot)?"""
-        for fn_qual in self.worker_roots.get(root, ()):
-            fn = self.functions.get(fn_qual)
-            if fn is not None and fn.obs_foldback:
-                return True
-        return False
 
 
 def build_graph(modules: dict[str, ModuleInfo]) -> ProjectGraph:

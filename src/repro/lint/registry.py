@@ -1,7 +1,7 @@
 """Rule base class and the global rule registry.
 
 A rule is a class with an ``id`` (``SMT###``), a ``family`` (the unit
-:data:`repro.lint.config.SCOPES` keys on), a default ``severity``, and
+:data:`repro.lint.config.SCOPES` keys on), a one-line ``summary``, and
 either AST hooks (methods named ``visit_<NodeType>``, dispatched during
 one shared walk of the module) or a ``check_module`` hook (for
 whole-module analyses like ``__all__`` drift or the Ruler port-purity
@@ -13,15 +13,12 @@ check). Registration is by decorator::
         family = "determinism"
         ...
 
-Rule ids are stable API: docs and suppression comments refer to them.
+Rule ids are stable API: the docs' rule tables refer to them.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Type
-
-from repro.lint.findings import Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleContext
@@ -34,7 +31,6 @@ class Rule:
 
     id: str = ""
     family: str = ""
-    severity: Severity = Severity.ERROR
     summary: str = ""
 
     def check_module(self, ctx: "ModuleContext") -> None:

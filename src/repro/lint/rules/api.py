@@ -2,19 +2,17 @@
 
 Every package in the tree exports through ``__all__``; these rules keep
 that contract real: an exported def/class must carry a docstring
-(SMT401), ``__all__`` must not name things the module does not define
-(SMT402), and a public top-level def/class must not silently bypass a
-declared ``__all__`` (SMT403, advisory).
+(SMT401), and ``__all__`` must not name things the module does not
+define (SMT402).
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
-__all__ = ["ExportedDocstrings", "DunderAllDrift", "UndeclaredPublicName"]
+__all__ = ["ExportedDocstrings", "DunderAllDrift"]
 
 
 def _declared_all(tree: ast.Module) -> tuple[list[str] | None, int]:
@@ -90,7 +88,6 @@ class ExportedDocstrings(Rule):
 
     id = "SMT401"
     family = "api"
-    severity = Severity.ERROR
     summary = "exported def/class (listed in __all__) has no docstring"
 
     def check_module(self, ctx) -> None:
@@ -115,7 +112,6 @@ class DunderAllDrift(Rule):
 
     id = "SMT402"
     family = "api"
-    severity = Severity.ERROR
     summary = "__all__ names an undefined symbol (or is not a static list)"
 
     def check_module(self, ctx) -> None:
@@ -139,26 +135,3 @@ class DunderAllDrift(Rule):
                 ctx.report(self, f"__all__ lists `{name}` twice", line=line)
             seen.add(name)
 
-
-@register
-class UndeclaredPublicName(Rule):
-    """Public top-level defs should appear in a declared ``__all__``."""
-
-    id = "SMT403"
-    family = "api"
-    severity = Severity.INFO  # advisory: private-by-convention is legal
-    summary = "public top-level def/class missing from the module's __all__"
-
-    def check_module(self, ctx) -> None:
-        exported, line = _declared_all(ctx.tree)
-        if exported is None:
-            return
-        names = set(exported)
-        for node in ctx.tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") and node.name not in names:
-                ctx.report(self, f"public `{node.name}` is not in __all__; "
-                                 "export it or rename with a leading "
-                                 "underscore", node=node)

@@ -21,33 +21,16 @@ project graph (``ctx.graph``):
   a bare statement: the loop keeps only a weak reference to the task,
   so a dropped handle can be collected mid-flight, and nothing can
   await or cancel it at shutdown.
-- **SMT603** flags ``asyncio.get_event_loop()``: deprecated, and
-  implicitly *creates* a loop when called off-thread, which is how a
-  second event loop ends up owning half the callbacks.
 """
 
 from __future__ import annotations
 
-import ast
-
-from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
-__all__ = ["BlockingInCoroutine", "UnawaitedCoroutine", "EventLoopMisuse"]
+__all__ = ["BlockingInCoroutine", "UnawaitedCoroutine"]
 
 #: Calls returning a task whose handle must be kept (SMT602).
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 @register
@@ -56,7 +39,6 @@ class BlockingInCoroutine(Rule):
 
     id = "SMT601"
     family = "concurrency"
-    severity = Severity.ERROR
     summary = ("blocking call (time.sleep, subprocess, socket/file IO) "
                "reachable from a coroutine without an executor hop")
 
@@ -102,7 +84,6 @@ class UnawaitedCoroutine(Rule):
 
     id = "SMT602"
     family = "concurrency"
-    severity = Severity.ERROR
     summary = ("call to an async def is neither awaited, scheduled "
                "(create_task/gather/...), returned, nor bound — it "
                "never runs; or a create_task handle is discarded")
@@ -139,26 +120,3 @@ class UnawaitedCoroutine(Rule):
                     line=site.lineno, col=site.col,
                 )
 
-
-@register
-class EventLoopMisuse(Rule):
-    """Flag the deprecated implicit-loop accessor."""
-
-    id = "SMT603"
-    family = "concurrency"
-    severity = Severity.ERROR
-    summary = ("`asyncio.get_event_loop()` is deprecated and may create "
-               "a second loop; use get_running_loop() or asyncio.run()")
-
-    def visit_Call(self, node: ast.Call, ctx) -> None:
-        name = _dotted(node.func)
-        if name != "asyncio.get_event_loop" and name != "get_event_loop":
-            return
-        ctx.report(
-            self,
-            "`asyncio.get_event_loop()` returns (or silently creates) "
-            "a loop that may not be the running one; use "
-            "`asyncio.get_running_loop()` inside coroutines and "
-            "`asyncio.run(...)` at the top level",
-            node=node,
-        )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
 __all__ = ["UnseededRandom", "WallClockLogic", "SetIterationOrder"]
@@ -71,7 +70,6 @@ class UnseededRandom(Rule):
 
     id = "SMT101"
     family = "determinism"
-    severity = Severity.ERROR
     summary = ("unseeded random source (global `random`, legacy "
                "`numpy.random`, or `default_rng()` without a seed)")
 
@@ -105,7 +103,6 @@ class WallClockLogic(Rule):
 
     id = "SMT102"
     family = "determinism"
-    severity = Severity.ERROR
     summary = ("wall-clock/calendar read (`time.time`, `datetime.now`, ...) "
                "in model code; `perf_counter` spans are exempt")
 
@@ -128,7 +125,6 @@ class SetIterationOrder(Rule):
 
     id = "SMT103"
     family = "determinism"
-    severity = Severity.ERROR
     summary = ("iteration over a set (or list(set(...))) leaks hash order "
                "into results; sort first")
 

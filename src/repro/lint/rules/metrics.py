@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 from repro.obs.catalog import find_spec
 
@@ -115,7 +114,6 @@ class StaticMetricName(_MetricRule):
 
     id = "SMT201"
     family = "metrics"
-    severity = Severity.ERROR
     summary = ("obs metric/span name is not statically resolvable "
                "(variable or fully-dynamic expression)")
 
@@ -136,7 +134,6 @@ class CatalogedMetricName(_MetricRule):
 
     id = "SMT202"
     family = "metrics"
-    severity = Severity.ERROR
     summary = ("obs metric/span name is missing from repro.obs.catalog")
 
     def visit_Call(self, node: ast.Call, ctx) -> None:

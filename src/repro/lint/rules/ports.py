@@ -27,7 +27,6 @@ import importlib.util
 import sys
 from typing import Any, Mapping
 
-from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
 __all__ = ["PortPurity", "BranchPurityBudget", "load_fu_listings",
@@ -125,7 +124,6 @@ class PortPurity(_ListingRule):
 
     id = "SMT501"
     family = "ports"
-    severity = Severity.ERROR
     summary = ("functional-unit Ruler kernel leaks uops onto a port "
                "outside its dimension's Table-1 binding")
 
@@ -161,7 +159,6 @@ class BranchPurityBudget(_ListingRule):
 
     id = "SMT502"
     family = "ports"
-    severity = Severity.ERROR
     summary = ("FU Ruler's loop-branch fraction exceeds the paper's "
                "0.01% purity budget at the module's unroll factor")
 

@@ -48,7 +48,7 @@ class Mm1Queue:
 
     @property
     def mean_response_time(self) -> float:
-        return 1.0 / self.sojourn_rate  # smite: noqa[SMT302]: __post_init__ enforces mu > lambda, so mu - lambda > 0
+        return 1.0 / self.sojourn_rate  # __post_init__ enforces mu > lambda, so mu - lambda > 0
 
     def response_time_pdf(self, t: float) -> float:
         """Equation 4: f(t) = (mu - lambda) * exp(-(mu - lambda) t)."""
@@ -67,7 +67,7 @@ class Mm1Queue:
         """Equation 6 at Deg = 0: t_p = -ln(1 - p) / (mu - lambda)."""
         if not 0.0 < p < 1.0:
             raise QueueingError(f"percentile must be in (0, 1), got {p}")
-        return -math.log(1.0 - p) / self.sojourn_rate  # smite: noqa[SMT302]: __post_init__ enforces mu > lambda, so mu - lambda > 0
+        return -math.log(1.0 - p) / self.sojourn_rate  # __post_init__ enforces mu > lambda, so mu - lambda > 0
 
     def degraded(self, degradation: float) -> "Mm1Queue":
         """Equation 5: the same queue with mu' = (1 - Deg) * mu.

@@ -132,14 +132,14 @@ class Ruler:
 
     def _full_intensity_profile(self) -> WorkloadProfile:
         """The profile at intensity 1.0 (strip any prior tuning)."""
-        if self.intensity == 1.0:  # smite: noqa[SMT301]: 1.0 is the exact constructor default, not a computed value
+        if self.intensity == 1.0:
             return self.profile
         base_name = self.profile.name.split("@")[0]
         if self.dimension.is_functional_unit:
             return self.profile.replace(name=base_name, throttle_cpi=0.0)
         scale = self._memory_scale(self.intensity)
         strata = tuple(
-            s.__class__(footprint_bytes=s.footprint_bytes / scale,  # smite: noqa[SMT302]: _memory_scale is floored at MEMORY_FOOTPRINT_FLOOR (0.5)
+            s.__class__(footprint_bytes=s.footprint_bytes / scale,  # _memory_scale is floored at MEMORY_FOOTPRINT_FLOOR (0.5)
                         access_fraction=s.access_fraction)
             for s in self.profile.strata
         )

@@ -59,7 +59,7 @@ def functional_unit_ruler(dimension: Dimension, *,
     """Build one functional-unit Ruler at the given duty-cycle intensity."""
     profile = analyze_kernel(fu_kernel(dimension, unroll=unroll))
     ruler = Ruler(dimension=dimension, profile=profile, intensity=1.0)
-    if intensity != 1.0:  # smite: noqa[SMT301]: 1.0 is the exact no-op default; rebuilding at full intensity is wasted work
+    if intensity != 1.0:
         ruler = ruler.at_intensity(intensity)
     return ruler
 

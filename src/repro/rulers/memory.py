@@ -103,7 +103,7 @@ def memory_ruler(dimension: Dimension, machine: MachineSpec, *,
     if dimension in (Dimension.L1, Dimension.L2):
         profile = profile.replace(throttle_cpi=LFSR_RULER_PACE_CPI)
     ruler = Ruler(dimension=dimension, profile=profile, intensity=1.0)
-    if intensity != 1.0:  # smite: noqa[SMT301]: 1.0 is the exact no-op default; rebuilding at full intensity is wasted work
+    if intensity != 1.0:
         ruler = ruler.at_intensity(intensity)
     return ruler
 

@@ -220,7 +220,7 @@ def _share_level(total: float, floor: float, pressure: np.ndarray,
     caps = np.full(first.size, total)
     split = np.flatnonzero(active & contested[owner])
     caps[split] = total * np.minimum(1.0, np.maximum(
-        floor, pressures[split] / totals[owner[split]]))  # smite: noqa[SMT302]: a contested group's total adds its positive pressures
+        floor, pressures[split] / totals[owner[split]]))  # a contested group's total adds its positive pressures
     return caps[entity]
 
 
@@ -272,7 +272,7 @@ class _Packed:
 
         self.ipc = np.ones(n)
         self.breakdown = {field: np.zeros(n) for field in _DYNAMIC_TERMS}
-        self.breakdown["frontend"] = self.uops_eff / machine.issue_width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+        self.breakdown["frontend"] = self.uops_eff / machine.issue_width  # MachineSpec validates issue_width positive
         self.breakdown["dependency"] = self.dep_bound
 
         # One table per wave: ``idx`` are the flat indices of the wave's
@@ -454,7 +454,7 @@ def _slot_update(machine: MachineSpec, pk: _Packed, w: _Wave,
     # Re-place flexible uops against the sibling pressure (water-fill),
     # then damp — same steering-and-damping as the scalar solver.
     demand = w.pinned.copy()
-    relative = bg / own_ipc  # smite: noqa[SMT302]: pk.ipc starts positive and damped updates keep it positive
+    relative = bg / own_ipc  # pk.ipc starts positive and damped updates keep it positive
     for ports, rates in zip(_FLEX_PORTS, w.flex_rates):
         levels = [demand[p] + relative[p] for p in ports]
         for p, increment in zip(ports, _water_fill(levels, rates)):
@@ -466,20 +466,20 @@ def _slot_update(machine: MachineSpec, pk: _Packed, w: _Wave,
     # scalar loop does.
     port_bound = new_demand.max(axis=0)
     clipped = np.minimum(bg, rho_cap)
-    inflation = machine.port_contention_kappa * clipped / (1.0 - clipped)  # smite: noqa[SMT302]: clipped <= contention_rho_cap, validated < 1 by MachineSpec
+    inflation = machine.port_contention_kappa * clipped / (1.0 - clipped)  # clipped <= contention_rho_cap, validated < 1 by MachineSpec
     port_delay = (new_demand * inflation).sum(axis=0)
 
     fe_occ = w.fe_occ
     core_fe = np.bincount(loc, weights=sib_ipc * w.sib_uops, minlength=m)
-    rho_fe = (core_fe  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    rho_fe = (core_fe  # MachineSpec validates issue_width positive
               - own_ipc * w.uops) / machine.issue_width
     clip_fe = np.minimum(rho_fe, rho_cap)
-    fe_delay = fe_occ * (machine.frontend_contention_kappa  # smite: noqa[SMT302]: clip_fe <= contention_rho_cap, validated < 1 by MachineSpec
+    fe_delay = fe_occ * (machine.frontend_contention_kappa  # clip_fe <= contention_rho_cap, validated < 1 by MachineSpec
                          * clip_fe / (1.0 - clip_fe))
 
     throughput = np.maximum(fe_occ, port_bound)
     compute = np.maximum(throughput, w.dep_bound)
-    visibility = np.minimum(1.0, throughput / compute)  # smite: noqa[SMT302]: compute = maximum(throughput, dep_bound) >= fe_occ > 0
+    visibility = np.minimum(1.0, throughput / compute)  # compute = maximum(throughput, dep_bound) >= fe_occ > 0
     contention = (port_delay + fe_delay) * visibility
     overhead = np.where(w.has_sib, compute * machine.smt_static_overhead, 0.0)
 
@@ -493,7 +493,7 @@ def _slot_update(machine: MachineSpec, pk: _Packed, w: _Wave,
     occupied = core_infl - np.minimum(mlp, own_ipc * apki * hm * dl)
     available = np.maximum(1.0, machine.mshr_count - occupied)
     mlp_eff = np.where(w.has_sib,
-                       np.minimum(mlp, available) / w.mlp_split,  # smite: noqa[SMT302]: mlp_split = 1 + smt_mlp_penalty * n_sib >= 1
+                       np.minimum(mlp, available) / w.mlp_split,  # mlp_split = 1 + smt_mlp_penalty * n_sib >= 1
                        mlp)
     memory = np.where(
         w.accesses,
@@ -504,7 +504,7 @@ def _slot_update(machine: MachineSpec, pk: _Packed, w: _Wave,
     branch, tlb, icache, throttle = w.penalties
     cpi = (compute + contention + overhead + memory + branch + tlb + icache
            + throttle)
-    new_ipc = 1.0 / cpi  # smite: noqa[SMT302]: cpi includes compute, floored at the 1-uop front-end occupancy
+    new_ipc = 1.0 / cpi  # cpi includes compute, floored at the 1-uop front-end occupancy
     delta = np.abs(new_ipc - own_ipc) / np.maximum(own_ipc, 1e-12)
     pk.ipc[idx] = _DAMPING * own_ipc + (1.0 - _DAMPING) * new_ipc
     w.terms = (port_bound, compute, contention, overhead, memory)
@@ -558,8 +558,8 @@ def solve_many(
         traffic = np.bincount(pk.prob,
                               weights=pk.ipc * pk.apki * pk.hm * line,
                               minlength=n_problems)
-        rho = np.minimum(traffic / peak, bw_cap)  # smite: noqa[SMT302]: MachineSpec validates dram_bytes_per_cycle positive
-        new_factor = 1.0 + beta * rho / (1.0 - rho)  # smite: noqa[SMT302]: rho <= bandwidth_rho_cap, validated < 1 by MachineSpec
+        rho = np.minimum(traffic / peak, bw_cap)  # MachineSpec validates dram_bytes_per_cycle positive
+        new_factor = 1.0 + beta * rho / (1.0 - rho)  # rho <= bandwidth_rho_cap, validated < 1 by MachineSpec
         factor = np.where(active,
                           _DAMPING * factor + (1.0 - _DAMPING) * new_factor,
                           factor)

@@ -137,7 +137,7 @@ def occupancy_pressures(
         reach = (1.0, 1.0 - r1, 1.0 - r2)
         for level, capacity in enumerate((c1, c2, c3)):
             held = min(stratum.footprint_bytes, capacity)
-            reuse = (min(1.0, capacity / stratum.footprint_bytes)  # smite: noqa[SMT302]: FootprintStratum validates footprint_bytes positive
+            reuse = (min(1.0, capacity / stratum.footprint_bytes)  # FootprintStratum validates footprint_bytes positive
                      ** reuse_exponent)
             pressures[level] += rate * reach[level] * held * reuse
     return (pressures[0], pressures[1], pressures[2])
@@ -165,6 +165,6 @@ def share_capacity(
     total_pressure = sum(p for _, p in active)
     floor = share_floor
     for i, p in active:
-        share = max(floor, p / total_pressure)  # smite: noqa[SMT302]: total_pressure sums the active pressures, each filtered > 0
+        share = max(floor, p / total_pressure)  # total_pressure sums the active pressures, each filtered > 0
         result[i] = total_bytes * min(1.0, share)
     return result

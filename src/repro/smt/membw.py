@@ -43,4 +43,4 @@ def dram_latency_factor(
     if traffic_bytes_per_cycle < 0:
         raise ConfigurationError("traffic cannot be negative")
     rho = min(traffic_bytes_per_cycle / peak_bytes_per_cycle, rho_cap)
-    return 1.0 + beta * rho / (1.0 - rho)  # smite: noqa[SMT302]: rho is capped at rho_cap, validated < 1 by MachineSpec
+    return 1.0 + beta * rho / (1.0 - rho)  # rho is capped at rho_cap, validated < 1 by MachineSpec

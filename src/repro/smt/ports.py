@@ -133,4 +133,4 @@ def contention_inflation(rho: float, kappa: float, rho_cap: float) -> float:
     if kappa < 0:
         raise ConfigurationError(f"contention kappa cannot be negative ({kappa})")
     clipped = min(rho, rho_cap)
-    return 1.0 + kappa * clipped / (1.0 - clipped)  # smite: noqa[SMT302]: clipped <= rho_cap, validated < 1 by MachineSpec
+    return 1.0 + kappa * clipped / (1.0 - clipped)  # clipped <= rho_cap, validated < 1 by MachineSpec

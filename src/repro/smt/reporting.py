@@ -37,7 +37,7 @@ def cpi_stack(context: ContextResult) -> str:
     rows = []
     for attr, label in _STACK_COMPONENTS:
         cycles = getattr(breakdown, attr)
-        rows.append((label, cycles, cycles / breakdown.total))  # smite: noqa[SMT302]: total includes compute, floored at the 1-uop front-end occupancy
+        rows.append((label, cycles, cycles / breakdown.total))  # total includes compute, floored at the 1-uop front-end occupancy
     rows.append(("TOTAL", breakdown.total, 1.0))
     return format_table(
         ("component", "cycles/instruction", "share"),
@@ -82,11 +82,11 @@ class InterferenceBreakdown:
 
     @property
     def degradation(self) -> float:
-        return 1.0 - self.solo_cpi / self.pair_cpi  # smite: noqa[SMT302]: solver CPIs are reciprocals of positive IPCs
+        return 1.0 - self.solo_cpi / self.pair_cpi  # solver CPIs are reciprocals of positive IPCs
 
     def render(self) -> str:
         rows = [
-            (label, delta, delta / (self.pair_cpi - self.solo_cpi)  # smite: noqa[SMT302]: the ternary's pair_cpi > solo_cpi test guards this branch
+            (label, delta, delta / (self.pair_cpi - self.solo_cpi)
              if self.pair_cpi > self.solo_cpi else 0.0)
             for label, delta in self.component_deltas
         ]

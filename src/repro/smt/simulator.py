@@ -132,7 +132,7 @@ def _mean_ipc(placements: Sequence[ContextPlacement], ipcs: list[float],
     """
     named = [ipc for pl, ipc in zip(placements, ipcs)
              if pl.profile.name == name]
-    return sum(named) / len(named)  # smite: noqa[SMT302]: callers only ask for names they placed
+    return sum(named) / len(named)  # callers only ask for names they placed
 
 
 @dataclass(frozen=True)
@@ -536,8 +536,8 @@ class Simulator:
         return PairMeasurement(
             ipc_a=ipc_a,
             ipc_b=ipc_b,
-            degradation_a=(solo_a - ipc_a) / solo_a,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
-            degradation_b=(solo_b - ipc_b) / solo_b,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
+            degradation_a=(solo_a - ipc_a) / solo_a,  # solver IPCs are 1/cpi of a positive CPI stack
+            degradation_b=(solo_b - ipc_b) / solo_b,
         )
 
     def measure_server(
@@ -601,8 +601,8 @@ class Simulator:
         return PairMeasurement(
             ipc_a=loaded_ipc,
             ipc_b=batch_ipc,
-            degradation_a=(solo_ipc - loaded_ipc) / solo_ipc,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
-            degradation_b=(batch_solo - batch_ipc) / batch_solo,  # smite: noqa[SMT302]: solver IPCs are 1/cpi of a positive CPI stack
+            degradation_a=(solo_ipc - loaded_ipc) / solo_ipc,  # solver IPCs are 1/cpi of a positive CPI stack
+            degradation_b=(batch_solo - batch_ipc) / batch_solo,
         )
 
     def _unloaded_server_ipc(self, latency_profile: WorkloadProfile,

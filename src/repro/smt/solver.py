@@ -352,9 +352,9 @@ def _compute_cpi(machine: MachineSpec, states: list[_ContextState],
     # Every instruction occupies at least one issue/retire slot, so the
     # occupancy floor is 1 uop/instruction even for sparse uop mixes.
     width = machine.issue_width
-    frontend = max(state.statics.uops_total, 1.0) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    frontend = max(state.statics.uops_total, 1.0) / width  # MachineSpec validates issue_width positive
     fe_delay = 0.0
-    rho_fe = sum(s.ipc * max(s.statics.uops_total, 1.0) for s in siblings) / width  # smite: noqa[SMT302]: MachineSpec validates issue_width positive
+    rho_fe = sum(s.ipc * max(s.statics.uops_total, 1.0) for s in siblings) / width
     if rho_fe > 0.0:
         fe_factor = contention_inflation(
             rho_fe, machine.frontend_contention_kappa,
@@ -413,7 +413,7 @@ def solve(
         traffic = aggregate_traffic(
             [s.ipc * s.statics.apki * s.hits.memory * line for s in states]
         )
-        dram_rho = min(traffic / peak, machine.bandwidth_rho_cap)  # smite: noqa[SMT302]: MachineSpec validates dram_bytes_per_cycle positive
+        dram_rho = min(traffic / peak, machine.bandwidth_rho_cap)  # MachineSpec validates dram_bytes_per_cycle positive
         # The latency factor is damped across iterations: near saturation
         # it swings by multiples, and the IPC damping alone cannot keep
         # the saturated/unsaturated flip-flop from oscillating.
@@ -425,7 +425,7 @@ def solve(
         max_delta = 0.0
         for idx, state in enumerate(states):
             cpi, breakdown = _compute_cpi(machine, states, idx, dram_latency)
-            new_ipc = 1.0 / cpi  # smite: noqa[SMT302]: cpi includes compute, floored at the 1-uop front-end occupancy
+            new_ipc = 1.0 / cpi  # cpi includes compute, floored at the 1-uop front-end occupancy
             delta = abs(new_ipc - state.ipc) / max(state.ipc, 1e-12)
             max_delta = max(max_delta, delta)
             state.ipc = _DAMPING * state.ipc + (1.0 - _DAMPING) * new_ipc

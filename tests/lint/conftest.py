@@ -15,7 +15,7 @@ import pytest
 
 from repro.lint import Finding, lint_sources
 
-#: A path inside both the determinism and numeric scopes.
+#: A path inside the determinism scope.
 MODEL_PATH = "src/repro/smt/fixture.py"
 
 

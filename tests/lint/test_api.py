@@ -1,13 +1,8 @@
-"""SMT4xx: export docstrings, __all__ drift, undeclared public names."""
+"""SMT4xx: export docstrings and __all__ drift."""
 
 from __future__ import annotations
 
-from repro.lint.findings import Severity
-from repro.lint.rules.api import (
-    DunderAllDrift,
-    ExportedDocstrings,
-    UndeclaredPublicName,
-)
+from repro.lint.rules.api import DunderAllDrift, ExportedDocstrings
 
 from .conftest import rule_ids
 
@@ -89,25 +84,3 @@ def test_duplicate_all_entry_is_flagged(lint):
     """, rules=[DunderAllDrift])
     assert rule_ids(findings) == ["SMT402"]
     assert "twice" in findings[0].message
-
-
-def test_public_name_missing_from_all_is_advisory(lint):
-    findings = lint("""\
-        __all__ = ["solve"]
-
-        def solve():
-            \"\"\"Solve.\"\"\"
-
-        def stray():
-            \"\"\"Not exported.\"\"\"
-    """, rules=[UndeclaredPublicName])
-    assert rule_ids(findings) == ["SMT403"]
-    assert findings[0].severity is Severity.INFO
-
-
-def test_module_without_all_gets_no_advisory(lint):
-    findings = lint("""\
-        def anything():
-            \"\"\"Fine without __all__.\"\"\"
-    """, rules=[UndeclaredPublicName])
-    assert findings == []

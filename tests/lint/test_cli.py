@@ -19,7 +19,7 @@ from repro.lint.cli import main
 REPO = Path(__file__).resolve().parents[2]
 
 
-#: Inside the numeric family's scope, so SMT302 fires there.
+#: Inside the determinism family's scope, so SMT101 fires there.
 MODULE = "src/repro/smt/mod.py"
 
 
@@ -38,44 +38,32 @@ def test_clean_tree_exits_zero(tmp_path, capsys):
 
 def test_violation_fails_and_is_rendered(tmp_path, capsys):
     _mini_repo(tmp_path, """\
-        def f(a, b):
-            return a / b
+        import random
+        X = random.random()
     """)
     assert main(["--root", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "SMT302" in out
+    assert "SMT101" in out
     assert "FAIL: 1 new violation(s)" in out
 
 
 def test_json_format_is_machine_readable(tmp_path, capsys):
     _mini_repo(tmp_path, """\
-        def f(a, b):
-            return a / b
+        import random
+        X = random.random()
     """)
     assert main(["--root", str(tmp_path), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["exit_code"] == 1
     (finding,) = payload["findings"]
-    assert finding["rule"] == "SMT302"
+    assert finding["rule"] == "SMT101"
     assert finding["path"] == MODULE
-
-
-def test_suppressed_findings_are_hidden_unless_asked(tmp_path, capsys):
-    _mini_repo(tmp_path, """\
-        def f(a, b):
-            return a / b  # smite: noqa[SMT302]: b is a validated knob
-    """)
-    assert main(["--root", str(tmp_path)]) == 0
-    assert "SMT302" not in capsys.readouterr().out
-    assert main(["--root", str(tmp_path), "--show-suppressed"]) == 0
-    out = capsys.readouterr().out
-    assert "(suppressed: b is a validated knob)" in out
 
 
 def test_list_rules_prints_the_reference(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SMT101", "SMT301", "SMT501"):
+    for rule_id in ("SMT101", "SMT501", "SMT601"):
         assert rule_id in out
 
 
@@ -90,29 +78,12 @@ def test_missing_path_is_a_usage_error(tmp_path):
 
 def test_tree_lints_clean():
     # No explicit paths: lint src, benchmarks and scripts with all rule
-    # families, including the cross-module SMT6xx/SMT7xx ones.
+    # families, including the cross-module SMT6xx one.
     assert main(["--root", str(REPO)]) == 0
 
 
-def test_stats_prints_per_rule_counts(tmp_path, capsys):
-    _mini_repo(tmp_path, """\
-        def f(a, b):
-            return a / b  # smite: noqa[SMT302]: b is a validated knob
-    """)
-    assert main(["--root", str(tmp_path), "--stats"]) == 0
-    out = capsys.readouterr().out
-    assert "SMT302" in out
-    assert "phase1" in out and "phase2" in out
-
-
-def test_json_report_carries_timings_and_cache_counters(tmp_path, capsys):
-    _mini_repo(tmp_path, """\
-        def f(a, b):
-            return a / b  # smite: noqa[SMT302]: b is a validated knob
-    """)
+def test_json_report_counts_the_files_checked(tmp_path, capsys):
+    _mini_repo(tmp_path, "X = 1\n")
     assert main(["--root", str(tmp_path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload["timings"]) == {"phase1_s", "phase2_s", "total_s"}
-    assert payload["files_checked"] == 1
-    assert payload["rule_stats"]["SMT302"] == {
-        "failing": 0, "suppressed": 1, "advisory": 0}
+    assert payload == {"findings": [], "files_checked": 1, "exit_code": 0}

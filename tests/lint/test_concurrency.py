@@ -12,7 +12,6 @@ import textwrap
 
 from repro.lint import lint_sources
 from repro.lint.rules.concurrency import (BlockingInCoroutine,
-                                          EventLoopMisuse,
                                           UnawaitedCoroutine)
 
 from .conftest import rule_ids
@@ -110,17 +109,6 @@ def test_asyncio_sleep_is_not_blocking(lint):
     assert findings == []
 
 
-def test_suppression_applies_to_graph_findings(lint):
-    findings = lint("""\
-        import time
-
-        async def handler():
-            time.sleep(0.1)  # smite: noqa[SMT601]: startup-only warmup
-    """, rules=[BlockingInCoroutine])
-    (finding,) = findings
-    assert finding.suppressed
-
-
 # ----------------------------------------------------------------------
 # SMT602 — dropped coroutine objects
 
@@ -216,31 +204,3 @@ def test_sync_caller_dropping_a_coroutine_fails_cross_module():
     }, rules=[UnawaitedCoroutine])
     assert rule_ids(findings) == ["SMT602"]
     assert findings[0].path == "src/fix/cli.py"
-
-
-# ----------------------------------------------------------------------
-# SMT603 — implicit event loop
-
-def test_get_event_loop_fails(lint):
-    findings = lint("""\
-        import asyncio
-
-        def setup():
-            loop = asyncio.get_event_loop()
-            return loop
-    """, rules=[EventLoopMisuse])
-    assert rule_ids(findings) == ["SMT603"]
-
-
-def test_get_running_loop_and_run_pass(lint):
-    findings = lint("""\
-        import asyncio
-
-        async def handler():
-            loop = asyncio.get_running_loop()
-            return loop
-
-        def main():
-            asyncio.run(handler())
-    """, rules=[EventLoopMisuse])
-    assert findings == []

@@ -1,4 +1,4 @@
-"""Engine behavior: the registry, suppressions, scopes, file collection."""
+"""Engine behavior: the registry, scopes, file collection."""
 
 from __future__ import annotations
 
@@ -10,77 +10,35 @@ from repro.lint import (
     all_rules,
     collect_files,
     lint_sources,
-    parse_suppressions,
     run,
 )
+from repro.lint.config import SCOPES
 from repro.lint.engine import SYNTAX_ERROR_RULE
-from repro.lint.rules.numeric import UnguardedDivision
+from repro.lint.rules.determinism import UnseededRandom
 
 from .conftest import MODEL_PATH
 
 
 def _lint(source: str, **kwargs):
     return lint_sources({MODEL_PATH: textwrap.dedent(source)},
-                        rule_classes=[UnguardedDivision], **kwargs)
+                        rule_classes=[UnseededRandom], **kwargs)
 
 
 # ----------------------------------------------------------------------
 # Registry sanity
 
-def test_all_eighteen_rules_register_with_unique_ids():
+def test_all_eleven_rules_register_with_unique_ids():
     ids = [rule.id for rule in all_rules()]
-    assert len(ids) == len(set(ids))
-    assert {"SMT101", "SMT102", "SMT103", "SMT201", "SMT202", "SMT301",
-            "SMT302", "SMT401", "SMT402", "SMT403", "SMT501", "SMT502",
-            "SMT601", "SMT602", "SMT603", "SMT701", "SMT702",
-            "SMT703"} <= set(ids)
-    assert len(ids) == 18
+    assert ids == ["SMT101", "SMT102", "SMT103", "SMT201", "SMT202",
+                   "SMT401", "SMT402", "SMT501", "SMT502", "SMT601",
+                   "SMT602"]
 
 
-# ----------------------------------------------------------------------
-# Suppressions
-
-def test_inline_suppression_with_reason_round_trips():
-    findings = _lint("""\
-        def f(a, b):
-            return a / b  # smite: noqa[SMT302]: b is a validated knob
-    """)
-    (finding,) = findings
-    assert finding.suppressed
-    assert finding.suppress_reason == "b is a validated knob"
-
-
-def test_suppression_for_another_rule_does_not_apply():
-    findings = _lint("""\
-        def f(a, b):
-            return a / b  # smite: noqa[SMT101]: wrong rule
-    """)
-    (finding,) = findings
-    assert not finding.suppressed
-
-
-def test_wildcard_suppression_covers_every_rule():
-    findings = _lint("""\
-        def f(a, b):
-            return a / b  # smite: noqa[*]: anything goes here
-    """)
-    assert findings[0].suppressed
-
-
-def test_multi_rule_suppression_list():
-    marks = parse_suppressions(
-        "x = 1  # smite: noqa[SMT301, SMT302]: both numeric rules\n")
-    (mark,) = marks.values()
-    assert mark.covers("SMT301") and mark.covers("SMT302")
-    assert not mark.covers("SMT101")
-
-
-def test_syntax_errors_are_not_suppressible():
-    findings = lint_sources(
-        {MODEL_PATH: "def broken(  # smite: noqa[*]: nice try\n"})
-    (finding,) = findings
-    assert finding.rule == SYNTAX_ERROR_RULE
-    assert not finding.suppressed
+def test_every_registered_family_has_exactly_one_scope():
+    # The engine indexes SCOPES directly: a family without an entry
+    # raises instead of silently firing everywhere, and a stale entry
+    # for a deleted family is caught here.
+    assert set(SCOPES) == {rule.family for rule in all_rules()}
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +46,8 @@ def test_syntax_errors_are_not_suppressible():
 
 def test_exit_code_semantics():
     failing = _lint("""\
-        def f(a, b):
-            return a / b
+        import random
+        X = random.random()
     """)
     assert LintResult(findings=failing).exit_code == 1
     assert LintResult(findings=[]).exit_code == 0
@@ -135,7 +93,7 @@ _PKG = {
             time.sleep(1)
 
         async def tick():
-            time.sleep(1)  # smite: noqa[SMT601]: fixture keeps it on purpose
+            time.sleep(1)
     """,
     "src/fix/api.py": """\
         from fix.io import slow
@@ -155,13 +113,8 @@ def test_run_over_files_equals_lint_sources_over_their_text(tmp_path):
 
     result = run(tmp_path)
     expected = lint_sources(sources, root=tmp_path)
-    # to_dict carries the suppression fields Finding equality ignores.
-    assert [f.to_dict() for f in result.findings] \
-        == [f.to_dict() for f in expected]
+    assert result.findings == expected
     assert result.files_checked == 2
-    assert [(f.path, f.suppressed) for f in expected
-            if f.rule == "SMT601"] == [("src/fix/api.py", False),
-                                       ("src/fix/io.py", True)]
-    (chain,) = [f for f in expected
-                if f.rule == "SMT601" and not f.suppressed]
+    chain, direct = [f for f in expected if f.rule == "SMT601"]
+    assert (chain.path, direct.path) == ("src/fix/api.py", "src/fix/io.py")
     assert "via `slow` (`time.sleep`)" in chain.message

@@ -3,8 +3,7 @@
 Each test builds a small in-memory project, scans it, and asserts on
 the linked graph: import/call resolution (aliased, relative, star,
 cyclic), class-method dispatch through bases and subclass overrides,
-and the two closures (worker taint, blocking reachability) the
-SMT6xx/SMT7xx rules consume.
+and the blocking-reachability closure the SMT6xx rules consume.
 """
 
 from __future__ import annotations
@@ -239,36 +238,3 @@ def test_async_taint_crosses_modules_and_stops_at_executor_hop():
     safe = g.functions["pkg.api:safe_handler"]
     for site in safe.calls:
         assert all(c not in g.blocking_next for c in site.callees)
-
-
-def test_worker_taint_tracks_roots_and_foldback():
-    g = _graph({
-        "src/pkg/work.py": """\
-            from concurrent.futures import ProcessPoolExecutor
-            from repro.obs import counter, snapshot
-
-            def folding_worker(n):
-                counter("x").inc()
-                return snapshot()
-
-            def leaky_worker(n):
-                counter("x").inc()
-
-            def fan_out():
-                with ProcessPoolExecutor() as ex:
-                    ex.submit(folding_worker, 1)
-                    ex.submit(leaky_worker, 2)
-        """,
-        "src/repro/obs/__init__.py": """\
-            def counter(name):
-                pass
-
-            def snapshot():
-                pass
-        """,
-    })
-    assert g.worker_taint["pkg.work:folding_worker"] \
-        == frozenset({"pkg.work:folding_worker"})
-    assert g.root_folds_back("pkg.work:folding_worker")
-    assert not g.root_folds_back("pkg.work:leaky_worker")
-

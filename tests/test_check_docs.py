@@ -308,7 +308,7 @@ def test_a_removed_lint_flag_in_a_doc_is_reported(tmp_path):
         "python -m repro.lint --format json src   # --jobs in a comment\n"
         "python -m repro.lint --jobs 4\n"
         "```\n"
-        "Run `python scripts/lint.py --stats` or "
+        "Run `python scripts/lint.py --list-rules` or "
         "`python scripts/lint.py --no-cache`, then `--jobs` alone.\n",
         encoding="utf-8")
     assert check_docs.check_lint_flags([doc]) == [
