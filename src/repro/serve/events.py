@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "EventRecord",
     "EventTable",
+    "index_dtype",
 ]
 
 #: Event-kind column codes (sort ranks: at equal timestamps departures
@@ -29,6 +30,11 @@ KIND_DEPART, KIND_ARRIVE = 0, 1
 PLACEMENT_NAMES = ("colocated", "baseline", "shed")
 
 _KIND_NAMES = ("depart", "arrive")
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype holding all of ``[-1, n)``."""
+    return np.min_scalar_type(min(-n, -1))
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,14 @@ class EventTable(Sequence):
     them; indexing materializes an :class:`EventRecord` on demand, so
     existing consumers (tests, experiments) iterate it unchanged while
     the engine's hot path only ever touches the columns.
+
+    The engine stores each column in the narrowest dtype its range needs
+    (values, and so the rendered log, do not depend on it): ``time_s``
+    float64; ``kind`` and ``placement`` int8 codes; ``job_id`` int64;
+    ``server`` int32, -1 for the baseline pool; ``app_idx``,
+    ``profile_idx`` and ``instances_after`` the :func:`index_dtype` of
+    ``len(apps)``, ``len(profiles)`` and threads per server + 2 (int8 up
+    to 128 each).
     """
 
     __slots__ = (

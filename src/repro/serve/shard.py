@@ -43,6 +43,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError, SchedulingError
 from repro.obs import counter, span
+from repro.serve.events import index_dtype
 
 __all__ = [
     "EpochShardPool",
@@ -55,11 +56,14 @@ __all__ = [
 class PoolReplay:
     """One pool's placement results, aligned with its input event stream."""
 
-    #: Per event: local server index placed on / freed from, -1 baseline.
+    #: Per event: local server index placed on / freed from, -1 baseline
+    #: (int32: pools below 2**31 servers).
     server: np.ndarray
-    #: Per event: placement code (0 colocated, 1 baseline).
+    #: Per event: placement code, 0 colocated or 1 baseline (int8).
     placement: np.ndarray
-    #: Per event: the server's instance count after the event.
+    #: Per event: the server's instance count after the event, below
+    #: the kernel's ``n_states`` (:func:`~repro.serve.events.index_dtype`
+    #: of ``n_states``: int8 up to 128 states).
     instances_after: np.ndarray
     #: Per epoch: sorted ``(profile_idx, instances, server count)`` rows
     #: describing every occupied colocation state at the epoch boundary.
@@ -161,7 +165,7 @@ class PoolKernel:
         groups = []
         for k in range(len(bounds) - 1):
             lo, hi = bounds[k], bounds[k + 1]
-            stale += self._replay(codes[lo:hi], first + lo)
+            stale += self._replay(codes[lo:hi].tolist(), first + lo)
             groups.append(self._groups())
         counter("serve.shard.stale_pops").inc(stale)
         self.groups_per_epoch.extend(groups)
@@ -174,12 +178,14 @@ class PoolKernel:
         profile_idx: np.ndarray,
         cap: np.ndarray,
         first: int,
-    ) -> list[int]:
-        """One int per event (see the class docstring); grows the state."""
+    ) -> np.ndarray:
+        """One int64 per event (see the class docstring); grows the state.
+        :meth:`step` converts one epoch of codes to Python ints at a time.
+        """
         arrive = is_arrival.astype(bool, copy=False)
         local = np.arange(first, first + arrive.size)
         if not local.size:
-            return []
+            return local
         self._grow_profiles(int(profile_idx.max()) + 1)
         top_job = int(job_pos.max())
         if top_job >= self.arrival_of.size:
@@ -208,7 +214,7 @@ class PoolKernel:
             profile_idx.astype(np.int64, copy=False) * self.n_states
             + np.maximum(cap - 1, 0),
             ~origin,
-        ).tolist()
+        )
 
     def _grow_profiles(self, n_profiles: int) -> None:
         """Extend the per-state lists to cover ``n_profiles`` profiles."""
@@ -312,11 +318,12 @@ class PoolKernel:
 
     def result(self) -> PoolReplay:
         """The accumulated :class:`PoolReplay` over every step so far."""
-        server = np.array(self.out_srv, dtype=np.int64)
+        server = np.array(self.out_srv, dtype=np.int32)
         return PoolReplay(
             server=server,
             placement=(server < 0).astype(np.int8),
-            instances_after=np.array(self.out_inst, dtype=np.int64),
+            instances_after=np.array(self.out_inst,
+                                     dtype=index_dtype(self.n_states)),
             groups_per_epoch=self.groups_per_epoch,
         )
 
