@@ -112,9 +112,9 @@ class CandidateBatch(Sequence):
         self.profile_idx = profile_idx
         self.max_instances = max_instances
         #: Optional precomputed unique-pair classification
-        #: ``(inv, keys)`` — the engine derives it for all epochs in one
-        #: pass (see :meth:`PredictionService._classify` for the
-        #: contract).
+        #: ``(inv, keys)`` — the engine derives it for a whole run of
+        #: epochs in one pass (see :meth:`PredictionService._classify`
+        #: for the contract).
         self.pairs = pairs
 
     @property
@@ -145,13 +145,15 @@ class CandidateBatch(Sequence):
 
 
 class CandidateStream:
-    """A whole replay's candidates, epoch-partitioned and columnar.
+    """One run of epochs' candidates, epoch-partitioned and columnar.
 
-    The vectorized engine classifies every epoch's unique (app, profile)
-    pairs in one numpy pass up front, then decides epoch by epoch on the
-    :class:`CandidateBatch` views that :meth:`batch` slices out on
-    demand. ``uid_pair`` holds each epoch's unique pair codes back to
-    back (epoch ``e`` owns ``uid_pair[uid_offs[e]:uid_offs[e + 1]]``),
+    The vectorized engine builds one stream per run of epochs: the whole
+    trace without adaptation, a single epoch with it. It classifies the
+    run's unique (app, profile) pairs per epoch in one numpy pass, then
+    decides epoch by epoch on the :class:`CandidateBatch` views that
+    :meth:`batch` slices out on demand. ``uid_pair`` holds each epoch's
+    unique pair codes back to back (epoch ``e`` owns
+    ``uid_pair[uid_offs[e]:uid_offs[e + 1]]``),
     while ``inv`` is epoch-local, matching the ``pairs`` contract of
     :meth:`PredictionService._classify`.
     """
